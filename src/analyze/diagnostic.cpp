@@ -106,4 +106,15 @@ std::ostream& operator<<(std::ostream& os, const DiagnosticReport& report) {
   return os << report.to_text();
 }
 
+void report_violations(const std::vector<core::FormatViolation>& violations,
+                       std::string_view file, DiagnosticReport& report) {
+  for (const core::FormatViolation& violation : violations) {
+    std::string component(file);
+    if (violation.line > 0) {
+      component += "/line " + std::to_string(violation.line);
+    }
+    report.error(violation.rule, std::move(component), violation.message);
+  }
+}
+
 }  // namespace krak::analyze

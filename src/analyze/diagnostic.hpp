@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/text_format.hpp"
+
 namespace krak::analyze {
 
 /// Severity of a linter finding, ordered from most to least severe.
@@ -89,5 +91,10 @@ class DiagnosticReport {
 };
 
 std::ostream& operator<<(std::ostream& os, const DiagnosticReport& report);
+
+/// Report each violation a core format parser found as an error on
+/// "<file>/line N", or on "<file>" when it concerns the whole file.
+void report_violations(const std::vector<core::FormatViolation>& violations,
+                       std::string_view file, DiagnosticReport& report);
 
 }  // namespace krak::analyze

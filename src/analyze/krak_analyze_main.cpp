@@ -18,8 +18,6 @@
 //   krak_analyze --partition-store corrupted # built-in broken entry
 //   krak_analyze --journal campaign.krakjournal
 //   krak_analyze --journal corrupted         # built-in broken journal
-//   krak_analyze --synthetic deck.kraksynth
-//   krak_analyze --synthetic corrupted       # built-in broken spec
 //
 // Exit status: 0 when no errors were found, 1 when the inputs are
 // inconsistent, 2 on usage errors.
@@ -33,7 +31,6 @@
 #include "analyze/lint_faults.hpp"
 #include "analyze/lint_journal.hpp"
 #include "analyze/lint_partition_store.hpp"
-#include "analyze/lint_synthetic.hpp"
 #include "analyze/lint_trace.hpp"
 #include "analyze/linter.hpp"
 #include "core/cost_table.hpp"
@@ -56,8 +53,7 @@ constexpr const char* kUsage =
     "       krak_analyze --trace FILE|corrupted [--format text|csv]\n"
     "       krak_analyze --faults FILE|corrupted [--pes N] [--format text|csv]\n"
     "       krak_analyze --partition-store FILE|corrupted [--format text|csv]\n"
-    "       krak_analyze --journal FILE|corrupted [--format text|csv]\n"
-    "       krak_analyze --synthetic FILE|corrupted [--format text|csv]\n";
+    "       krak_analyze --journal FILE|corrupted [--format text|csv]\n";
 
 mesh::InputDeck make_deck(const std::string& name) {
   if (name == "small") return mesh::make_standard_deck(mesh::DeckSize::kSmall);
@@ -129,14 +125,6 @@ int run(const util::ArgParser& args) {
       (void)analyze::lint_journal(in, report);
     } else {
       report = analyze::lint_journal_file(journal);
-    }
-  } else if (args.has("synthetic")) {
-    const std::string synthetic = args.get_string("synthetic", "");
-    if (synthetic == "corrupted") {
-      std::istringstream in(analyze::corrupted_synthetic_text());
-      (void)analyze::lint_synthetic(in, report);
-    } else {
-      report = analyze::lint_synthetic_file(synthetic);
     }
   } else if (args.has("faults")) {
     const std::string faults = args.get_string("faults", "");

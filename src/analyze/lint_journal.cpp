@@ -2,57 +2,21 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cstdint>
 #include <fstream>
-#include <istream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string_view>
-#include <vector>
 
 #include "analyze/rules.hpp"
-#include "core/campaign_journal.hpp"
 #include "util/error.hpp"
 
 namespace krak::analyze {
 
 namespace {
 
-constexpr std::string_view kMagic = "krakjournal 1";
-
 std::string line_component(std::size_t line) {
   return "journal/line " + std::to_string(line);
-}
-
-std::string hex16(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xf];
-    value >>= 4;
-  }
-  return out;
-}
-
-template <typename T>
-bool parse_value(std::string_view token, T& value, int base = 10) {
-  const auto result =
-      std::from_chars(token.data(), token.data() + token.size(), value, base);
-  return result.ec == std::errc{} && result.ptr == token.data() + token.size();
-}
-
-std::vector<std::string_view> split_tokens(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    const std::size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') ++pos;
-    if (pos > start) tokens.push_back(line.substr(start, pos - start));
-  }
-  return tokens;
 }
 
 /// Per-fingerprint writer state the linter replays
@@ -70,211 +34,75 @@ struct ScenarioState {
 
 }  // namespace
 
-JournalFile lint_journal(std::istream& in, DiagnosticReport& report) {
-  JournalFile file;
-  // Slurp the stream: torn-tail detection needs to see whether the last
-  // byte is a newline, which getline cannot report.
-  std::string text;
-  {
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
+core::CampaignJournal::Recovery lint_journal(std::istream& in,
+                                             DiagnosticReport& report) {
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  const core::ParsedJournal journal = core::parse_journal(text);
+  report_violations(journal.violations, "journal", report);
+  if (journal.torn_bytes > 0) {
+    const auto line =
+        static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+    report.warning(rules::kJournalTornTail, line_component(line + 1),
+                   "trailing partial record without a newline (" +
+                       std::to_string(journal.torn_bytes) +
+                       " byte(s)): a torn append that recovery truncates");
   }
 
+  core::CampaignJournal::Recovery recovery;
+  if (!journal.has_header) return recovery;
+  recovery.records = journal.replayable;
+  recovery.torn_tail = journal.intact_bytes < text.size();
+  recovery.dropped_bytes = text.size() - journal.intact_bytes;
+
+  // Writer state machine (core/campaign.cpp run_one), over every valid
+  // record; the recovery summary covers the replayable prefix.
   std::map<std::uint64_t, ScenarioState> scenarios;
-  std::size_t line_number = 0;
-  std::size_t pos = 0;
-  bool saw_header = false;
-  while (pos < text.size()) {
-    const std::size_t line_end = text.find('\n', pos);
-    if (line_end == std::string::npos) {
-      file.torn_tail = true;
-      report.warning(rules::kJournalTornTail, line_component(line_number + 1),
-                     "trailing partial record without a newline (" +
-                         std::to_string(text.size() - pos) +
-                         " byte(s)): a torn append that recovery truncates");
-      break;
+  const auto summarize = [&] {
+    recovery.scenarios = scenarios.size();
+    for (const auto& [fingerprint, state] : scenarios) {
+      (void)fingerprint;
+      if (state.done) ++recovery.completed;
+      if (state.quarantined) ++recovery.quarantined;
     }
-    const std::string_view line(text.data() + pos, line_end - pos);
-    pos = line_end + 1;
-    ++line_number;
-
-    // Blank lines and `#` comments: the writer emits neither, but
-    // annotated fixtures and hand-edited files do.
-    const std::size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string_view::npos || line[start] == '#') continue;
-
-    if (!saw_header) {
-      if (line != kMagic) {
-        report.error(rules::kJournalFormat, line_component(line_number),
-                     "expected header '" + std::string(kMagic) + "', got '" +
-                         std::string(line) + "'");
-        return file;
-      }
-      saw_header = true;
-      continue;
-    }
-
-    const std::vector<std::string_view> tokens = split_tokens(line);
-    if (tokens.size() < 2) {
-      report.error(rules::kJournalFormat, line_component(line_number),
-                   "record needs at least a kind and a checksum, got '" +
-                       std::string(line) + "'");
-      continue;
-    }
-    std::uint64_t declared = 0;
-    if (tokens.back().size() != 16 ||
-        !parse_value(tokens.back(), declared, 16)) {
-      report.error(rules::kJournalFormat, line_component(line_number),
-                   "last token must be the 16-hex-digit checksum, got '" +
-                       std::string(tokens.back()) + "'");
-      continue;
-    }
-    const std::uint64_t actual =
-        core::journal_checksum(line.substr(0, line.rfind(' ')));
-    if (actual != declared) {
-      report.error(rules::kJournalChecksum, line_component(line_number),
-                   "declared checksum " + std::string(tokens.back()) +
-                       " does not match record checksum " + hex16(actual) +
-                       "; recovery truncates the journal here");
-      continue;  // the fields below the seal cannot be trusted
-    }
-    ++file.records;
-
-    enum class Kind { kRunning, kDone, kFailed, kQuarantined };
-    Kind kind = Kind::kRunning;
-    std::size_t expected = 0;
-    if (tokens[0] == "running") {
-      kind = Kind::kRunning;
-      expected = 4;
-    } else if (tokens[0] == "done") {
-      kind = Kind::kDone;
-      expected = 8;
-    } else if (tokens[0] == "failed") {
-      kind = Kind::kFailed;
-      expected = 6;
-    } else if (tokens[0] == "quarantined") {
-      kind = Kind::kQuarantined;
-      expected = 5;
-    } else {
-      report.error(rules::kJournalFormat, line_component(line_number),
-                   "unknown record kind '" + std::string(tokens[0]) + "'");
-      continue;
-    }
-    if (tokens.size() != expected) {
-      report.error(rules::kJournalFormat, line_component(line_number),
-                   "'" + std::string(tokens[0]) + "' record needs " +
-                       std::to_string(expected) + " token(s), got " +
-                       std::to_string(tokens.size()));
-      continue;
-    }
-    std::uint64_t fingerprint = 0;
-    if (tokens[1].size() != 16 || !parse_value(tokens[1], fingerprint, 16)) {
-      report.error(rules::kJournalFormat, line_component(line_number),
-                   "fingerprint must be 16 hex digits, got '" +
-                       std::string(tokens[1]) + "'");
-      continue;
-    }
-    std::uint32_t attempt = 0;
-    if (!parse_value(tokens[2], attempt) || attempt == 0) {
-      report.error(rules::kJournalFormat, line_component(line_number),
-                   "attempt must be a positive integer, got '" +
-                       std::string(tokens[2]) + "'");
-      continue;
-    }
-    bool fields_ok = true;
-    switch (kind) {
-      case Kind::kRunning:
-        break;
-      case Kind::kDone: {
-        if (!core::journal_unescape(tokens[3]).has_value()) {
-          report.error(rules::kJournalFormat, line_component(line_number),
-                       "malformed percent-escaping in problem token '" +
-                           std::string(tokens[3]) + "'");
-          fields_ok = false;
-        }
-        std::int32_t pes = 0;
-        if (!parse_value(tokens[4], pes) || pes <= 0) {
-          report.error(rules::kJournalFormat, line_component(line_number),
-                       "pes must be a positive integer, got '" +
-                           std::string(tokens[4]) + "'");
-          fields_ok = false;
-        }
-        std::uint64_t bits = 0;
-        for (const std::size_t i : {std::size_t{5}, std::size_t{6}}) {
-          if (tokens[i].size() != 16 || !parse_value(tokens[i], bits, 16)) {
-            report.error(rules::kJournalFormat, line_component(line_number),
-                         "measured/predicted must be 16-hex IEEE-754 bit "
-                         "patterns, got '" +
-                             std::string(tokens[i]) + "'");
-            fields_ok = false;
-          }
-        }
-        break;
-      }
-      case Kind::kFailed: {
-        if (tokens[3] != "transient" && tokens[3] != "deterministic") {
-          report.error(rules::kJournalFormat, line_component(line_number),
-                       "failure class must be 'transient' or "
-                       "'deterministic', got '" +
-                           std::string(tokens[3]) + "'");
-          fields_ok = false;
-        }
-        if (!core::journal_unescape(tokens[4]).has_value()) {
-          report.error(rules::kJournalFormat, line_component(line_number),
-                       "malformed percent-escaping in error token '" +
-                           std::string(tokens[4]) + "'");
-          fields_ok = false;
-        }
-        break;
-      }
-      case Kind::kQuarantined: {
-        if (!core::journal_unescape(tokens[3]).has_value()) {
-          report.error(rules::kJournalFormat, line_component(line_number),
-                       "malformed percent-escaping in error token '" +
-                           std::string(tokens[3]) + "'");
-          fields_ok = false;
-        }
-        break;
-      }
-    }
-    if (!fields_ok) continue;
-
-    // Writer state machine (core/campaign.cpp run_one).
-    ScenarioState& state = scenarios[fingerprint];
+  };
+  using Kind = core::JournalRecord::Kind;
+  for (std::size_t i = 0; i < journal.records.size(); ++i) {
+    if (i == journal.replayable) summarize();
+    const core::JournalRecord& record = journal.records[i];
+    const std::string component = line_component(record.line);
+    ScenarioState& state = scenarios[record.fingerprint];
     if (state.done || state.quarantined) {
-      report.error(rules::kJournalStateMachine, line_component(line_number),
-                   "record for scenario " + std::string(tokens[1]) +
+      report.error(rules::kJournalStateMachine, component,
+                   "record for scenario " + core::hex16(record.fingerprint) +
                        " after its terminal '" +
-                       (state.done ? std::string("done")
-                                   : std::string("quarantined")) +
-                       "' state");
+                       (state.done ? "done" : "quarantined") + "' state");
     }
-    switch (kind) {
+    switch (record.kind) {
       case Kind::kRunning:
-        if (attempt <= state.max_attempt) {
-          report.error(rules::kJournalStateMachine,
-                       line_component(line_number),
+        if (record.attempt <= state.max_attempt) {
+          report.error(rules::kJournalStateMachine, component,
                        "attempt numbers must strictly increase: attempt " +
-                           std::to_string(attempt) + " after attempt " +
+                           std::to_string(record.attempt) + " after attempt " +
                            std::to_string(state.max_attempt));
         }
         state.open = true;
-        state.open_attempt = attempt;
+        state.open_attempt = record.attempt;
         break;
       case Kind::kDone:
       case Kind::kFailed:
-        if (!state.open || state.open_attempt != attempt) {
+        if (!state.open || state.open_attempt != record.attempt) {
           report.error(
-              rules::kJournalStateMachine, line_component(line_number),
-              "'" + std::string(tokens[0]) + "' for attempt " +
-                  std::to_string(attempt) +
+              rules::kJournalStateMachine, component,
+              std::string(record.kind == Kind::kDone ? "'done'" : "'failed'") +
+                  " for attempt " + std::to_string(record.attempt) +
                   (state.open ? " does not close the open attempt " +
                                     std::to_string(state.open_attempt)
                               : " has no open 'running' record"));
         }
         state.open = false;
-        if (kind == Kind::kDone) state.done = true;
+        if (record.kind == Kind::kDone) state.done = true;
         break;
       case Kind::kQuarantined:
         // Follows a `failed` record (or a resumed quarantine
@@ -283,22 +111,10 @@ JournalFile lint_journal(std::istream& in, DiagnosticReport& report) {
         state.quarantined = true;
         break;
     }
-    state.max_attempt = std::max(state.max_attempt, attempt);
+    state.max_attempt = std::max(state.max_attempt, record.attempt);
   }
-
-  if (!saw_header) {
-    report.error(rules::kJournalFormat, "journal",
-                 "empty input, missing '" + std::string(kMagic) + "' header");
-    return file;
-  }
-
-  file.scenarios = scenarios.size();
-  for (const auto& [fingerprint, state] : scenarios) {
-    (void)fingerprint;
-    if (state.done) ++file.completed;
-    if (state.quarantined) ++file.quarantined;
-  }
-  return file;
+  if (journal.replayable == journal.records.size()) summarize();
+  return recovery;
 }
 
 DiagnosticReport lint_journal_file(const std::string& path) {
@@ -318,13 +134,15 @@ std::string corrupted_journal_text() {
   // trips. Checksums are computed here so only the zeroed one fails.
   const auto sealed = [](std::string body) {
     body += ' ';
-    body += hex16(core::journal_checksum(
+    body += core::hex16(core::journal_checksum(
         std::string_view(body).substr(0, body.size() - 1)));
     body += '\n';
     return body;
   };
-  const std::string measured = hex16(std::bit_cast<std::uint64_t>(119.4));
-  const std::string predicted = hex16(std::bit_cast<std::uint64_t>(121.9));
+  const std::string measured =
+      core::hex16(std::bit_cast<std::uint64_t>(119.4));
+  const std::string predicted =
+      core::hex16(std::bit_cast<std::uint64_t>(121.9));
 
   std::string text = "krakjournal 1\n";
   text += sealed("running 00000000000000aa 1");

@@ -1,38 +1,28 @@
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
 
 #include "analyze/diagnostic.hpp"
+#include "core/campaign_journal.hpp"
 
 namespace krak::analyze {
 
-/// Summary of a linted `krakjournal 1` campaign journal
-/// (core/campaign_journal.hpp). Returned by lint_journal so drivers can
-/// report what the linter saw alongside the diagnostics.
-struct JournalFile {
-  std::size_t records = 0;      ///< checksum-valid records parsed
-  std::size_t scenarios = 0;    ///< distinct scenario fingerprints
-  std::size_t completed = 0;    ///< scenarios with a `done` record
-  std::size_t quarantined = 0;  ///< scenarios with a `quarantined` record
-  bool torn_tail = false;       ///< file ends in a partial line
-};
-
-/// Lint a `krakjournal 1` campaign journal from `in`: header and
-/// per-record structure (rules::kJournalFormat), the per-record FNV-1a
-/// checksum (rules::kJournalChecksum), the per-scenario state machine
-/// the writer guarantees (rules::kJournalStateMachine), and a torn
-/// trailing append (rules::kJournalTornTail, a warning — recovery
-/// truncates it cleanly).
+/// Lint a `krakjournal 1` campaign journal from `in` with the journal's
+/// own parser, core::parse_journal, reporting each violation as an
+/// error: header and record structure (rules::kJournalFormat) and the
+/// per-record checksum (rules::kJournalChecksum). Two rules judge the
+/// sequence of valid records rather than bytes, so only the linter has
+/// them: the writer's per-scenario state machine
+/// (rules::kJournalStateMachine) and a torn trailing append
+/// (rules::kJournalTornTail, a warning — recovery truncates it cleanly).
 ///
-/// These mirror the checks CampaignJournal applies on load, with one
-/// deliberate difference: where recovery silently truncates at the
-/// first invalid record, the linter names every violation so a human
-/// can see *what* `--resume` would drop. Blank lines and `#` comments
-/// are skipped (the writer emits neither; annotated fixtures and
-/// hand-edited files do).
-JournalFile lint_journal(std::istream& in, DiagnosticReport& report);
+/// Where recovery stops at the first violation, the linter names every
+/// one, so a human can see what `--resume` would drop. Returns the
+/// Recovery that opening the journal would report (default-constructed
+/// when the header is missing, which recovery refuses).
+core::CampaignJournal::Recovery lint_journal(std::istream& in,
+                                             DiagnosticReport& report);
 
 /// Open `path` and lint it; a file that cannot be opened is a
 /// rules::kJournalFormat error naming the path and the OS cause.

@@ -1,8 +1,6 @@
 #include "analyze/lint_partition_store.hpp"
 
-#include <cstring>
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include "analyze/rules.hpp"
@@ -10,294 +8,18 @@
 
 namespace krak::analyze {
 
-namespace {
-
-constexpr const char* kMagic = "krakpart";
-constexpr int kVersion = 1;
-
-const std::set<std::string>& known_methods() {
-  static const std::set<std::string> methods = {"strip", "rcb", "multilevel",
-                                                "material-aware"};
-  return methods;
-}
-
-std::string line_component(std::size_t line) {
-  return "store/line " + std::to_string(line);
-}
-
-/// Parse "key value" where value is a 16-digit hex word (fingerprint,
-/// checksum) or a decimal integer. Returns false on any mismatch.
-bool parse_u64_field(std::istringstream& ls, std::uint64_t& value, bool hex) {
-  std::string token;
-  if (!(ls >> token)) return false;
-  std::istringstream vs(token);
-  if (hex) vs >> std::hex;
-  return static_cast<bool>(vs >> value) && vs.eof();
-}
-
-}  // namespace
-
-PartitionStoreFile lint_partition_store(std::istream& in,
-                                        DiagnosticReport& report) {
-  PartitionStoreFile file;
-  std::size_t line_number = 0;
-  std::string line;
-
-  // `#` comment lines and blank lines are ignored everywhere (the store
-  // writer emits neither, but fixtures and hand-edited files do).
-  const auto next_content_line = [&]() -> bool {
-    while (std::getline(in, line)) {
-      ++line_number;
-      const std::size_t start = line.find_first_not_of(" \t\r");
-      if (start == std::string::npos || line[start] == '#') continue;
-      return true;
-    }
-    return false;
-  };
-
-  // Header: magic + version.
-  if (!next_content_line()) {
-    report.error(rules::kPartitionStoreFormat, "store",
-                 "empty input, missing header");
-    return file;
-  }
-  {
-    std::istringstream hs(line);
-    std::string magic;
-    int version = 0;
-    if (!(hs >> magic >> version) || magic != kMagic || version != kVersion) {
-      report.error(rules::kPartitionStoreFormat, line_component(line_number),
-                   "expected header '" + std::string(kMagic) + " " +
-                       std::to_string(kVersion) + "', got '" + line + "'");
-      return file;
-    }
-  }
-
-  // Fixed header fields, in the order the store writes them. A missing
-  // or malformed field aborts: everything after depends on pes/cells.
-  struct HeaderField {
-    const char* key;
-    bool hex;
-    std::uint64_t* target;
-  };
-  std::uint64_t pes_raw = 0;
-  std::uint64_t cells_raw = 0;
-  const HeaderField fields[] = {
-      {"fingerprint", true, &file.fingerprint},
-      {"pes", false, &pes_raw},
-      {"seed", false, &file.seed},
-      {"cells", false, &cells_raw},
-      {"checksum", true, &file.checksum},
-  };
-  for (const HeaderField& field : fields) {
-    // `method` sits between `pes` and `seed` in the file.
-    if (std::strcmp(field.key, "seed") == 0) {
-      if (!next_content_line()) {
-        report.error(rules::kPartitionStoreFormat, "store",
-                     "truncated header, missing 'method'");
-        return file;
-      }
-      std::istringstream ls(line);
-      std::string key;
-      if (!(ls >> key >> file.method) || key != "method") {
-        report.error(rules::kPartitionStoreFormat, line_component(line_number),
-                     "expected 'method <name>', got '" + line + "'");
-        return file;
-      }
-      if (known_methods().count(file.method) == 0) {
-        report.error(rules::kPartitionStoreFormat, line_component(line_number),
-                     "unknown partition method '" + file.method + "'");
-      }
-    }
-    if (!next_content_line()) {
-      report.error(rules::kPartitionStoreFormat, "store",
-                   "truncated header, missing '" + std::string(field.key) +
-                       "'");
-      return file;
-    }
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key) || key != field.key ||
-        !parse_u64_field(ls, *field.target, field.hex)) {
-      report.error(rules::kPartitionStoreFormat, line_component(line_number),
-                   "expected '" + std::string(field.key) +
-                       (field.hex ? " <16 hex digits>'" : " <integer>'") +
-                       ", got '" + line + "'");
-      return file;
-    }
-  }
-  file.pes = static_cast<std::int64_t>(pes_raw);
-  file.cells = static_cast<std::int64_t>(cells_raw);
-  if (file.pes <= 0 || file.cells <= 0) {
-    report.error(rules::kPartitionStoreFormat, "store",
-                 "pes and cells must be positive (pes " +
-                     std::to_string(file.pes) + ", cells " +
-                     std::to_string(file.cells) + ")");
-    return file;
-  }
-
-  // Offsets line: pes + 1 monotone values from 0 to cells.
-  if (!next_content_line()) {
-    report.error(rules::kPartitionStoreFormat, "store",
-                 "truncated file, missing 'offsets'");
-    return file;
-  }
-  bool offsets_usable = false;
-  {
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key) || key != "offsets") {
-      report.error(rules::kPartitionStoreFormat, line_component(line_number),
-                   "expected 'offsets <" + std::to_string(file.pes + 1) +
-                       " values>', got '" + line + "'");
-    } else {
-      std::int64_t value = 0;
-      while (ls >> value) file.offsets.push_back(value);
-      if (file.offsets.size() != static_cast<std::size_t>(file.pes) + 1) {
-        report.error(rules::kPartitionStoreOffsets,
-                     line_component(line_number),
-                     "expected " + std::to_string(file.pes + 1) +
-                         " offsets, got " +
-                         std::to_string(file.offsets.size()));
-      } else {
-        offsets_usable = true;
-        if (file.offsets.front() != 0) {
-          report.error(rules::kPartitionStoreOffsets,
-                       line_component(line_number),
-                       "offsets must start at 0, got " +
-                           std::to_string(file.offsets.front()));
-        }
-        if (file.offsets.back() != file.cells) {
-          report.error(rules::kPartitionStoreOffsets,
-                       line_component(line_number),
-                       "offsets must end at the cell count " +
-                           std::to_string(file.cells) + ", got " +
-                           std::to_string(file.offsets.back()));
-        }
-        for (std::size_t p = 0; p + 1 < file.offsets.size(); ++p) {
-          if (file.offsets[p] > file.offsets[p + 1]) {
-            report.error(rules::kPartitionStoreOffsets,
-                         line_component(line_number),
-                         "offsets not monotone: offsets[" +
-                             std::to_string(p) + "]=" +
-                             std::to_string(file.offsets[p]) + " > offsets[" +
-                             std::to_string(p + 1) + "]=" +
-                             std::to_string(file.offsets[p + 1]));
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  // Part lines: "part <p> <cells...>", labels in sequence, each cell
-  // owned exactly once. Each line carries its own cell list, so parsing
-  // never depends on (possibly corrupt) offsets; offsets are
-  // cross-checked against the per-line counts instead.
-  file.assignment.assign(static_cast<std::size_t>(file.cells), -1);
-  std::int64_t expected_label = 0;
-  bool saw_end = false;
-  while (next_content_line()) {
-    std::istringstream ls(line);
-    std::string directive;
-    if (!(ls >> directive)) continue;
-    if (directive == "end") {
-      saw_end = true;
-      break;
-    }
-    if (directive != "part") {
-      report.error(rules::kPartitionStoreFormat, line_component(line_number),
-                   "unknown directive '" + directive + "'");
-      continue;
-    }
-    std::int64_t label = -1;
-    if (!(ls >> label)) {
-      report.error(rules::kPartitionStoreFormat, line_component(line_number),
-                   "expected 'part <p> <cells...>'");
-      continue;
-    }
-    if (label != expected_label) {
-      report.error(rules::kPartitionStoreBounds, line_component(line_number),
-                   "part labels must be sequential: expected " +
-                       std::to_string(expected_label) + ", got " +
-                       std::to_string(label));
-    }
-    ++expected_label;
-    std::int64_t count = 0;
-    std::int64_t cell = 0;
-    while (ls >> cell) {
-      ++count;
-      if (cell < 0 || cell >= file.cells) {
-        report.error(rules::kPartitionStoreBounds, line_component(line_number),
-                     "cell " + std::to_string(cell) + " outside [0, " +
-                         std::to_string(file.cells) + ")");
-        continue;
-      }
-      if (file.assignment[static_cast<std::size_t>(cell)] != -1) {
-        report.error(rules::kPartitionStoreBounds, line_component(line_number),
-                     "cell " + std::to_string(cell) +
-                         " assigned twice (already in part " +
-                         std::to_string(file.assignment[static_cast<
-                             std::size_t>(cell)]) +
-                         ")");
-      }
-      if (label >= 0 && label < file.pes) {
-        file.assignment[static_cast<std::size_t>(cell)] =
-            static_cast<std::int32_t>(label);
-      }
-    }
-    if (offsets_usable && label >= 0 && label < file.pes) {
-      const std::int64_t declared =
-          file.offsets[static_cast<std::size_t>(label) + 1] -
-          file.offsets[static_cast<std::size_t>(label)];
-      if (declared != count) {
-        report.error(rules::kPartitionStoreOffsets,
-                     line_component(line_number),
-                     "part " + std::to_string(label) + " lists " +
-                         std::to_string(count) +
-                         " cell(s) but the offsets imply " +
-                         std::to_string(declared));
-      }
-    }
-  }
-
-  if (!saw_end) {
-    report.error(rules::kPartitionStoreFormat, "store",
-                 "missing 'end' (file truncated?)");
-  }
-  if (expected_label != file.pes) {
-    report.error(rules::kPartitionStoreBounds, "store",
-                 "expected " + std::to_string(file.pes) +
-                     " part line(s), got " + std::to_string(expected_label));
-  }
-  std::int64_t unassigned = 0;
-  for (const std::int32_t owner : file.assignment) {
-    if (owner == -1) ++unassigned;
-  }
-  if (unassigned > 0) {
-    report.error(rules::kPartitionStoreBounds, "store",
-                 std::to_string(unassigned) + " cell(s) owned by no part");
-  } else {
-    // Checksum is only meaningful over a fully reconstructed
-    // assignment; coverage errors above already explain the rest.
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const std::int32_t owner : file.assignment) {
-      hash ^= static_cast<std::uint32_t>(owner);
-      hash *= 0x100000001b3ull;
-    }
-    if (hash != file.checksum) {
-      std::ostringstream os;
-      os << "declared checksum " << std::hex << file.checksum
-         << " does not match assignment checksum " << hash;
-      report.error(rules::kPartitionStoreChecksum, "store", os.str());
-    }
-  }
-  return file;
+core::PartitionEntry lint_partition_store(std::istream& in,
+                                          DiagnosticReport& report) {
+  std::ostringstream text;
+  text << in.rdbuf();
+  core::PartitionEntry entry = core::parse_partition_entry(text.str());
+  report_violations(entry.violations, "store", report);
+  return entry;
 }
 
 DiagnosticReport lint_partition_store_file(const std::string& path) {
   DiagnosticReport report;
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     report.error(rules::kPartitionStoreFormat, "store",
                  "cannot open " + path + ": " + util::errno_message());

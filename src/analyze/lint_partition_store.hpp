@@ -1,39 +1,24 @@
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "analyze/diagnostic.hpp"
+#include "core/partition_store.hpp"
 
 namespace krak::analyze {
 
-/// A parsed `krakpart 1` partition-store entry (core/partition_store.hpp).
-/// Returned by lint_partition_store so drivers can inspect what the
-/// linter saw; `assignment[cell]` is -1 where no part claimed the cell.
-struct PartitionStoreFile {
-  std::uint64_t fingerprint = 0;
-  std::int64_t pes = 0;
-  std::string method;
-  std::uint64_t seed = 0;
-  std::int64_t cells = 0;
-  std::uint64_t checksum = 0;
-  std::vector<std::int64_t> offsets;
-  std::vector<std::int32_t> assignment;
-};
-
-/// Lint a `krakpart 1` entry from `in`, accumulating findings into
-/// `report`: structural problems (rules::kPartitionStoreFormat), CSR
-/// offset consistency (rules::kPartitionStoreOffsets), part labels and
-/// exactly-once cell coverage (rules::kPartitionStoreBounds), and the
-/// embedded assignment checksum (rules::kPartitionStoreChecksum).
-///
-/// These are the same checks PartitionStore::load applies before
-/// trusting a file — the linter exists to explain *why* the store
-/// rejected (and evicted) an entry.
-PartitionStoreFile lint_partition_store(std::istream& in,
-                                        DiagnosticReport& report);
+/// Lint a `krakpart 1` entry from `in` with the store's own parser,
+/// core::parse_partition_entry, reporting each violation as an error:
+/// structure (rules::kPartitionStoreFormat), CSR offsets
+/// (rules::kPartitionStoreOffsets), part labels and exactly-once cell
+/// coverage (rules::kPartitionStoreBounds), and the assignment checksum
+/// (rules::kPartitionStoreChecksum). An entry lints clean exactly when
+/// PartitionStore::load serves it under the key its header declares;
+/// the loader alone also checks that the header matches the key it was
+/// asked for. Returns the parsed entry.
+core::PartitionEntry lint_partition_store(std::istream& in,
+                                          DiagnosticReport& report);
 
 /// Open `path` and lint it; a file that cannot be opened is a
 /// rules::kPartitionStoreFormat error naming the path and the OS cause.

@@ -1,5 +1,8 @@
 #pragma once
 
+#include "core/campaign_journal.hpp"
+#include "core/partition_store.hpp"
+
 namespace krak::analyze::rules {
 
 /// Stable rule identifiers emitted by the model linter. Each id names
@@ -86,54 +89,28 @@ inline constexpr const char* kTraceSendRecvMatch = "trace-send-recv-match";
 
 // --- partition-store files (krakpart 1, core/partition_store.hpp) ---------
 
-/// Structural validity of a partition-store entry: magic/version
-/// header, the fixed header fields (fingerprint, pes, method, seed,
-/// cells, checksum), known partition method, terminating `end`.
-inline constexpr const char* kPartitionStoreFormat = "partition-store-format";
-/// CSR offsets must start at 0, end at the cell count, be monotone
-/// non-decreasing, and agree with each part line's cell count.
-inline constexpr const char* kPartitionStoreOffsets = "partition-store-offsets";
-/// Part labels must be the sequence 0..pes-1 and every cell id must lie
-/// in [0, cells), be assigned exactly once, and leave no cell unowned.
-inline constexpr const char* kPartitionStoreBounds = "partition-store-bounds";
-/// The declared checksum must equal FNV-1a over the reconstructed
-/// assignment (core::partition_checksum) — the integrity seal the store
-/// itself verifies before trusting a file.
-inline constexpr const char* kPartitionStoreChecksum =
-    "partition-store-checksum";
+// The store's parser, core::parse_partition_entry, emits these; they are
+// documented with it.
+using core::rules::kPartitionStoreBounds;
+using core::rules::kPartitionStoreChecksum;
+using core::rules::kPartitionStoreFormat;
+using core::rules::kPartitionStoreOffsets;
 
 // --- campaign-journal files (krakjournal 1, core/campaign_journal.hpp) ----
 
-/// Structural validity of a journal record: magic/version header, known
-/// record kind, token counts, 16-hex fingerprints, positive attempt
-/// numbers, positive pes, well-formed percent-escaping.
-inline constexpr const char* kJournalFormat = "journal-format";
-/// Every record's trailing checksum must equal FNV-1a over the line
-/// body before it — the per-record seal recovery verifies before
-/// replaying a scenario's state.
-inline constexpr const char* kJournalChecksum = "journal-checksum";
+// The journal's parser, core::parse_journal, emits these two; they are
+// documented with it.
+using core::rules::kJournalChecksum;
+using core::rules::kJournalFormat;
 /// Per-scenario record order must follow the writer's state machine:
 /// attempt numbers strictly increase, `done`/`failed` close the attempt
 /// the latest `running` record opened, and no record may follow a
-/// terminal `done` or `quarantined` state.
+/// terminal `done` or `quarantined` state. Linter-only: it judges a
+/// sequence of valid records, which recovery replays as they are.
 inline constexpr const char* kJournalStateMachine = "journal-state-machine";
 /// A trailing partial line with no newline is a torn append (crash
 /// mid-write); recovery truncates it, losing exactly that record.
 inline constexpr const char* kJournalTornTail = "journal-torn-tail";
-
-// --- synthetic-deck specs (kraksynth 1, mesh/synthetic.hpp) ----------------
-
-/// Structural validity of a synthetic-deck spec: magic/version header,
-/// known keys, well-formed values, no duplicate grid/detonator lines,
-/// terminating `end`.
-inline constexpr const char* kSyntheticFormat = "synthetic-format";
-/// The material mix must be generatable: known material indices, layer
-/// fractions in (0, 1] summing to 1, and at least one grid column per
-/// layer.
-inline constexpr const char* kSyntheticMix = "synthetic-mix";
-/// Grid dimensions must be positive and an explicit detonator must lie
-/// inside the grid domain.
-inline constexpr const char* kSyntheticShape = "synthetic-shape";
 
 // --- fault-spec files (krakfaults 1, fault/plan.hpp) ----------------------
 

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <system_error>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 
 #if !defined(_WIN32)
@@ -28,38 +29,6 @@ constexpr std::string_view kMagic = "krakjournal 1";
 void bump_journal_counter(const char* name, std::int64_t count = 1) {
   if (!obs::enabled() || count == 0) return;
   obs::global_registry().counter(name).add(count);
-}
-
-std::string hex16(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xf];
-    value >>= 4;
-  }
-  return out;
-}
-
-template <typename T>
-bool parse_value(std::string_view token, T& value, int base = 10) {
-  const auto result =
-      std::from_chars(token.data(), token.data() + token.size(), value, base);
-  return result.ec == std::errc{} && result.ptr == token.data() + token.size();
-}
-
-/// Split `line` into whitespace-free tokens (single spaces separate
-/// journal fields; empty fields cannot occur — journal_escape never
-/// produces an empty token).
-std::vector<std::string_view> split_tokens(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    const std::size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') ++pos;
-    if (pos > start) tokens.push_back(line.substr(start, pos - start));
-  }
-  return tokens;
 }
 
 }  // namespace
@@ -109,186 +78,265 @@ std::optional<std::string> journal_unescape(std::string_view token) {
   return out;
 }
 
-struct CampaignJournal::Record {
-  enum class Kind { kRunning, kDone, kFailed, kQuarantined };
+namespace {
 
-  Kind kind = Kind::kRunning;
-  std::uint64_t fingerprint = 0;
-  std::uint32_t attempt = 0;
-  bool transient = false;  ///< failed records: the failure class
-  std::string error;       ///< failed / quarantined records
-  ValidationPoint point;   ///< done records
+using Kind = JournalRecord::Kind;
 
-  /// The line body (checksum excluded) exactly as serialized.
-  [[nodiscard]] std::string body() const {
-    std::string out;
-    switch (kind) {
-      case Kind::kRunning:
-        out = "running";
-        break;
-      case Kind::kDone:
-        out = "done";
-        break;
-      case Kind::kFailed:
-        out = "failed";
-        break;
-      case Kind::kQuarantined:
-        out = "quarantined";
-        break;
-    }
-    out += ' ';
-    out += hex16(fingerprint);
-    out += ' ';
-    out += std::to_string(attempt);
-    switch (kind) {
-      case Kind::kRunning:
-        break;
-      case Kind::kDone:
-        out += ' ';
-        out += journal_escape(point.problem);
-        out += ' ';
-        out += std::to_string(point.pes);
-        out += ' ';
-        out += hex16(std::bit_cast<std::uint64_t>(point.measured));
-        out += ' ';
-        out += hex16(std::bit_cast<std::uint64_t>(point.predicted));
-        break;
-      case Kind::kFailed:
-        out += transient ? " transient " : " deterministic ";
-        out += journal_escape(error);
-        break;
-      case Kind::kQuarantined:
-        out += ' ';
-        out += journal_escape(error);
-        break;
-    }
-    return out;
+/// The line body (checksum excluded) exactly as serialized.
+std::string record_body(const JournalRecord& record) {
+  std::string out;
+  switch (record.kind) {
+    case Kind::kRunning:
+      out = "running";
+      break;
+    case Kind::kDone:
+      out = "done";
+      break;
+    case Kind::kFailed:
+      out = "failed";
+      break;
+    case Kind::kQuarantined:
+      out = "quarantined";
+      break;
+  }
+  out += ' ';
+  out += hex16(record.fingerprint);
+  out += ' ';
+  out += std::to_string(record.attempt);
+  switch (record.kind) {
+    case Kind::kRunning:
+      break;
+    case Kind::kDone:
+      out += ' ';
+      out += journal_escape(record.point.problem);
+      out += ' ';
+      out += std::to_string(record.point.pes);
+      out += ' ';
+      out += hex16(std::bit_cast<std::uint64_t>(record.point.measured));
+      out += ' ';
+      out += hex16(std::bit_cast<std::uint64_t>(record.point.predicted));
+      break;
+    case Kind::kFailed:
+      out += record.transient ? " transient " : " deterministic ";
+      out += journal_escape(record.error);
+      break;
+    case Kind::kQuarantined:
+      out += ' ';
+      out += journal_escape(record.error);
+      break;
+  }
+  return out;
+}
+
+/// Parse one record line; on any violation, appends it to `violations`
+/// and returns nullopt.
+std::optional<JournalRecord> parse_record(
+    std::string_view line, std::size_t number,
+    std::vector<FormatViolation>& violations) {
+  const auto violate = [&](const char* rule, std::string message) {
+    violations.push_back({rule, number, std::move(message)});
+    return std::nullopt;
+  };
+  // journal_escape leaves no blank inside a token, so splitting at
+  // blanks recovers exactly the fields the writer joined with spaces.
+  std::vector<std::string_view> tokens;
+  Tokens reader(line);
+  for (std::string_view token; reader.next(token);) tokens.push_back(token);
+  if (tokens.size() < 2) {
+    return violate(rules::kJournalFormat,
+                   "record needs at least a kind and a checksum, got " +
+                       quoted(line));
+  }
+  std::uint64_t declared = 0;
+  if (!parse_hex16(tokens.back(), declared)) {
+    return violate(rules::kJournalFormat,
+                   "last token must be the 16-hex-digit checksum, got " +
+                       quoted(tokens.back()));
+  }
+  const std::uint64_t actual =
+      journal_checksum(line.substr(0, line.rfind(' ')));
+  if (actual != declared) {
+    // The fields below the seal cannot be trusted.
+    return violate(rules::kJournalChecksum,
+                   "declared checksum " + std::string(tokens.back()) +
+                       " does not match record checksum " + hex16(actual) +
+                       "; recovery truncates the journal here");
   }
 
-  /// Parse one full line (checksum included); nullopt on any violation.
-  static std::optional<Record> parse(std::string_view line) {
-    const std::vector<std::string_view> tokens = split_tokens(line);
-    if (tokens.size() < 4) return std::nullopt;
-    std::uint64_t checksum = 0;
-    if (!parse_value(tokens.back(), checksum, 16) ||
-        tokens.back().size() != 16) {
-      return std::nullopt;
-    }
-    const std::size_t body_end = line.rfind(' ');
-    if (body_end == std::string_view::npos) return std::nullopt;
-    if (journal_checksum(line.substr(0, body_end)) != checksum) {
-      return std::nullopt;
-    }
-
-    Record record;
-    std::size_t expected = 0;
-    if (tokens[0] == "running") {
-      record.kind = Kind::kRunning;
-      expected = 4;
-    } else if (tokens[0] == "done") {
-      record.kind = Kind::kDone;
-      expected = 8;
-    } else if (tokens[0] == "failed") {
-      record.kind = Kind::kFailed;
-      expected = 6;
-    } else if (tokens[0] == "quarantined") {
-      record.kind = Kind::kQuarantined;
-      expected = 5;
+  JournalRecord record;
+  record.line = number;
+  std::size_t expected = 0;
+  if (tokens[0] == "running") {
+    record.kind = Kind::kRunning;
+    expected = 4;
+  } else if (tokens[0] == "done") {
+    record.kind = Kind::kDone;
+    expected = 8;
+  } else if (tokens[0] == "failed") {
+    record.kind = Kind::kFailed;
+    expected = 6;
+  } else if (tokens[0] == "quarantined") {
+    record.kind = Kind::kQuarantined;
+    expected = 5;
+  } else {
+    return violate(rules::kJournalFormat,
+                   "unknown record kind " + quoted(tokens[0]));
+  }
+  if (tokens.size() != expected) {
+    return violate(rules::kJournalFormat,
+                   "'" + std::string(tokens[0]) + "' record needs " +
+                       std::to_string(expected) + " token(s), got " +
+                       std::to_string(tokens.size()));
+  }
+  if (!parse_hex16(tokens[1], record.fingerprint)) {
+    return violate(rules::kJournalFormat,
+                   "fingerprint must be 16 hex digits, got " +
+                       quoted(tokens[1]));
+  }
+  if (!parse_value(tokens[2], record.attempt) || record.attempt == 0) {
+    return violate(rules::kJournalFormat,
+                   "attempt must be a positive integer, got " +
+                       quoted(tokens[2]));
+  }
+  // Field checks below report every bad field of the record.
+  const std::size_t before = violations.size();
+  const auto unescape = [&](std::string_view token, const char* what,
+                            std::string& out) {
+    std::optional<std::string> text = journal_unescape(token);
+    if (text.has_value()) {
+      out = std::move(*text);
     } else {
-      return std::nullopt;
+      violations.push_back({rules::kJournalFormat, number,
+                            "malformed percent-escaping in " +
+                                std::string(what) + " token " +
+                                quoted(token)});
     }
-    if (tokens.size() != expected) return std::nullopt;
-    if (!parse_value(tokens[1], record.fingerprint, 16) ||
-        tokens[1].size() != 16) {
-      return std::nullopt;
-    }
-    if (!parse_value(tokens[2], record.attempt) || record.attempt == 0) {
-      return std::nullopt;
-    }
-    switch (record.kind) {
-      case Kind::kRunning:
-        break;
-      case Kind::kDone: {
-        const std::optional<std::string> problem = journal_unescape(tokens[3]);
-        if (!problem.has_value()) return std::nullopt;
-        record.point.problem = *problem;
-        if (!parse_value(tokens[4], record.point.pes) ||
-            record.point.pes <= 0) {
-          return std::nullopt;
-        }
+  };
+  switch (record.kind) {
+    case Kind::kRunning:
+      break;
+    case Kind::kDone: {
+      unescape(tokens[3], "problem", record.point.problem);
+      if (!parse_value(tokens[4], record.point.pes) ||
+          record.point.pes <= 0) {
+        violations.push_back({rules::kJournalFormat, number,
+                              "pes must be a positive integer, got " +
+                                  quoted(tokens[4])});
+      }
+      const auto bit_pattern = [&](std::string_view token, double& value) {
         std::uint64_t bits = 0;
-        if (!parse_value(tokens[5], bits, 16)) return std::nullopt;
-        record.point.measured = std::bit_cast<double>(bits);
-        if (!parse_value(tokens[6], bits, 16)) return std::nullopt;
-        record.point.predicted = std::bit_cast<double>(bits);
-        break;
-      }
-      case Kind::kFailed: {
-        if (tokens[3] == "transient") {
-          record.transient = true;
-        } else if (tokens[3] == "deterministic") {
-          record.transient = false;
+        if (parse_hex16(token, bits)) {
+          value = std::bit_cast<double>(bits);
         } else {
-          return std::nullopt;
+          violations.push_back({rules::kJournalFormat, number,
+                                "measured/predicted must be 16-hex IEEE-754 "
+                                "bit patterns, got " +
+                                    quoted(token)});
         }
-        const std::optional<std::string> error = journal_unescape(tokens[4]);
-        if (!error.has_value()) return std::nullopt;
-        record.error = *error;
-        break;
-      }
-      case Kind::kQuarantined: {
-        const std::optional<std::string> error = journal_unescape(tokens[3]);
-        if (!error.has_value()) return std::nullopt;
-        record.error = *error;
-        break;
-      }
+      };
+      bit_pattern(tokens[5], record.point.measured);
+      bit_pattern(tokens[6], record.point.predicted);
+      break;
     }
-    return record;
+    case Kind::kFailed:
+      if (tokens[3] == "transient" || tokens[3] == "deterministic") {
+        record.transient = tokens[3] == "transient";
+      } else {
+        violations.push_back({rules::kJournalFormat, number,
+                              "failure class must be 'transient' or "
+                              "'deterministic', got " +
+                                  quoted(tokens[3])});
+      }
+      unescape(tokens[4], "error", record.error);
+      break;
+    case Kind::kQuarantined:
+      unescape(tokens[3], "error", record.error);
+      break;
   }
-};
+  if (violations.size() > before) return std::nullopt;
+  return record;
+}
+
+}  // namespace
+
+ParsedJournal parse_journal(std::string_view text) {
+  ParsedJournal journal;
+  // Only newline-terminated lines are parsed: a partial last line is a
+  // torn append, dropped by recovery whatever it holds.
+  const std::size_t last_newline = text.rfind('\n');
+  const std::size_t complete =
+      last_newline == std::string_view::npos ? 0 : last_newline + 1;
+  journal.torn_bytes = text.size() - complete;
+  journal.intact_bytes = complete;
+
+  LineReader lines(text.substr(0, complete));
+  if (!lines.next()) {
+    journal.violations.push_back(
+        {rules::kJournalFormat, 0,
+         "empty input, missing '" + std::string(kMagic) + "' header"});
+    return journal;
+  }
+  if (lines.line() != kMagic) {
+    journal.violations.push_back(
+        {rules::kJournalFormat, lines.number(),
+         "expected header '" + std::string(kMagic) + "', got " +
+             quoted(lines.line())});
+    return journal;
+  }
+  journal.has_header = true;
+  while (lines.next()) {
+    const bool clean = journal.violations.empty();
+    std::optional<JournalRecord> record =
+        parse_record(lines.line(), lines.number(), journal.violations);
+    if (clean && !journal.violations.empty()) {
+      journal.replayable = journal.records.size();
+      journal.intact_bytes = lines.begin();
+    }
+    if (record.has_value()) journal.records.push_back(std::move(*record));
+  }
+  if (journal.violations.empty()) journal.replayable = journal.records.size();
+  return journal;
+}
 
 CampaignJournal::CampaignJournal(std::filesystem::path path)
     : path_(std::move(path)) {
   const std::filesystem::path parent = path_.parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
 
-  std::string text;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in) {
-      in.seekg(0, std::ios::end);
-      text.resize(static_cast<std::size_t>(in.tellg()));
-      in.seekg(0);
-      in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!std::filesystem::exists(path_)) {
+    // One atomic write, so no crash can leave a journal without its
+    // header — a file recovery would refuse.
+    std::string header(kMagic);
+    header += '\n';
+    util::atomic_write_file(path_, header);
+  } else {
+    std::string text;
+    {
+      std::ifstream in(path_, std::ios::binary);
+      if (!in) {
+        throw util::KrakError("cannot read journal " + path_.string() + ": " +
+                              util::errno_message());
+      }
+      text.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
     }
-  }
-
-  const bool fresh = text.empty();
-  if (!fresh) {
-    // An existing file must lead with the magic line: truncating an
-    // arbitrary file the user mistyped into a journal would destroy it.
-    const std::size_t eol = text.find('\n');
-    if (eol == std::string::npos || text.substr(0, eol) != kMagic) {
+    const ParsedJournal parsed = parse_journal(text);
+    // Truncating an arbitrary file the user mistyped into a journal
+    // would destroy it.
+    if (!parsed.has_header) {
       throw util::KrakError("not a krakjournal 1 file: " + path_.string());
     }
-    // Replay records until the first invalid line, then truncate there:
-    // a torn append (crash mid-write) costs exactly the torn record.
-    std::size_t pos = eol + 1;
-    while (pos < text.size()) {
-      const std::size_t line_end = text.find('\n', pos);
-      if (line_end == std::string::npos) break;  // partial line: torn
-      const std::optional<Record> record =
-          Record::parse(std::string_view(text).substr(pos, line_end - pos));
-      if (!record.has_value()) break;
-      apply(*record);
-      ++recovery_.records;
-      pos = line_end + 1;
+    // Replay records until the first violation, then truncate there: a
+    // torn append (crash mid-write) costs exactly the torn record.
+    for (std::size_t i = 0; i < parsed.replayable; ++i) {
+      apply(parsed.records[i]);
     }
-    if (pos < text.size()) {
+    recovery_.records = parsed.replayable;
+    if (parsed.intact_bytes < text.size()) {
       recovery_.torn_tail = true;
-      recovery_.dropped_bytes = text.size() - pos;
+      recovery_.dropped_bytes = text.size() - parsed.intact_bytes;
       std::error_code ec;
-      std::filesystem::resize_file(path_, pos, ec);
+      std::filesystem::resize_file(path_, parsed.intact_bytes, ec);
       if (ec) {
         throw util::KrakError("cannot truncate torn journal tail of " +
                               path_.string() + ": " + ec.message());
@@ -307,17 +355,12 @@ CampaignJournal::CampaignJournal(std::filesystem::path path)
   if (recovery_.torn_tail) bump_journal_counter("journal.recovered_torn_tail");
 
 #if !defined(_WIN32)
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
   if (fd_ < 0) {
     throw util::KrakError("cannot open journal " + path_.string() +
                           " for appending: " + util::errno_message());
   }
 #endif
-  if (fresh) {
-    std::string header(kMagic);
-    header += '\n';
-    write_raw(header);
-  }
 }
 
 CampaignJournal::~CampaignJournal() {
@@ -359,8 +402,8 @@ void CampaignJournal::write_raw(std::string_view data) {
 #endif
 }
 
-void CampaignJournal::append(const Record& record) {
-  std::string line = record.body();
+void CampaignJournal::append(const JournalRecord& record) {
+  std::string line = record_body(record);
   line += ' ';
   line += hex16(journal_checksum(line.substr(0, line.size() - 1)));
   line += '\n';
@@ -370,19 +413,19 @@ void CampaignJournal::append(const Record& record) {
   bump_journal_counter("journal.appends");
 }
 
-void CampaignJournal::apply(const Record& record) {
+void CampaignJournal::apply(const JournalRecord& record) {
   History& history = histories_[record.fingerprint];
   history.attempts = std::max(history.attempts, record.attempt);
   switch (record.kind) {
-    case Record::Kind::kRunning:
+    case Kind::kRunning:
       history.interrupted = true;  // cleared by the attempt's outcome
       break;
-    case Record::Kind::kDone:
+    case Kind::kDone:
       history.interrupted = false;
       history.done = true;
       history.point = record.point;
       break;
-    case Record::Kind::kFailed:
+    case Kind::kFailed:
       history.interrupted = false;
       if (record.transient) {
         ++history.transient_failures;
@@ -392,7 +435,7 @@ void CampaignJournal::apply(const Record& record) {
       history.last_error = record.error;
       history.last_transient = record.transient;
       break;
-    case Record::Kind::kQuarantined:
+    case Kind::kQuarantined:
       history.interrupted = false;
       history.quarantined = true;
       if (!record.error.empty()) history.last_error = record.error;
@@ -402,8 +445,8 @@ void CampaignJournal::apply(const Record& record) {
 
 void CampaignJournal::record_running(std::uint64_t fingerprint,
                                      std::uint32_t attempt) {
-  Record record;
-  record.kind = Record::Kind::kRunning;
+  JournalRecord record;
+  record.kind = Kind::kRunning;
   record.fingerprint = fingerprint;
   record.attempt = attempt;
   append(record);
@@ -412,8 +455,8 @@ void CampaignJournal::record_running(std::uint64_t fingerprint,
 void CampaignJournal::record_done(std::uint64_t fingerprint,
                                   std::uint32_t attempt,
                                   const ValidationPoint& point) {
-  Record record;
-  record.kind = Record::Kind::kDone;
+  JournalRecord record;
+  record.kind = Kind::kDone;
   record.fingerprint = fingerprint;
   record.attempt = attempt;
   record.point = point;
@@ -423,8 +466,8 @@ void CampaignJournal::record_done(std::uint64_t fingerprint,
 void CampaignJournal::record_failed(std::uint64_t fingerprint,
                                     std::uint32_t attempt, bool transient,
                                     std::string_view error) {
-  Record record;
-  record.kind = Record::Kind::kFailed;
+  JournalRecord record;
+  record.kind = Kind::kFailed;
   record.fingerprint = fingerprint;
   record.attempt = attempt;
   record.transient = transient;
@@ -435,8 +478,8 @@ void CampaignJournal::record_failed(std::uint64_t fingerprint,
 void CampaignJournal::record_quarantined(std::uint64_t fingerprint,
                                          std::uint32_t attempt,
                                          std::string_view error) {
-  Record record;
-  record.kind = Record::Kind::kQuarantined;
+  JournalRecord record;
+  record.kind = Kind::kQuarantined;
   record.fingerprint = fingerprint;
   record.attempt = attempt;
   record.error = std::string(error);

@@ -7,10 +7,63 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "core/text_format.hpp"
 #include "core/validation.hpp"
 
 namespace krak::core {
+
+namespace rules {
+
+/// Rule ids of `krakjournal` violations, as `krak_analyze --journal`
+/// reports them (docs/ANALYSIS.md).
+///
+/// Structure: the `krakjournal 1` header, known record kinds, token
+/// counts, 16-hex-digit fingerprints, checksums and measured/predicted
+/// bit patterns, positive attempts and pes, well-formed escaping.
+inline constexpr const char* kJournalFormat = "journal-format";
+/// A record's trailing checksum equals journal_checksum of the line
+/// body before it.
+inline constexpr const char* kJournalChecksum = "journal-checksum";
+
+}  // namespace rules
+
+/// One `krakjournal 1` record: a scenario state change.
+struct JournalRecord {
+  enum class Kind { kRunning, kDone, kFailed, kQuarantined };
+
+  Kind kind = Kind::kRunning;
+  std::uint64_t fingerprint = 0;
+  std::uint32_t attempt = 0;
+  bool transient = false;  ///< failed records: the failure class
+  std::string error;       ///< failed / quarantined records
+  ValidationPoint point;   ///< done records
+  std::size_t line = 0;    ///< line parse_journal read it from
+};
+
+/// A journal as parse_journal read it.
+struct ParsedJournal {
+  bool has_header = false;  ///< the first content line is the magic
+  /// Every record without a violation, in file order.
+  std::vector<JournalRecord> records;
+  /// Every rule the text breaks, in line order.
+  std::vector<FormatViolation> violations;
+  /// Records before the first violation: what recovery replays.
+  std::size_t replayable = 0;
+  /// Bytes before the first violating line or the torn tail: what
+  /// recovery keeps.
+  std::size_t intact_bytes = 0;
+  /// Length of a partial last line without a newline: a torn append,
+  /// never parsed and never a violation.
+  std::size_t torn_bytes = 0;
+};
+
+/// The krakjournal parser. CampaignJournal recovery replays the records
+/// before its first violation and refuses a text without the header;
+/// `krak_analyze --journal` prints every violation and judges the
+/// records' order (its linter-only journal-state-machine rule).
+[[nodiscard]] ParsedJournal parse_journal(std::string_view text);
 
 /// Versioned write-ahead journal of a validation campaign
 /// (docs/RESILIENCE.md, "Resumable campaigns").
@@ -32,14 +85,17 @@ namespace krak::core {
 /// IEEE-754 bit patterns of the doubles in 16 hex digits, so a replayed
 /// ValidationPoint is bit-identical to the one originally measured;
 /// `<error>` and `<problem>` are percent-escaped single tokens;
-/// `<checksum>` is FNV-1a over everything before it on the line.
+/// `<checksum>` is FNV-1a over everything before it on the line. Blank
+/// lines and `#` comment lines are skipped.
 ///
-/// Loading replays every valid record into per-scenario histories and
-/// truncates the file at the first invalid line (torn-tail recovery): a
-/// crash mid-append — SIGKILL, power loss, full disk — costs at most
-/// the record being written, never the journal. Appends go through one
-/// O_APPEND write plus fsync per record, so the write-ahead contract
-/// survives the same crashes it protects against.
+/// Loading parses the file with parse_journal, replays every record
+/// before the first violation into per-scenario histories, and
+/// truncates the file there (torn-tail recovery): a crash mid-append —
+/// SIGKILL, power loss, full disk — costs at most the record being
+/// written, never the journal. A new journal is created with its header
+/// in one atomic write, and appends go through one O_APPEND write plus
+/// fsync per record, so the write-ahead contract survives the same
+/// crashes it protects against.
 ///
 /// Thread-safe: campaign workers append concurrently from the pool.
 /// Counters are mirrored into the observability registry as
@@ -79,9 +135,9 @@ class CampaignJournal {
   };
 
   /// Open (creating if absent) and recover the journal at `path`.
-  /// Throws util::KrakError when the file exists but is not a
-  /// `krakjournal 1` file — a wrong path must not be truncated into
-  /// one — or when the file cannot be opened for appending.
+  /// Throws util::KrakError when the file exists but does not lead with
+  /// the `krakjournal 1` header — a wrong path must not be truncated
+  /// into a journal — or when it cannot be read or opened for appending.
   explicit CampaignJournal(std::filesystem::path path);
   ~CampaignJournal();
   CampaignJournal(const CampaignJournal&) = delete;
@@ -104,11 +160,9 @@ class CampaignJournal {
   [[nodiscard]] History history(std::uint64_t fingerprint) const;
 
  private:
-  struct Record;
-
   void write_raw(std::string_view data);
-  void append(const Record& record);
-  void apply(const Record& record);
+  void append(const JournalRecord& record);
+  void apply(const JournalRecord& record);
 
   std::filesystem::path path_;
   Recovery recovery_;
@@ -118,7 +172,7 @@ class CampaignJournal {
 };
 
 /// Percent-escape `text` into a single whitespace-free journal token
-/// ("" encodes as "%"); exposed for krak_analyze --journal and tests.
+/// ("" encodes as "%").
 [[nodiscard]] std::string journal_escape(std::string_view text);
 
 /// Inverse of journal_escape; nullopt on malformed input.

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -20,130 +21,291 @@ void bump_store_counter(const char* name) {
   obs::global_registry().counter(name).add();
 }
 
-std::string hex16(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xf];
-    value >>= 4;
-  }
-  return out;
-}
-
-/// Whitespace tokenizer over the whole file. Entry files hold millions
-/// of integers, so parsing goes through from_chars over one buffer
-/// instead of iostream extraction — the difference is what makes a warm
-/// store load cheap relative to repartitioning.
-class Tokenizer {
- public:
-  explicit Tokenizer(const std::string& text) : text_(text) {}
-
-  bool next(std::string_view& token) {
-    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
-    if (pos_ >= text_.size()) return false;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && !is_space(text_[pos_])) ++pos_;
-    token = std::string_view(text_).substr(start, pos_ - start);
-    return true;
-  }
-
-  template <typename T>
-  bool next_value(T& value, int base = 10) {
-    std::string_view token;
-    if (!next(token)) return false;
-    const auto result =
-        std::from_chars(token.data(), token.data() + token.size(), value, base);
-    return result.ec == std::errc{} &&
-           result.ptr == token.data() + token.size();
-  }
-
- private:
-  static bool is_space(char c) {
-    return c == ' ' || c == '\n' || c == '\r' || c == '\t';
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
 void append_value(std::string& out, std::uint64_t value) {
   char buffer[24];
   const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
   out.append(buffer, result.ptr);
 }
 
-/// Parse and fully validate an entry file against `key`; nullopt on any
-/// violation. Validation mirrors `krak_analyze --partition-store`
-/// (src/analyze/lint_partition_store.cpp) minus the diagnostics.
-std::optional<partition::Partition> parse_entry(const std::string& text,
-                                                const PartitionStore::Key& key) {
-  Tokenizer tok(text);
-  std::string_view word;
-  if (!tok.next(word) || word != "krakpart") return std::nullopt;
-  std::uint64_t version = 0;
-  if (!tok.next_value(version) || version != 1) return std::nullopt;
-
-  std::uint64_t fingerprint = 0;
-  if (!tok.next(word) || word != "fingerprint") return std::nullopt;
-  if (!tok.next_value(fingerprint, 16)) return std::nullopt;
-  std::int64_t pes = 0;
-  if (!tok.next(word) || word != "pes") return std::nullopt;
-  if (!tok.next_value(pes) || pes <= 0) return std::nullopt;
-  if (!tok.next(word) || word != "method") return std::nullopt;
-  std::string_view method_name;
-  if (!tok.next(method_name)) return std::nullopt;
-  std::uint64_t seed = 0;
-  if (!tok.next(word) || word != "seed") return std::nullopt;
-  if (!tok.next_value(seed)) return std::nullopt;
-  std::int64_t cells = 0;
-  if (!tok.next(word) || word != "cells") return std::nullopt;
-  if (!tok.next_value(cells) || cells <= 0) return std::nullopt;
-  std::uint64_t checksum = 0;
-  if (!tok.next(word) || word != "checksum") return std::nullopt;
-  if (!tok.next_value(checksum, 16)) return std::nullopt;
-
-  if (fingerprint != key.fingerprint || pes != key.pes || seed != key.seed ||
-      method_name != partition::partition_method_name(key.method)) {
-    return std::nullopt;
-  }
-
-  if (!tok.next(word) || word != "offsets") return std::nullopt;
-  std::vector<std::int64_t> offsets(static_cast<std::size_t>(pes) + 1);
-  for (std::int64_t& offset : offsets) {
-    if (!tok.next_value(offset)) return std::nullopt;
-  }
-  if (offsets.front() != 0 || offsets.back() != cells) return std::nullopt;
-  for (std::size_t p = 0; p + 1 < offsets.size(); ++p) {
-    if (offsets[p] > offsets[p + 1]) return std::nullopt;
-  }
-
-  std::vector<partition::PeId> assignment(static_cast<std::size_t>(cells), -1);
-  std::int64_t assigned = 0;
-  for (std::int64_t p = 0; p < pes; ++p) {
-    std::int64_t label = -1;
-    if (!tok.next(word) || word != "part") return std::nullopt;
-    if (!tok.next_value(label) || label != p) return std::nullopt;
-    const std::int64_t count = offsets[static_cast<std::size_t>(p) + 1] -
-                               offsets[static_cast<std::size_t>(p)];
-    for (std::int64_t k = 0; k < count; ++k) {
-      std::int64_t cell = -1;
-      if (!tok.next_value(cell)) return std::nullopt;
-      if (cell < 0 || cell >= cells) return std::nullopt;
-      if (assignment[static_cast<std::size_t>(cell)] != -1) return std::nullopt;
-      assignment[static_cast<std::size_t>(cell)] =
-          static_cast<partition::PeId>(p);
-      ++assigned;
+bool parse_method(std::string_view name, partition::PartitionMethod& method) {
+  for (const partition::PartitionMethod candidate :
+       {partition::PartitionMethod::kStrip, partition::PartitionMethod::kRcb,
+        partition::PartitionMethod::kMultilevel,
+        partition::PartitionMethod::kMaterialAware}) {
+    if (name == partition::partition_method_name(candidate)) {
+      method = candidate;
+      return true;
     }
   }
-  if (!tok.next(word) || word != "end") return std::nullopt;
-  if (tok.next(word)) return std::nullopt;  // trailing garbage
-  if (assigned != cells) return std::nullopt;
-  if (partition_checksum(assignment) != checksum) return std::nullopt;
-  return partition::Partition(static_cast<std::int32_t>(pes),
-                              std::move(assignment));
+  return false;
+}
+
+/// Parses the fixed header lines into `entry`. Stops at the first bad
+/// line, since everything after the header is sized by pes and cells.
+bool parse_header(LineReader& lines, PartitionEntry& entry) {
+  std::string_view value;
+  const auto field = [&](const char* key) {
+    if (!lines.next()) {
+      entry.violations.push_back({rules::kPartitionStoreFormat, 0,
+                                  "missing '" + std::string(key) + "' line"});
+      return false;
+    }
+    Tokens tokens(lines.line());
+    std::string_view word;
+    std::string_view extra;
+    if (tokens.next(word) && word == key && tokens.next(value) &&
+        !tokens.next(extra)) {
+      return true;
+    }
+    entry.violations.push_back(
+        {rules::kPartitionStoreFormat, lines.number(),
+         "expected '" + std::string(key) + " <value>', got " +
+             quoted(lines.line())});
+    return false;
+  };
+  const auto malformed = [&](const char* expected) {
+    entry.violations.push_back({rules::kPartitionStoreFormat, lines.number(),
+                                "expected " + std::string(expected) +
+                                    ", got " + quoted(lines.line())});
+    return false;
+  };
+
+  if (!field("krakpart")) return false;
+  if (value != "1") return malformed("'krakpart 1'");
+  if (!field("fingerprint")) return false;
+  if (!parse_hex16(value, entry.fingerprint)) {
+    return malformed("'fingerprint <16 hex digits>'");
+  }
+  if (!field("pes")) return false;
+  if (!parse_value(value, entry.pes) || entry.pes <= 0) {
+    return malformed("'pes <positive 32-bit integer>'");
+  }
+  if (!field("method")) return false;
+  if (!parse_method(value, entry.method)) {
+    return malformed("'method strip|rcb|multilevel|material-aware'");
+  }
+  if (!field("seed")) return false;
+  if (!parse_value(value, entry.seed)) return malformed("'seed <integer>'");
+  if (!field("cells")) return false;
+  if (!parse_value(value, entry.cells) || entry.cells <= 0) {
+    return malformed("'cells <positive integer>'");
+  }
+  if (!field("checksum")) return false;
+  if (!parse_hex16(value, entry.checksum)) {
+    return malformed("'checksum <16 hex digits>'");
+  }
+  // Each offset and each cell takes at least a digit and a separator, so
+  // a count the rest of the file cannot hold is corrupt — rejected here,
+  // before anything is sized by it.
+  const std::size_t room = lines.remaining() / 2;
+  if (static_cast<std::uint64_t>(entry.pes) > room ||
+      static_cast<std::uint64_t>(entry.cells) > room) {
+    entry.violations.push_back(
+        {rules::kPartitionStoreFormat, lines.number(),
+         "pes " + std::to_string(entry.pes) + " and cells " +
+             std::to_string(entry.cells) + " cannot fit in the remaining " +
+             std::to_string(lines.remaining()) + " byte(s)"});
+    return false;
+  }
+  return true;
+}
+
+/// Parses the `offsets` line into `entry`; true when the offsets are
+/// consistent, so each part's count can be checked against its line.
+bool parse_offsets(LineReader& lines, PartitionEntry& entry) {
+  const auto violate = [&](const char* rule, std::string message) {
+    entry.violations.push_back({rule, lines.number(), std::move(message)});
+    return false;
+  };
+  if (!lines.next()) {
+    entry.violations.push_back(
+        {rules::kPartitionStoreFormat, 0, "missing 'offsets' line"});
+    return false;
+  }
+  const auto expected = static_cast<std::size_t>(entry.pes) + 1;
+  Tokens tokens(lines.line());
+  std::string_view token;
+  if (!tokens.next(token) || token != "offsets") {
+    return violate(rules::kPartitionStoreFormat,
+                   "expected 'offsets <" + std::to_string(expected) +
+                       " values>', got " + quoted(lines.line()));
+  }
+  entry.offsets.reserve(expected);
+  while (tokens.next(token)) {
+    std::int64_t offset = 0;
+    if (!parse_value(token, offset)) {
+      return violate(rules::kPartitionStoreFormat,
+                     "offset " + quoted(token) + " is not an integer");
+    }
+    entry.offsets.push_back(offset);
+  }
+  const std::vector<std::int64_t>& offsets = entry.offsets;
+  if (offsets.size() != expected) {
+    return violate(rules::kPartitionStoreOffsets,
+                   "expected " + std::to_string(expected) + " offsets, got " +
+                       std::to_string(offsets.size()));
+  }
+  bool consistent = true;
+  if (offsets.front() != 0) {
+    consistent = violate(
+        rules::kPartitionStoreOffsets,
+        "offsets must start at 0, got " + std::to_string(offsets.front()));
+  }
+  if (offsets.back() != entry.cells) {
+    consistent = violate(rules::kPartitionStoreOffsets,
+                         "offsets must end at the cell count " +
+                             std::to_string(entry.cells) + ", got " +
+                             std::to_string(offsets.back()));
+  }
+  for (std::size_t p = 0; p + 1 < offsets.size(); ++p) {
+    if (offsets[p] > offsets[p + 1]) {
+      return violate(rules::kPartitionStoreOffsets,
+                     "offsets not monotone: offsets[" + std::to_string(p) +
+                         "]=" + std::to_string(offsets[p]) + " > offsets[" +
+                         std::to_string(p + 1) +
+                         "]=" + std::to_string(offsets[p + 1]));
+    }
+  }
+  return consistent;
 }
 
 }  // namespace
+
+// Entry files hold millions of integers, so values go through
+// from_chars over the one file buffer, with no iostream extraction and
+// no per-token strings: that is what keeps a warm store load cheap
+// relative to repartitioning.
+PartitionEntry parse_partition_entry(std::string_view text) {
+  PartitionEntry entry;
+  LineReader lines(text);
+  if (!parse_header(lines, entry)) return entry;
+  const bool offsets_consistent = parse_offsets(lines, entry);
+  const auto violate = [&](const char* rule, std::string message) {
+    entry.violations.push_back({rule, lines.number(), std::move(message)});
+  };
+
+  // Part lines, `part <p> <cells...>`, one per part in label order. Each
+  // line carries its own cells, so parsing never depends on (possibly
+  // corrupt) offsets; the offsets are checked against the per-line
+  // counts instead. Bad cells are reported once per line and kind, so
+  // the violation list stays proportional to the line count.
+  entry.assignment.assign(static_cast<std::size_t>(entry.cells), -1);
+  std::int64_t labels = 0;
+  std::int64_t assigned = 0;
+  bool saw_end = false;
+  while (lines.next()) {
+    Tokens tokens(lines.line());
+    std::string_view token;
+    (void)tokens.next(token);  // a content line has a first token
+    if (saw_end) {
+      violate(rules::kPartitionStoreFormat,
+              "content after 'end': " + quoted(lines.line()));
+      continue;
+    }
+    if (token == "end") {
+      saw_end = true;
+      if (tokens.next(token)) {
+        violate(rules::kPartitionStoreFormat,
+                "content after 'end': " + quoted(lines.line()));
+      }
+      continue;
+    }
+    std::int64_t label = -1;
+    if (token != "part" || !tokens.next(token) || !parse_value(token, label)) {
+      violate(rules::kPartitionStoreFormat,
+              "expected 'part <p> <cells...>' or 'end', got " +
+                  quoted(lines.line()));
+      continue;
+    }
+    if (label != labels) {
+      violate(rules::kPartitionStoreBounds,
+              "part labels must be sequential: expected " +
+                  std::to_string(labels) + ", got " + std::to_string(label));
+    }
+    ++labels;
+    const bool owned = label >= 0 && label < entry.pes;
+    std::int64_t listed = 0;
+    std::string_view bad_token;
+    std::int64_t outside = 0;
+    std::int64_t first_outside = 0;
+    std::int64_t repeated = 0;
+    std::int64_t first_repeated = 0;
+    while (tokens.next(token)) {
+      std::int64_t cell = -1;
+      if (!parse_value(token, cell)) {
+        if (bad_token.empty()) bad_token = token;
+        continue;
+      }
+      ++listed;
+      if (cell < 0 || cell >= entry.cells) {
+        if (outside++ == 0) first_outside = cell;
+        continue;
+      }
+      partition::PeId& owner = entry.assignment[static_cast<std::size_t>(cell)];
+      if (owner != -1) {
+        if (repeated++ == 0) first_repeated = cell;
+      } else if (owned) {
+        ++assigned;
+      }
+      if (owned) owner = static_cast<partition::PeId>(label);
+    }
+    const auto and_more = [](std::int64_t count) {
+      return count > 1 ? " (and " + std::to_string(count - 1) + " more)"
+                       : std::string();
+    };
+    if (!bad_token.empty()) {
+      violate(rules::kPartitionStoreFormat,
+              "cell " + quoted(bad_token) + " is not an integer");
+    }
+    if (outside > 0) {
+      violate(rules::kPartitionStoreBounds,
+              "cell " + std::to_string(first_outside) + " outside [0, " +
+                  std::to_string(entry.cells) + ")" + and_more(outside));
+    }
+    if (repeated > 0) {
+      violate(rules::kPartitionStoreBounds,
+              "cell " + std::to_string(first_repeated) +
+                  " already listed by an earlier part" + and_more(repeated));
+    }
+    if (offsets_consistent && owned) {
+      const auto p = static_cast<std::size_t>(label);
+      const std::int64_t declared = entry.offsets[p + 1] - entry.offsets[p];
+      if (declared != listed) {
+        violate(rules::kPartitionStoreOffsets,
+                "part " + std::to_string(label) + " lists " +
+                    std::to_string(listed) +
+                    " cell(s) but the offsets imply " +
+                    std::to_string(declared));
+      }
+    }
+  }
+
+  const auto violate_file = [&](const char* rule, std::string message) {
+    entry.violations.push_back({rule, 0, std::move(message)});
+  };
+  if (!saw_end) {
+    violate_file(rules::kPartitionStoreFormat,
+                 "missing 'end' (file truncated?)");
+  }
+  if (labels != entry.pes) {
+    violate_file(rules::kPartitionStoreBounds,
+                 "expected " + std::to_string(entry.pes) +
+                     " part line(s), got " + std::to_string(labels));
+  }
+  if (assigned != entry.cells) {
+    violate_file(rules::kPartitionStoreBounds,
+                 std::to_string(entry.cells - assigned) +
+                     " cell(s) owned by no part");
+  } else if (const std::uint64_t actual = partition_checksum(entry.assignment);
+             actual != entry.checksum) {
+    // Only a complete assignment has a meaningful checksum; coverage
+    // errors above already explain an incomplete one.
+    violate_file(rules::kPartitionStoreChecksum,
+                 "declared checksum " + hex16(entry.checksum) +
+                     " does not match assignment checksum " + hex16(actual));
+  }
+  return entry;
+}
 
 std::uint64_t deck_fingerprint(const mesh::InputDeck& deck) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -219,8 +381,10 @@ std::optional<partition::Partition> PartitionStore::load(const Key& key) {
     in.seekg(0);
     in.read(text.data(), static_cast<std::streamsize>(text.size()));
   }
-  std::optional<partition::Partition> partition = parse_entry(text, key);
-  if (!partition.has_value()) {
+  PartitionEntry entry = parse_partition_entry(text);
+  if (!entry.violations.empty() || entry.fingerprint != key.fingerprint ||
+      entry.pes != key.pes || entry.method != key.method ||
+      entry.seed != key.seed) {
     // Evict: a failed check means the file is corrupt or stale, and a
     // deleted entry is simply recomputed on the next run.
     std::error_code ec;
@@ -235,7 +399,7 @@ std::optional<partition::Partition> PartitionStore::load(const Key& key) {
     ++counters_.hits;
     bump_store_counter("partition_store.hits");
   }
-  return partition;
+  return partition::Partition(entry.pes, std::move(entry.assignment));
 }
 
 void PartitionStore::save(const Key& key, const partition::Partition& part) {

@@ -4,7 +4,10 @@
 #include <filesystem>
 #include <mutex>
 #include <optional>
+#include <string_view>
+#include <vector>
 
+#include "core/text_format.hpp"
 #include "mesh/deck.hpp"
 #include "partition/partition.hpp"
 
@@ -19,6 +22,51 @@ namespace krak::core {
 /// in `krakpart` files and checked by `krak_analyze --partition-store`.
 [[nodiscard]] std::uint64_t partition_checksum(
     const std::vector<partition::PeId>& assignment);
+
+namespace rules {
+
+/// Rule ids of `krakpart` violations, as `krak_analyze
+/// --partition-store` reports them (docs/ANALYSIS.md).
+///
+/// Structure: the `krakpart 1` header, the fixed header fields in order
+/// with well-formed values, a known method, pes and cells the remaining
+/// bytes can hold, one `part` line per part, a terminating `end` and
+/// nothing after it.
+inline constexpr const char* kPartitionStoreFormat = "partition-store-format";
+/// CSR offsets start at 0, end at the cell count, never decrease, and
+/// agree with each part line's cell count.
+inline constexpr const char* kPartitionStoreOffsets = "partition-store-offsets";
+/// Part labels run 0..pes-1 and every cell id lies in [0, cells), is
+/// listed exactly once, and no cell is left unowned.
+inline constexpr const char* kPartitionStoreBounds = "partition-store-bounds";
+/// The declared checksum equals partition_checksum of the assignment.
+inline constexpr const char* kPartitionStoreChecksum =
+    "partition-store-checksum";
+
+}  // namespace rules
+
+/// A `krakpart 1` entry as parse_partition_entry read it. Fields after
+/// the first header line that fails to parse keep their defaults.
+struct PartitionEntry {
+  std::uint64_t fingerprint = 0;
+  std::int32_t pes = 0;
+  partition::PartitionMethod method = partition::PartitionMethod::kMultilevel;
+  std::uint64_t seed = 0;
+  std::int64_t cells = 0;
+  std::uint64_t checksum = 0;
+  std::vector<std::int64_t> offsets;
+  /// `assignment[cell]` is the part that listed the cell, -1 if none.
+  std::vector<partition::PeId> assignment;
+  /// Every rule the text breaks, in line order; empty exactly when the
+  /// entry is valid.
+  std::vector<FormatViolation> violations;
+};
+
+/// The krakpart parser. PartitionStore::load serves an entry only when
+/// it reports no violation; `krak_analyze --partition-store` prints the
+/// violations. The one check it cannot make is the store's own: that
+/// the header matches the key the entry was loaded under.
+[[nodiscard]] PartitionEntry parse_partition_entry(std::string_view text);
 
 /// Versioned on-disk store of partition assignments.
 ///
@@ -40,9 +88,9 @@ namespace krak::core {
 ///     part <p> <cells of part p, ascending>     (P lines)
 ///     end
 ///
-/// Every load revalidates the file — magic and version, header/key
-/// agreement, offset monotonicity, part bounds, exactly-once cell
-/// coverage, and the checksum — and a file failing any check is deleted
+/// Blank lines and `#` comment lines are skipped. Every load parses the
+/// file with parse_partition_entry and checks that its header matches
+/// the key; a file with any violation or a mismatched header is deleted
 /// and reported as a reject, so a corrupt or stale store heals itself
 /// instead of poisoning runs. Counters are mirrored into the
 /// observability registry as `partition_store.{hits,misses,rejects}`.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -13,15 +11,9 @@ using util::check;
 
 namespace {
 
-constexpr std::string_view kMagic = "kraksynth";
-constexpr int kVersion = 1;
 /// Slack allowed on the layer-fraction sum: generous enough for decimal
-/// round-trips, far tighter than any real mix error.
+/// fractions, far tighter than any real mix error.
 constexpr double kMixTolerance = 1e-6;
-
-[[noreturn]] void malformed(const std::string& what) {
-  throw util::KrakError("malformed synthetic spec: " + what);
-}
 
 void check_spec(const SyntheticSpec& spec) {
   check(spec.nx > 0 && spec.ny > 0, "synthetic grid must be positive");
@@ -90,112 +82,6 @@ InputDeck make_synthetic_deck(const SyntheticSpec& spec) {
           ? Point{0.0, 0.4 * static_cast<double>(spec.ny)}
           : spec.detonator;
   return InputDeck(spec.name, grid, std::move(materials), detonator);
-}
-
-void write_synthetic(std::ostream& out, const SyntheticSpec& spec) {
-  out << kMagic << " " << kVersion << "\n";
-  // Names are single tokens, like the krakdeck format's.
-  std::string name = spec.name;
-  for (char& c : name) {
-    if (c == ' ' || c == '\t' || c == '\n') c = '_';
-  }
-  out << "name " << name << "\n";
-  out << "grid " << spec.nx << " " << spec.ny << "\n";
-  for (const SyntheticSpec::Layer& layer : spec.layers) {
-    out << "layer " << material_index(layer.material) << " " << layer.fraction
-        << "\n";
-  }
-  if (spec.detonator.y >= 0.0) {
-    out << "detonator " << spec.detonator.x << " " << spec.detonator.y << "\n";
-  }
-  out << "end\n";
-  if (!out) throw util::KrakError("write_synthetic: stream failure");
-}
-
-void save_synthetic(const std::string& path, const SyntheticSpec& spec) {
-  std::ofstream out(path);
-  if (!out) {
-    throw util::KrakError("save_synthetic: cannot open " + path + ": " +
-                          util::errno_message());
-  }
-  write_synthetic(out, spec);
-}
-
-SyntheticSpec read_synthetic(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version)) malformed("missing header");
-  if (magic != kMagic) malformed("bad magic '" + magic + "'");
-  if (version != kVersion) {
-    malformed("unsupported version " + std::to_string(version));
-  }
-
-  SyntheticSpec spec;
-  spec.name.clear();
-  bool saw_grid = false;
-  bool saw_end = false;
-
-  std::string key;
-  while (in >> key) {
-    if (key == "name") {
-      if (!(in >> spec.name)) malformed("missing name value");
-    } else if (key == "grid") {
-      if (!(in >> spec.nx >> spec.ny)) malformed("missing grid dimensions");
-      if (spec.nx <= 0 || spec.ny <= 0) {
-        malformed("non-positive grid dimensions");
-      }
-      saw_grid = true;
-    } else if (key == "layer") {
-      std::size_t index = kMaterialCount;
-      double fraction = 0.0;
-      if (!(in >> index >> fraction)) malformed("missing layer fields");
-      if (index >= kMaterialCount) {
-        malformed("unknown material index " + std::to_string(index));
-      }
-      if (fraction <= 0.0 || fraction > 1.0) {
-        malformed("layer fraction out of (0, 1]");
-      }
-      spec.layers.push_back({material_from_index(index), fraction});
-    } else if (key == "detonator") {
-      if (!(in >> spec.detonator.x >> spec.detonator.y)) {
-        malformed("missing detonator coordinates");
-      }
-      if (spec.detonator.y < 0.0) malformed("detonator outside the grid");
-    } else if (key == "end") {
-      saw_end = true;
-      break;
-    } else {
-      malformed("unknown key '" + key + "'");
-    }
-  }
-  if (!saw_end) malformed("missing 'end'");
-  if (!saw_grid) malformed("missing 'grid'");
-  if (spec.layers.empty()) malformed("missing 'layer' lines");
-  double sum = 0.0;
-  for (const SyntheticSpec::Layer& layer : spec.layers) {
-    sum += layer.fraction;
-  }
-  if (std::abs(sum - 1.0) > kMixTolerance) {
-    malformed("layer fractions sum to " + std::to_string(sum) + ", expected 1");
-  }
-  if (static_cast<std::size_t>(spec.nx) < spec.layers.size()) {
-    malformed("fewer columns than layers");
-  }
-  if (spec.name.empty()) spec.name = "unnamed";
-  return spec;
-}
-
-SyntheticSpec load_synthetic(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw util::KrakError("load_synthetic: cannot open " + path + ": " +
-                          util::errno_message());
-  }
-  try {
-    return read_synthetic(in);
-  } catch (const util::KrakError& error) {
-    throw util::KrakError("load_synthetic: " + path + ": " + error.what());
-  }
 }
 
 }  // namespace krak::mesh

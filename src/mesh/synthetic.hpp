@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -12,24 +11,8 @@ namespace krak::mesh {
 /// like the paper's (Figure 1), but with a free grid size and material
 /// mix so benches can emit meshes far past the three standard decks —
 /// the 100k-rank regime needs ≥100k useful cells to partition
-/// (docs/PERFORMANCE.md, "The 100k-rank regime").
-///
-/// Versioned plain-text format, `kraksynth 1`:
-///
-///   kraksynth 1
-///   name synth-1024x256
-///   grid 1024 256
-///   layer 0 0.391
-///   layer 1 0.172
-///   layer 2 0.203
-///   layer 3 0.234
-///   detonator 0 102.4
-///   end
-///
-/// Each `layer <material-index> <fraction>` is one radial layer, inner
-/// to outer; fractions must be positive and sum to 1. Material indices
-/// match the krakdeck format's. `detonator` is optional — omitted, the
-/// generator uses the paper's placement (on the axis, 0.4 * ny).
+/// (docs/PERFORMANCE.md, "The 100k-rank regime"). Specs are built in
+/// memory, usually by paper_synthetic_spec.
 struct SyntheticSpec {
   /// One radial layer: a material and its fraction of the columns.
   struct Layer {
@@ -61,14 +44,5 @@ struct SyntheticSpec {
 /// (no layers, non-positive fractions, fractions not summing to 1,
 /// fewer columns than layers).
 [[nodiscard]] InputDeck make_synthetic_deck(const SyntheticSpec& spec);
-
-/// Serialize a spec. Throws KrakError on stream failure.
-void write_synthetic(std::ostream& out, const SyntheticSpec& spec);
-void save_synthetic(const std::string& path, const SyntheticSpec& spec);
-
-/// Parse a spec; throws KrakError on malformed input (wrong magic,
-/// unknown key, bad layer index, fractions that cannot form a deck).
-[[nodiscard]] SyntheticSpec read_synthetic(std::istream& in);
-[[nodiscard]] SyntheticSpec load_synthetic(const std::string& path);
 
 }  // namespace krak::mesh

@@ -19,7 +19,7 @@ namespace fs = std::filesystem;
 TEST(LintJournal, CorruptedFixtureTripsEveryJournalRule) {
   std::istringstream in(corrupted_journal_text());
   DiagnosticReport report;
-  const JournalFile file = lint_journal(in, report);
+  const core::CampaignJournal::Recovery file = lint_journal(in, report);
   EXPECT_TRUE(report.has_errors());
   EXPECT_TRUE(report.has_rule(rules::kJournalFormat)) << report.to_text();
   EXPECT_TRUE(report.has_rule(rules::kJournalChecksum)) << report.to_text();
@@ -55,7 +55,7 @@ TEST(LintJournal, RealJournalLintsClean) {
 
   std::ifstream in(path, std::ios::binary);
   DiagnosticReport again;
-  const JournalFile file = lint_journal(in, again);
+  const core::CampaignJournal::Recovery file = lint_journal(in, again);
   EXPECT_EQ(file.records, 7u);
   EXPECT_EQ(file.scenarios, 2u);
   EXPECT_EQ(file.completed, 1u);
@@ -84,7 +84,7 @@ TEST(LintJournal, TornTailAloneIsAWarningNotAnError) {
   // journal with one torn line must not fail a CI gate.
   std::istringstream in("krakjournal 1\nrunning 00000000000000");
   DiagnosticReport report;
-  const JournalFile file = lint_journal(in, report);
+  const core::CampaignJournal::Recovery file = lint_journal(in, report);
   EXPECT_TRUE(file.torn_tail);
   EXPECT_FALSE(report.has_errors()) << report.to_text();
   EXPECT_EQ(report.warning_count(), 1u);

@@ -16,16 +16,16 @@ namespace krak::analyze {
 namespace {
 
 DiagnosticReport lint_text(const std::string& text,
-                           PartitionStoreFile* parsed = nullptr) {
+                           core::PartitionEntry* parsed = nullptr) {
   std::istringstream in(text);
   DiagnosticReport report;
-  PartitionStoreFile file = lint_partition_store(in, report);
+  core::PartitionEntry file = lint_partition_store(in, report);
   if (parsed != nullptr) *parsed = std::move(file);
   return report;
 }
 
 TEST(LintPartitionStore, CleanEntryHasNoFindings) {
-  PartitionStoreFile parsed;
+  core::PartitionEntry parsed;
   const DiagnosticReport report = lint_text(
       "krakpart 1\n"
       "fingerprint 00000000deadbeef\n"
@@ -43,7 +43,7 @@ TEST(LintPartitionStore, CleanEntryHasNoFindings) {
   EXPECT_FALSE(report.has_errors()) << report.to_text();
   EXPECT_EQ(parsed.fingerprint, 0x00000000deadbeefull);
   EXPECT_EQ(parsed.pes, 2);
-  EXPECT_EQ(parsed.method, "rcb");
+  EXPECT_EQ(parsed.method, partition::PartitionMethod::kRcb);
   EXPECT_EQ(parsed.seed, 5u);
   EXPECT_EQ(parsed.assignment,
             (std::vector<std::int32_t>{0, 0, 1, 1}));
@@ -134,7 +134,7 @@ TEST(LintPartitionStore, StoreWrittenEntryLintsClean) {
   key.seed = 1;
   store.save(key, part);
 
-  PartitionStoreFile parsed;
+  core::PartitionEntry parsed;
   const DiagnosticReport report = [&] {
     std::ifstream in(store.entry_path(key));
     DiagnosticReport r;
@@ -144,7 +144,7 @@ TEST(LintPartitionStore, StoreWrittenEntryLintsClean) {
   EXPECT_FALSE(report.has_errors()) << report.to_text();
   EXPECT_EQ(parsed.fingerprint, key.fingerprint);
   EXPECT_EQ(parsed.pes, 16);
-  EXPECT_EQ(parsed.method, "multilevel");
+  EXPECT_EQ(parsed.method, partition::PartitionMethod::kMultilevel);
   EXPECT_EQ(parsed.checksum, core::partition_checksum(part.assignment()));
   EXPECT_EQ(parsed.assignment, part.assignment());
 

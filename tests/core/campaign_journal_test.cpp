@@ -6,8 +6,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
+#include "analyze/lint_journal.hpp"
+#include "analyze/rules.hpp"
 #include "util/error.hpp"
 
 namespace krak::core {
@@ -161,6 +164,54 @@ TEST_F(CampaignJournalTest, CorruptMidFileRecordDropsItAndTheRest) {
   EXPECT_FALSE(journal.history(0xeeu).done);
   // The file was truncated back to just the header.
   EXPECT_EQ(slurp(path_), "krakjournal 1\n");
+}
+
+TEST_F(CampaignJournalTest, CommentAndBlankLinesBetweenRecordsAreSkipped) {
+  {
+    CampaignJournal journal(path_);
+    journal.record_running(0x11u, 1);
+    journal.record_done(0x11u, 1, ValidationPoint{"p", 8, 1.0, 2.0});
+    journal.record_running(0x22u, 1);
+  }
+  std::string text = slurp(path_);
+  const std::size_t second = text.find('\n', text.find('\n') + 1) + 1;
+  text.insert(text.find('\n', second) + 1, "# annotated by hand\n");
+  text.insert(second, "\n");
+  { std::ofstream(path_, std::ios::binary | std::ios::trunc) << text; }
+
+  std::istringstream in(text);
+  analyze::DiagnosticReport report;
+  (void)analyze::lint_journal(in, report);
+  EXPECT_TRUE(report.empty()) << report.to_text();
+  const CampaignJournal journal(path_);
+  EXPECT_EQ(journal.recovery().records, 3u);
+  EXPECT_FALSE(journal.recovery().torn_tail);
+  EXPECT_EQ(fs::file_size(path_), text.size());
+  EXPECT_TRUE(journal.history(0x11u).done);
+}
+
+TEST_F(CampaignJournalTest, ShortBitPatternStopsRecoveryThere) {
+  // Measured/predicted are exactly 16 hex digits; a shorter pattern is
+  // a format error even under a valid seal.
+  std::string body = "done 0000000000000011 1 p 8 3ff8 4000000000000000";
+  body += ' ' + hex16(journal_checksum(body)) + '\n';
+  {
+    CampaignJournal journal(path_);
+    journal.record_running(0x11u, 1);
+  }
+  const auto intact_size = fs::file_size(path_);
+  append_raw(path_, body);
+
+  std::istringstream in(slurp(path_));
+  analyze::DiagnosticReport report;
+  (void)analyze::lint_journal(in, report);
+  EXPECT_TRUE(report.has_rule(analyze::rules::kJournalFormat))
+      << report.to_text();
+  const CampaignJournal journal(path_);
+  EXPECT_EQ(journal.recovery().records, 1u);
+  EXPECT_TRUE(journal.recovery().torn_tail);
+  EXPECT_FALSE(journal.history(0x11u).done);
+  EXPECT_EQ(fs::file_size(path_), intact_size);
 }
 
 TEST_F(CampaignJournalTest, RefusesToAdoptANonJournalFile) {

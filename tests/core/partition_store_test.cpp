@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "analyze/lint_partition_store.hpp"
 #include "core/partition_cache.hpp"
 #include "mesh/deck.hpp"
 #include "partition/partition.hpp"
@@ -33,6 +39,23 @@ class PartitionStoreTest : public ::testing::Test {
   ~PartitionStoreTest() override {
     std::error_code ec;
     fs::remove_all(directory_, ec);
+  }
+
+  static std::string slurp(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  }
+
+  static void overwrite(const fs::path& path, const std::string& text) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  }
+
+  static analyze::DiagnosticReport lint(const std::string& text) {
+    std::istringstream in(text);
+    analyze::DiagnosticReport report;
+    (void)analyze::lint_partition_store(in, report);
+    return report;
   }
 
   fs::path directory_;
@@ -91,28 +114,80 @@ TEST_F(PartitionStoreTest, CorruptEntryIsRejectedAndEvicted) {
       deck, 16, partition::PartitionMethod::kMultilevel, 1);
   const PartitionStore::Key key = key_for(deck, 16, 1);
 
+  // Sets the `cells` header and the last offset to `cells`, so the two
+  // agree and only the size itself is wrong.
+  const auto claim_cells = [](const std::string& cells) {
+    return [cells](std::string text) {
+      const std::size_t header = text.find("\ncells ") + 7;
+      const std::size_t header_end = text.find('\n', header);
+      const std::string old = text.substr(header, header_end - header);
+      text.replace(header, old.size(), cells);
+      const std::size_t offsets_end = text.find("\npart ");
+      text.replace(offsets_end - old.size(), old.size(), cells);
+      return text;
+    };
+  };
+  const std::vector<
+      std::pair<const char*, std::function<std::string(std::string)>>>
+      corruptions = {
+          // The file stays structurally valid, so only the integrity
+          // check can catch it.
+          {"flipped checksum digit",
+           [](std::string text) {
+             const std::size_t pos = text.find("checksum ");
+             EXPECT_NE(pos, std::string::npos);
+             text[pos + 9] = text[pos + 9] == '0' ? '1' : '0';
+             return text;
+           }},
+          {"entry joined into one line",
+           [](std::string text) {
+             std::replace(text.begin(), text.end(), '\n', ' ');
+             return text;
+           }},
+          // Sizes no file this short can hold: rejected before any
+          // allocation instead of throwing std::bad_alloc / length_error.
+          {"cells 10^12", claim_cells("1000000000000")},
+          {"cells 9*10^18", claim_cells("9000000000000000000")},
+      };
+
+  PartitionStore store(directory_);
+  std::uint64_t rejects = 0;
+  std::uint64_t misses = 0;
+  for (const auto& [name, corrupt] : corruptions) {
+    SCOPED_TRACE(name);
+    store.save(key, part);
+    const std::string text = corrupt(slurp(store.entry_path(key)));
+    overwrite(store.entry_path(key), text);
+
+    EXPECT_FALSE(store.load(key).has_value());
+    EXPECT_EQ(store.counters().rejects, ++rejects);
+    // The bad file is gone; the next load is a plain miss and a rerun
+    // recomputes the entry.
+    EXPECT_FALSE(fs::exists(store.entry_path(key)));
+    EXPECT_FALSE(store.load(key).has_value());
+    EXPECT_EQ(store.counters().misses, ++misses);
+    // The linter explains the reject instead of throwing.
+    EXPECT_TRUE(lint(text).has_errors()) << text.substr(0, 200);
+  }
+}
+
+TEST_F(PartitionStoreTest, CommentAndBlankLinesAreSkipped) {
+  const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kSmall);
+  const partition::Partition part = partition::partition_deck(
+      deck, 16, partition::PartitionMethod::kMultilevel, 1);
+  const PartitionStore::Key key = key_for(deck, 16, 1);
   PartitionStore store(directory_);
   store.save(key, part);
-  {
-    // Flip the checksum line: the file stays structurally valid, so
-    // only the integrity check can catch it.
-    std::ifstream in(store.entry_path(key));
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    const std::size_t pos = text.find("checksum ");
-    ASSERT_NE(pos, std::string::npos);
-    text[pos + 9] = text[pos + 9] == '0' ? '1' : '0';
-    std::ofstream out(store.entry_path(key), std::ios::trunc);
-    out << text;
-  }
+  std::string text = slurp(store.entry_path(key));
+  text.insert(text.find("\nchecksum ") + 1, "# annotated by hand\n");
+  text.insert(text.find("\npart 1 ") + 1, "\n  \t\n");
+  overwrite(store.entry_path(key), text);
 
-  EXPECT_FALSE(store.load(key).has_value());
-  EXPECT_EQ(store.counters().rejects, 1u);
-  // The bad file is gone; the next load is a plain miss and a rerun
-  // recomputes the entry.
-  EXPECT_FALSE(fs::exists(store.entry_path(key)));
-  EXPECT_FALSE(store.load(key).has_value());
-  EXPECT_EQ(store.counters().misses, 1u);
+  EXPECT_FALSE(lint(text).has_errors()) << lint(text).to_text();
+  const std::optional<partition::Partition> loaded = store.load(key);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->assignment(), part.assignment());
+  EXPECT_TRUE(fs::exists(store.entry_path(key)));
 }
 
 TEST_F(PartitionStoreTest, MismatchedKeyRejectsEntry) {

@@ -1,4 +1,4 @@
-// Oracle-identity determinism at synthetic scale: a kraksynth deck
+// Oracle-identity determinism at synthetic scale: a generated deck
 // spread over 20k+ ranks — far past the standard decks' PE range — must
 // produce bit-identical results from the sharded engine with the full
 // production stack on (hierarchical network, NIC contention, noise).
