@@ -11,11 +11,10 @@
 //   krak_bench [--quick] [--out FILE]   generate a report (default
 //                                       BENCH_PR10.json)
 //   krak_bench --threads N              thread-pool width for the
-//                                       campaigns and the partitioner's
-//                                       speculative paths (0 =
-//                                       hardware); the parallel-scaling
-//                                       replays pin their shard counts
-//                                       per scenario instead
+//                                       campaigns (0 = hardware); the
+//                                       partitioner is serial, and the
+//                                       parallel-scaling replays pin
+//                                       their shard counts per scenario
 //   krak_bench --compare FILE           after generating, fail if any
 //                                       campaign's wall_seconds — or any
 //                                       parallel replay's
@@ -70,7 +69,6 @@
 // "failures" section naming each failed scenario and its cause — and
 // the exit status is non-zero so CI notices.
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -78,7 +76,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -346,7 +343,6 @@ obs::Json run_parallel_scaling(const mesh::InputDeck& deck,
                                const network::MachineConfig& base_machine,
                                const simapp::ComputationCostEngine& engine,
                                std::int32_t threads,
-                               std::int32_t partition_threads,
                                partition::PartitionMethod method =
                                    partition::PartitionMethod::kMultilevel,
                                bool full_stack = false,
@@ -356,7 +352,7 @@ obs::Json run_parallel_scaling(const mesh::InputDeck& deck,
     machine.nodes = (ranks + machine.pes_per_node - 1) / machine.pes_per_node;
   }
   const auto partitioned = core::PartitionCache::global().get(
-      deck, ranks, method, /*seed=*/1, partition_threads);
+      deck, ranks, method, /*seed=*/1);
 
   simapp::SimKrakOptions options;
   options.iterations = iterations;
@@ -475,20 +471,14 @@ obs::Json build_report(const Options& options) {
   if (!options.faults.empty()) {
     config.faults = fault::load_fault_plan(options.faults);
   }
-  // --threads also widens the partitioner's speculative parallel
-  // paths, which are bit-identical at every width, so campaign values
-  // never depend on it. Campaign simulations stay on the single-thread
-  // oracle (ValidationConfig::sim_threads keeps its default): Table
-  // 5/6 scenarios top out at 512 ranks, where epoch synchronization
-  // costs more than the smaller per-shard heaps buy back — the sharded
-  // engine is for the >= 10k-rank scaling replays, whose shard counts
-  // are pinned per scenario so the BENCH artifacts stay comparable
-  // across machines and across PRs.
-  const auto threads = static_cast<std::int32_t>(
-      options.threads != 0
-          ? options.threads
-          : std::max(1u, std::thread::hardware_concurrency()));
-  config.partition_threads = threads;
+  // --threads widens only the campaign pool, so campaign values never
+  // depend on it. Campaign simulations stay on the single-thread oracle
+  // (ValidationConfig::sim_threads keeps its default): Table 5/6
+  // scenarios top out at 512 ranks, where epoch synchronization costs
+  // more than the smaller per-shard heaps buy back — the sharded engine
+  // is for the >= 10k-rank scaling replays, whose shard counts are
+  // pinned per scenario so the BENCH artifacts stay comparable across
+  // machines and across PRs.
 
   if (options.quick) {
     // Small-deck-only model: calibration at {8, 32, 128} takes a couple
@@ -525,8 +515,7 @@ obs::Json build_report(const Options& options) {
                                 /*iterations=*/2)));
     replays.push_back(run_parallel_scaling(small, /*ranks=*/128,
                                            "small_128pe_parallel", machine,
-                                           engine, /*threads=*/4,
-                                           config.partition_threads));
+                                           engine, /*threads=*/4));
     // CI-scale cut of the full mode's large_100k scenario: the same
     // synthetic generator and full stack (hierarchical network +
     // shared-NIC contention), ~20k ranks instead of ~100k, so the
@@ -534,8 +523,7 @@ obs::Json build_report(const Options& options) {
     replays.push_back(run_parallel_scaling(
         mesh::make_synthetic_deck(mesh::paper_synthetic_spec(1024, 128)),
         /*ranks=*/20480, "synthetic_20k_parallel", machine, engine,
-        /*threads=*/8, config.partition_threads,
-        partition::PartitionMethod::kRcb, /*full_stack=*/true));
+        /*threads=*/8, partition::PartitionMethod::kRcb, /*full_stack=*/true));
   } else {
     const krakbench::Environment& env = krakbench::environment();
     campaigns.push_back(core::campaign_to_json(
@@ -556,8 +544,7 @@ obs::Json build_report(const Options& options) {
                    env.machine, env.engine, /*iterations=*/3)));
     replays.push_back(run_parallel_scaling(
         mesh::make_standard_deck(mesh::DeckSize::kMedium), /*ranks=*/10240,
-        "medium_10240pe_parallel", env.machine, env.engine, /*threads=*/8,
-        config.partition_threads));
+        "medium_10240pe_parallel", env.machine, env.engine, /*threads=*/8));
 
     // Strong-scaling validation sweep far past Table 5/6's 512-PE
     // ceiling: the large deck at P in {1024, 2048, 4096} against the
@@ -592,8 +579,7 @@ obs::Json build_report(const Options& options) {
     replays.push_back(run_parallel_scaling(
         mesh::make_synthetic_deck(mesh::paper_synthetic_spec(2048, 256)),
         /*ranks=*/102400, "large_100k", env.machine, env.engine,
-        /*threads=*/8, config.partition_threads,
-        partition::PartitionMethod::kRcb, /*full_stack=*/true));
+        /*threads=*/8, partition::PartitionMethod::kRcb, /*full_stack=*/true));
     // Double it: the serial oracle's event heap grows past any cache
     // level while the per-shard heaps stay an eighth of it, so the
     // sharded engine's lead should widen, not collapse, with scale —
@@ -601,8 +587,7 @@ obs::Json build_report(const Options& options) {
     replays.push_back(run_parallel_scaling(
         mesh::make_synthetic_deck(mesh::paper_synthetic_spec(2048, 512)),
         /*ranks=*/204800, "large_200k", env.machine, env.engine,
-        /*threads=*/8, config.partition_threads,
-        partition::PartitionMethod::kRcb, /*full_stack=*/true));
+        /*threads=*/8, partition::PartitionMethod::kRcb, /*full_stack=*/true));
   }
 
   return core::make_bench_report(

@@ -7,11 +7,9 @@
 //   krak_analyze --deck corrupted            # built-in broken fixture
 //   krak_analyze --deck small --format csv
 //
-// File linting (event traces, fault-injection specs, persistent
-// partition-store entries, and campaign journals):
+// File linting (fault-injection specs, persistent partition-store
+// entries, and campaign journals):
 //
-//   krak_analyze --trace run.kraktrace
-//   krak_analyze --trace corrupted           # built-in broken trace
 //   krak_analyze --faults plan.krakfaults --pes 64
 //   krak_analyze --faults corrupted
 //   krak_analyze --partition-store store/abc-64-multilevel-1.krakpart
@@ -31,7 +29,6 @@
 #include "analyze/lint_faults.hpp"
 #include "analyze/lint_journal.hpp"
 #include "analyze/lint_partition_store.hpp"
-#include "analyze/lint_trace.hpp"
 #include "analyze/linter.hpp"
 #include "core/cost_table.hpp"
 #include "mesh/deck.hpp"
@@ -50,7 +47,6 @@ constexpr const char* kUsage =
     "                    [--pes N] [--method strip|rcb|multilevel|material-aware]\n"
     "                    [--machine es45|upgrade] [--format text|csv]\n"
     "                    [--no-partition] [--no-costs]\n"
-    "       krak_analyze --trace FILE|corrupted [--format text|csv]\n"
     "       krak_analyze --faults FILE|corrupted [--pes N] [--format text|csv]\n"
     "       krak_analyze --partition-store FILE|corrupted [--format text|csv]\n"
     "       krak_analyze --journal FILE|corrupted [--format text|csv]\n";
@@ -102,15 +98,7 @@ int run(const util::ArgParser& args) {
 
   const std::string deck_name = args.get_string("deck", "medium");
   analyze::DiagnosticReport report;
-  if (args.has("trace")) {
-    const std::string trace = args.get_string("trace", "");
-    if (trace == "corrupted") {
-      std::istringstream in(analyze::corrupted_trace_text());
-      (void)analyze::lint_trace(in, report);
-    } else {
-      report = analyze::lint_trace_file(trace);
-    }
-  } else if (args.has("partition-store")) {
+  if (args.has("partition-store")) {
     const std::string store = args.get_string("partition-store", "");
     if (store == "corrupted") {
       std::istringstream in(analyze::corrupted_partition_store_text());

@@ -70,23 +70,6 @@ inline constexpr const char* kDeckShape = "deck-shape";
 /// SimKrak option ranges (iterations >= 1, etc.).
 inline constexpr const char* kOptionsRange = "options-range";
 
-// --- event-trace files (kraktrace 1, lint_trace.hpp) ----------------------
-
-/// Structural validity of a trace file: magic/version header, `ranks`
-/// line, well-formed `op` records, terminating `end`.
-inline constexpr const char* kTraceFormat = "trace-format";
-/// Per-rank timestamps must be non-decreasing: a rank's events are its
-/// local history and simulated clocks never run backwards.
-inline constexpr const char* kTraceMonotoneTime = "trace-monotone-time";
-/// Every rank and peer must lie in [0, ranks) declared by the header.
-inline constexpr const char* kTraceRankBounds = "trace-rank-bounds";
-/// Op kinds are a closed set (compute/isend/recv/waitall/allreduce/
-/// broadcast/gather/record).
-inline constexpr const char* kTraceOpKind = "trace-op-kind";
-/// Every directed (from, to, tag) send count must equal the matching
-/// receive count, or the replayed run would deadlock or drop payloads.
-inline constexpr const char* kTraceSendRecvMatch = "trace-send-recv-match";
-
 // --- partition-store files (krakpart 1, core/partition_store.hpp) ---------
 
 // The store's parser, core::parse_partition_entry, emits these; they are

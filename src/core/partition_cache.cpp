@@ -9,7 +9,7 @@ namespace krak::core {
 std::shared_ptr<const PartitionedDeck> PartitionCache::get(
     const mesh::InputDeck& deck, std::int32_t pes,
     partition::PartitionMethod method, std::uint64_t seed,
-    std::int32_t threads, const util::CancellationToken* cancel) {
+    const util::CancellationToken* cancel) {
   const std::uint64_t fingerprint = deck_fingerprint(deck);
   const Key key{fingerprint, pes, static_cast<std::int32_t>(method), seed};
   obs::Registry& registry = obs::global_registry();
@@ -46,7 +46,7 @@ std::shared_ptr<const PartitionedDeck> PartitionCache::get(
       partition::Partition part =
           loaded.has_value()
               ? std::move(*loaded)
-              : partition::partition_deck(deck, pes, method, seed, threads);
+              : partition::partition_deck(deck, pes, method, seed);
       if (disk != nullptr && !loaded.has_value()) {
         disk->save(store_key, part);
       }

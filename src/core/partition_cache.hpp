@@ -39,17 +39,14 @@ struct PartitionedDeck {
 class PartitionCache {
  public:
   /// Return the cached (partition, stats) of the configuration,
-  /// computing and inserting it on first use. Never returns null.
-  /// `threads` only affects how fast a miss is computed — the result is
-  /// bit-identical at every value (see partition_multilevel) and is
-  /// deliberately not part of the cache key. An expired `cancel` token
-  /// makes a miss throw util::CancelledError before partitioning (the
-  /// entry is then evicted so a later request retries); hits are always
-  /// served — a finished partition costs nothing to hand out.
+  /// computing and inserting it on first use. Never returns null. An
+  /// expired `cancel` token makes a miss throw util::CancelledError
+  /// before partitioning (the entry is then evicted so a later request
+  /// retries); hits are always served — a finished partition costs
+  /// nothing to hand out.
   [[nodiscard]] std::shared_ptr<const PartitionedDeck> get(
       const mesh::InputDeck& deck, std::int32_t pes,
       partition::PartitionMethod method, std::uint64_t seed,
-      std::int32_t threads = 1,
       const util::CancellationToken* cancel = nullptr);
 
   /// Attach a persistent on-disk store (nullptr detaches). Misses then

@@ -30,8 +30,7 @@ Measurement measure(const mesh::InputDeck& deck, std::int32_t pes,
   const std::shared_ptr<const PartitionedDeck> partitioned =
       PartitionCache::global().get(deck, pes,
                                    partition::PartitionMethod::kMultilevel,
-                                   config.partition_seed,
-                                   config.partition_threads, config.cancel);
+                                   config.partition_seed, config.cancel);
   simapp::SimKrakOptions options;
   options.iterations = config.iterations;
   options.noise_seed = config.noise_seed;

@@ -32,15 +32,13 @@ struct ValidationConfig {
   std::uint64_t partition_seed = 1;
   std::uint64_t noise_seed = 42;
   std::int32_t iterations = 3;
-  /// Worker threads for the multilevel partitioner's speculative
-  /// parallel paths on a partition-cache miss. Never changes any
-  /// measured or predicted value: the partition is bit-identical at
-  /// every thread count.
+  /// Accepted and ignored: the partitioner is serial. It stays only
+  /// because perfbench/krakperf.cpp still sets it; nothing else may.
   std::int32_t partition_threads = 1;
   /// Worker threads for the simulator's conservative parallel engine
   /// (sim::SimConfig::threads); <= 1 keeps the single-thread oracle.
-  /// Like partition_threads this never changes a measured value: the
-  /// parallel engine is bit-identical to the oracle.
+  /// Never changes a measured value: the parallel engine is
+  /// bit-identical to the oracle.
   std::int32_t sim_threads = 1;
   /// Optional fault-injection plan applied to the SimKrak measurement.
   /// If the injected faults make the measurement fail (watchdog fires),

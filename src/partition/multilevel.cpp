@@ -17,17 +17,16 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 // Multilevel k-way partitioner (the project's Metis stand-in).
 //
 // Everything in this file obeys one contract: the resulting assignment
-// is a pure function of (graph, parts, seed). Thread count, ladder-cache
-// hits, and every fast path below are output-invariant, so the model's
+// is a pure function of (graph, parts, seed). Ladder-cache hits and
+// every fast path below are output-invariant, so the model's
 // measured/predicted numbers never move when the partitioner gets
 // faster. docs/PERFORMANCE.md ("Partitioner") walks through the
 // identity argument for each path; tests/partition/determinism_test.cpp
-// enforces it against checked-in checksums at 1/2/8 threads.
+// enforces it against checked-in checksums.
 
 namespace krak::partition {
 
@@ -40,11 +39,12 @@ struct CoarseningStep {
   std::vector<std::int32_t> fine_to_coarse;
 };
 
-/// Serial reference matching: walk the shuffled order, pair each
-/// unmatched vertex with its unmatched neighbor across the heaviest
-/// edge (first occurrence wins ties via the strict comparison).
-void match_serial(const Graph& fine, const std::vector<std::int32_t>& order,
-                  std::vector<std::int32_t>& match) {
+/// Heavy-edge matching: walk the shuffled order, pair each unmatched
+/// vertex with its unmatched neighbor across the heaviest edge (first
+/// occurrence wins ties via the strict comparison).
+void match_heavy_edges(const Graph& fine,
+                       const std::vector<std::int32_t>& order,
+                       std::vector<std::int32_t>& match) {
   const std::int64_t* const xadj = fine.xadj.data();
   const std::int32_t* const adjncy = fine.adjncy.data();
   const std::int32_t* const ewgt = fine.ewgt.data();
@@ -78,88 +78,13 @@ void match_serial(const Graph& fine, const std::vector<std::int32_t>& order,
   }
 }
 
-/// Speculative parallel matching, identical output to match_serial.
-///
-/// The order is processed in fixed windows. Workers compute a match
-/// proposal for every position of the window against the match state as
-/// of the window start (no writes happen during the parallel phase), a
-/// serial committer then walks the window in order. Matches only ever
-/// grow, so a proposal is still exact at commit time unless its partner
-/// was taken by an earlier commit:
-///  - the proposed partner is the first strictly-heaviest unmatched
-///    neighbor over a superset of the commit-time unmatched set; if it
-///    is still unmatched, removing other vertices can only have removed
-///    competitors it already beat, so it is still the serial pick;
-///  - a self-match proposal (no unmatched neighbor at snapshot time)
-///    stays valid because the unmatched set only shrinks.
-/// Invalidated proposals (rare) are recomputed serially in place.
-void match_speculative(const Graph& fine, const std::vector<std::int32_t>& order,
-                       std::vector<std::int32_t>& match,
-                       util::ThreadPool& pool) {
-  const std::int64_t* const xadj = fine.xadj.data();
-  const std::int32_t* const adjncy = fine.adjncy.data();
-  const std::int32_t* const ewgt = fine.ewgt.data();
-  constexpr std::size_t kWindow = 8192;
-  constexpr std::int32_t kAlreadyMatched = -2;
-  std::vector<std::int32_t> proposal(std::min(kWindow, order.size()));
-
-  const auto propose = [&](std::int32_t v) -> std::int32_t {
-    std::int32_t best = -1;
-    std::int32_t best_weight = -1;
-    for (std::int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
-      const std::int32_t u = adjncy[e];
-      if (match[static_cast<std::size_t>(u)] != -1) continue;
-      if (ewgt[e] > best_weight) {
-        best_weight = ewgt[e];
-        best = u;
-      }
-    }
-    return best;  // -1: self-match
-  };
-
-  for (std::size_t window = 0; window < order.size(); window += kWindow) {
-    const std::size_t end = std::min(window + kWindow, order.size());
-    const std::size_t size = end - window;
-    pool.parallel_for_chunked(
-        size, 1024, [&](std::size_t begin, std::size_t stop) {
-          for (std::size_t i = begin; i < stop; ++i) {
-            const std::int32_t v = order[window + i];
-            proposal[i] = match[static_cast<std::size_t>(v)] != -1
-                              ? kAlreadyMatched
-                              : propose(v);
-          }
-        });
-    for (std::size_t i = 0; i < size; ++i) {
-      const std::int32_t v = order[window + i];
-      if (match[static_cast<std::size_t>(v)] != -1) continue;
-      std::int32_t best = proposal[i];
-      if (best == kAlreadyMatched ||
-          (best >= 0 && match[static_cast<std::size_t>(best)] != -1)) {
-        best = propose(v);  // partner taken by an earlier commit
-      }
-      if (best != -1) {
-        match[static_cast<std::size_t>(v)] = best;
-        match[static_cast<std::size_t>(best)] = v;
-      } else {
-        match[static_cast<std::size_t>(v)] = v;
-      }
-    }
-  }
-}
-
-CoarseningStep coarsen_once(const Graph& fine, util::Rng& rng,
-                            util::ThreadPool* pool) {
+CoarseningStep coarsen_once(const Graph& fine, util::Rng& rng) {
   const std::int32_t n = fine.num_vertices();
   std::vector<std::int32_t> match(static_cast<std::size_t>(n), -1);
   std::vector<std::int32_t> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::shuffle(order.begin(), order.end(), rng);
-
-  if (pool != nullptr) {
-    match_speculative(fine, order, match, *pool);
-  } else {
-    match_serial(fine, order, match);
-  }
+  match_heavy_edges(fine, order, match);
 
   CoarseningStep step;
   step.fine_to_coarse.assign(static_cast<std::size_t>(n), -1);
@@ -204,102 +129,31 @@ CoarseningStep coarsen_once(const Graph& fine, util::Rng& rng,
   const std::int32_t* const fewgt = fine.ewgt.data();
   const std::int32_t* const f2c = step.fine_to_coarse.data();
 
-  if (pool == nullptr) {
-    coarse.xadj.reserve(static_cast<std::size_t>(coarse_count) + 1);
-    coarse.xadj.push_back(0);
-    // Upper bound: coarsening only ever collapses or merges fine edges.
-    coarse.adjncy.reserve(fine.adjncy.size());
-    coarse.ewgt.reserve(fine.adjncy.size());
-    for (std::int32_t cv = 0; cv < coarse_count; ++cv) {
-      const std::size_t start = coarse.adjncy.size();
-      for (std::int32_t v : members[static_cast<std::size_t>(cv)]) {
-        if (v == -1) continue;
-        for (std::int64_t e = fxadj[v]; e < fxadj[v + 1]; ++e) {
-          const std::int32_t cu = f2c[fadjncy[e]];
-          if (cu == cv) continue;  // edge collapses inside the coarse vertex
-          std::size_t pos = start;
-          const std::size_t filled = coarse.adjncy.size();
-          while (pos < filled && coarse.adjncy[pos] != cu) ++pos;
-          if (pos < filled) {
-            coarse.ewgt[pos] += fewgt[e];
-          } else {
-            coarse.adjncy.push_back(cu);
-            coarse.ewgt.push_back(fewgt[e]);
-          }
-        }
-      }
-      coarse.xadj.push_back(static_cast<std::int64_t>(coarse.adjncy.size()));
-    }
-    return step;
-  }
-
-  // Two-pass parallel aggregation, identical output to the streaming
-  // loop: coarse degrees are counted per coarse vertex in parallel, a
-  // serial prefix sum fixes every vertex's CSR range, and a second
-  // parallel pass fills the ranges. Each coarse vertex's list is built
-  // by the same member-order linear dedup as the serial loop, and the
-  // ranges are disjoint, so the passes are race-free and the resulting
-  // CSR arrays are byte-identical.
-  const std::size_t grain = std::max<std::size_t>(
-      1024, static_cast<std::size_t>(coarse_count) / (pool->thread_count() * 4));
-  const auto emit = [&](std::int32_t cv, std::int32_t* out_adj,
-                        std::int32_t* out_wgt) -> std::int64_t {
-    std::int64_t filled = 0;
+  coarse.xadj.reserve(static_cast<std::size_t>(coarse_count) + 1);
+  coarse.xadj.push_back(0);
+  // Upper bound: coarsening only ever collapses or merges fine edges.
+  coarse.adjncy.reserve(fine.adjncy.size());
+  coarse.ewgt.reserve(fine.adjncy.size());
+  for (std::int32_t cv = 0; cv < coarse_count; ++cv) {
+    const std::size_t start = coarse.adjncy.size();
     for (std::int32_t v : members[static_cast<std::size_t>(cv)]) {
       if (v == -1) continue;
       for (std::int64_t e = fxadj[v]; e < fxadj[v + 1]; ++e) {
         const std::int32_t cu = f2c[fadjncy[e]];
-        if (cu == cv) continue;
-        std::int64_t pos = 0;
-        while (pos < filled && out_adj[pos] != cu) ++pos;
+        if (cu == cv) continue;  // edge collapses inside the coarse vertex
+        std::size_t pos = start;
+        const std::size_t filled = coarse.adjncy.size();
+        while (pos < filled && coarse.adjncy[pos] != cu) ++pos;
         if (pos < filled) {
-          if (out_wgt != nullptr) out_wgt[pos] += fewgt[e];
+          coarse.ewgt[pos] += fewgt[e];
         } else {
-          out_adj[filled] = cu;
-          if (out_wgt != nullptr) out_wgt[filled] = fewgt[e];
-          ++filled;
+          coarse.adjncy.push_back(cu);
+          coarse.ewgt.push_back(fewgt[e]);
         }
       }
     }
-    return filled;
-  };
-
-  coarse.xadj.assign(static_cast<std::size_t>(coarse_count) + 1, 0);
-  pool->parallel_for_chunked(
-      static_cast<std::size_t>(coarse_count), grain,
-      [&](std::size_t begin, std::size_t stop) {
-        // Degree pass: count distinct coarse neighbors into a scratch
-        // list; a pair merges at most two short adjacency lists.
-        std::vector<std::int32_t> scratch(16);
-        for (std::size_t cv = begin; cv < stop; ++cv) {
-          const std::int32_t c = static_cast<std::int32_t>(cv);
-          const std::int64_t cap =
-              (members[cv][0] != -1 ? fxadj[members[cv][0] + 1] -
-                                          fxadj[members[cv][0]]
-                                    : 0) +
-              (members[cv][1] != -1 ? fxadj[members[cv][1] + 1] -
-                                          fxadj[members[cv][1]]
-                                    : 0);
-          if (static_cast<std::size_t>(cap) > scratch.size()) {
-            scratch.resize(static_cast<std::size_t>(cap));
-          }
-          coarse.xadj[cv + 1] = emit(c, scratch.data(), nullptr);
-        }
-      });
-  for (std::size_t cv = 0; cv < static_cast<std::size_t>(coarse_count); ++cv) {
-    coarse.xadj[cv + 1] += coarse.xadj[cv];
+    coarse.xadj.push_back(static_cast<std::int64_t>(coarse.adjncy.size()));
   }
-  coarse.adjncy.resize(static_cast<std::size_t>(coarse.xadj.back()));
-  coarse.ewgt.resize(static_cast<std::size_t>(coarse.xadj.back()));
-  pool->parallel_for_chunked(
-      static_cast<std::size_t>(coarse_count), grain,
-      [&](std::size_t begin, std::size_t stop) {
-        for (std::size_t cv = begin; cv < stop; ++cv) {
-          emit(static_cast<std::int32_t>(cv),
-               coarse.adjncy.data() + coarse.xadj[cv],
-               coarse.ewgt.data() + coarse.xadj[cv]);
-        }
-      });
   return step;
 }
 
@@ -415,11 +269,10 @@ std::vector<PeId> initial_partition(const Graph& graph, std::int32_t parts,
 /// move loop free of atomics and the move sequence bit-identical.
 // krak: hot
 void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
-            double max_imbalance, util::ThreadPool* pool) {
+            double max_imbalance) {
   const util::Stopwatch fm_watch;
   std::int64_t fm_passes = 0;
   std::int64_t fm_moves = 0;
-  std::int64_t fm_proposals_reused = 0;
   const std::int32_t n = graph.num_vertices();
   const std::int64_t total = graph.total_vertex_weight();
   const auto ceiling = static_cast<std::int64_t>(
@@ -455,18 +308,8 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
     return 0;
   };
   std::vector<char> boundary(static_cast<std::size_t>(n));
-  if (pool != nullptr) {
-    pool->parallel_for_chunked(static_cast<std::size_t>(n), 4096,
-                               [&](std::size_t begin, std::size_t end) {
-                                 for (std::size_t v = begin; v < end; ++v) {
-                                   boundary[v] = is_boundary(
-                                       static_cast<std::int32_t>(v));
-                                 }
-                               });
-  } else {
-    for (std::int32_t v = 0; v < n; ++v) {
-      boundary[static_cast<std::size_t>(v)] = is_boundary(v);
-    }
+  for (std::int32_t v = 0; v < n; ++v) {
+    boundary[static_cast<std::size_t>(v)] = is_boundary(v);
   }
 
   std::int64_t max_vw = 0;
@@ -517,23 +360,18 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
     return false;
   };
 
-  // The move decision of the serial algorithm, computed against the
-  // current assignment with caller-provided scratch. Returns `from`
-  // for "stay".
-  const auto evaluate_move = [&](std::int32_t v,
-                                 std::vector<std::int64_t>& conn_scratch,
-                                 std::vector<PeId>& touched_scratch) -> PeId {
+  // The move decision of v against the current assignment. Returns
+  // `from` for "stay".
+  const auto evaluate_move = [&](std::int32_t v) -> PeId {
     const PeId from = part[static_cast<std::size_t>(v)];
-    touched_scratch.clear();
+    touched.clear();
     for (std::int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
       const PeId p = part[static_cast<std::size_t>(adjncy[e])];
-      if (conn_scratch[static_cast<std::size_t>(p)] == 0) {
-        touched_scratch.push_back(p);
-      }
-      conn_scratch[static_cast<std::size_t>(p)] += ewgt[e];
+      if (conn[static_cast<std::size_t>(p)] == 0) touched.push_back(p);
+      conn[static_cast<std::size_t>(p)] += ewgt[e];
     }
     const std::int64_t vw = graph.vwgt[static_cast<std::size_t>(v)];
-    const std::int64_t internal = conn_scratch[static_cast<std::size_t>(from)];
+    const std::int64_t internal = conn[static_cast<std::size_t>(from)];
     PeId best_part = from;
     std::int64_t best_gain = 0;
     if (weight[static_cast<std::size_t>(from)] > ceiling) {
@@ -542,10 +380,9 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
       // moves are allowed — restoring balance beats edge cut here
       // (Metis behaves the same way).
       std::int64_t best_weight = weight[static_cast<std::size_t>(from)] - vw;
-      for (PeId p : touched_scratch) {
+      for (PeId p : touched) {
         if (p == from) continue;
-        const std::int64_t gain =
-            conn_scratch[static_cast<std::size_t>(p)] - internal;
+        const std::int64_t gain = conn[static_cast<std::size_t>(p)] - internal;
         const std::int64_t w = weight[static_cast<std::size_t>(p)];
         if (w + vw >= weight[static_cast<std::size_t>(from)]) continue;
         if (w < best_weight ||
@@ -556,10 +393,9 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
         }
       }
     } else {
-      for (PeId p : touched_scratch) {
+      for (PeId p : touched) {
         if (p == from) continue;
-        const std::int64_t gain =
-            conn_scratch[static_cast<std::size_t>(p)] - internal;
+        const std::int64_t gain = conn[static_cast<std::size_t>(p)] - internal;
         if (weight[static_cast<std::size_t>(p)] + vw > ceiling) continue;
         if (gain > best_gain) {
           best_gain = gain;
@@ -567,60 +403,19 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
         }
       }
     }
-    for (PeId p : touched_scratch) conn_scratch[static_cast<std::size_t>(p)] = 0;
+    for (PeId p : touched) conn[static_cast<std::size_t>(p)] = 0;
     return best_part;
   };
-
-  // Speculative parallel gain recomputation (pool mode): before each
-  // serial pass, workers evaluate every vertex the pass will visit
-  // against the pass-start state. The serial walk reuses a proposal
-  // only when the same stamp check proves the vertex's decision inputs
-  // did not change after the snapshot — the exactness argument is the
-  // cross-pass skip's, applied within a pass — and recomputes the rest
-  // in place, so the applied move sequence is the serial one.
-  std::vector<PeId> proposal;
-  std::vector<char> has_proposal;
-  if (pool != nullptr) {
-    proposal.resize(static_cast<std::size_t>(n));
-    has_proposal.resize(static_cast<std::size_t>(n));
-  }
 
   constexpr int kMaxPasses = 32;
   for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++fm_passes;
     bool moved_any = false;
-    const std::uint32_t pass_stamp = move_counter;
-    if (pool != nullptr) {
-      const std::size_t grain = std::max<std::size_t>(
-          4096, static_cast<std::size_t>(n) / (pool->thread_count() * 4));
-      pool->parallel_for_chunked(
-          static_cast<std::size_t>(n), grain,
-          [&](std::size_t begin, std::size_t end) {
-            std::vector<std::int64_t> conn_scratch(
-                static_cast<std::size_t>(parts), 0);
-            std::vector<PeId> touched_scratch;
-            for (std::size_t i = begin; i < end; ++i) {
-              const auto v = static_cast<std::int32_t>(i);
-              has_proposal[i] = 0;
-              if (!boundary[i]) continue;
-              if (!is_stale(v, vertex_stamp[i])) continue;
-              proposal[i] = evaluate_move(v, conn_scratch, touched_scratch);
-              has_proposal[i] = 1;
-            }
-          });
-    }
     for (std::int32_t v = 0; v < n; ++v) {
       if (!boundary[static_cast<std::size_t>(v)]) continue;
       if (!is_stale(v, vertex_stamp[static_cast<std::size_t>(v)])) continue;
       const PeId from = part[static_cast<std::size_t>(v)];
-      PeId best_part = from;
-      if (pool != nullptr && has_proposal[static_cast<std::size_t>(v)] != 0 &&
-          !is_stale(v, pass_stamp)) {
-        best_part = proposal[static_cast<std::size_t>(v)];
-        ++fm_proposals_reused;
-      } else {
-        best_part = evaluate_move(v, conn, touched);
-      }
+      const PeId best_part = evaluate_move(v);
       vertex_stamp[static_cast<std::size_t>(v)] = move_counter;
       if (best_part != from) {
         const std::int64_t vw = graph.vwgt[static_cast<std::size_t>(v)];
@@ -653,7 +448,6 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
     registry.timer("partition.fm.seconds").record(fm_watch.seconds());
     registry.counter("partition.fm.passes").add(fm_passes);
     registry.counter("partition.fm.moves").add(fm_moves);
-    registry.counter("partition.fm.proposals_reused").add(fm_proposals_reused);
   }
 }
 
@@ -777,13 +571,8 @@ std::uint64_t ladder_cache_key(const Graph& graph, std::uint64_t seed,
 void clear_multilevel_ladder_cache() { LadderCache::instance().clear(); }
 
 Partition partition_multilevel(const Graph& graph, std::int32_t parts,
-                               std::uint64_t seed) {
-  return partition_multilevel(graph, parts, seed, MultilevelOptions{});
-}
-
-Partition partition_multilevel(const Graph& graph, std::int32_t parts,
                                std::uint64_t seed,
-                               const MultilevelOptions& options) {
+                               std::optional<std::uint64_t> ladder_key) {
   KRAK_REQUIRE(parts > 0, "partition_multilevel requires parts > 0");
   KRAK_REQUIRE(graph.num_vertices() >= parts, "more parts than vertices");
   util::Rng rng(seed);
@@ -793,18 +582,11 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
                             static_cast<std::size_t>(graph.num_vertices()), 0));
   }
 
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = nullptr;
-  if (options.threads > 1) {
-    local_pool.emplace(static_cast<std::size_t>(options.threads));
-    pool = &*local_pool;
-  }
-
   // Coarsen until the graph is small relative to the part count or
   // matching stops shrinking it, replaying cached ladder levels where
   // available.
   const util::Stopwatch coarsen_watch;
-  const std::uint64_t key = ladder_cache_key(graph, seed, options.ladder_key);
+  const std::uint64_t key = ladder_cache_key(graph, seed, ladder_key);
   std::shared_ptr<const CoarseningLadder> cached =
       LadderCache::instance().find(key);
   if (obs::enabled()) {
@@ -838,7 +620,7 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
       break;
     }
     rng.restore(rng_state);
-    CoarseningStep step = coarsen_once(*levels.back(), rng, pool);
+    CoarseningStep step = coarsen_once(*levels.back(), rng);
     extended = true;
     if (step.coarse.num_vertices() >=
         levels.back()->num_vertices() * 19 / 20) {
@@ -876,7 +658,7 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
   const double init_seconds = init_watch.seconds();
 
   const util::Stopwatch refine_watch;
-  refine(*levels.back(), parts, part, kMaxImbalance, pool);
+  refine(*levels.back(), parts, part, kMaxImbalance);
 
   // Uncoarsen: project to each finer level and refine.
   for (std::size_t level = maps.size(); level-- > 0;) {
@@ -888,7 +670,7 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
           part[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])];
     }
     part = std::move(fine_part);
-    refine(fine, parts, part, kMaxImbalance, pool);
+    refine(fine, parts, part, kMaxImbalance);
   }
   const double refine_seconds = refine_watch.seconds();
 

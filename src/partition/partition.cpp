@@ -186,7 +186,7 @@ Partition partition_strips(std::int64_t num_cells, std::int32_t parts) {
 
 Partition partition_deck(const mesh::InputDeck& deck, std::int32_t parts,
                          PartitionMethod method, std::uint64_t seed,
-                         std::int32_t threads) {
+                         std::int32_t /*threads*/) {
   const mesh::Grid& grid = deck.grid();
   KRAK_REQUIRE(parts > 0, "partition_deck requires parts > 0");
   KRAK_REQUIRE(parts <= grid.num_cells(), "more parts than cells");
@@ -208,16 +208,14 @@ Partition partition_deck(const mesh::InputDeck& deck, std::int32_t parts,
     }
     case PartitionMethod::kMultilevel: {
       const std::shared_ptr<const Graph> graph = dual_graph_for(grid);
-      MultilevelOptions options;
-      options.threads = threads;
       // (nx, ny) is a sound ladder-cache identity for the same reason
       // it keys the dual-graph cache, and saves hashing the CSR arrays
       // on every call.
-      options.ladder_key =
+      const std::uint64_t ladder_key =
           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(grid.nx()))
            << 32) |
           static_cast<std::uint64_t>(static_cast<std::uint32_t>(grid.ny()));
-      return finish(partition_multilevel(*graph, parts, seed, options));
+      return finish(partition_multilevel(*graph, parts, seed, ladder_key));
     }
     case PartitionMethod::kMaterialAware:
       return finish(partition_material_aware(deck, parts));

@@ -81,9 +81,9 @@ enum class PartitionMethod {
 /// Partition a deck's cells into `parts` subgrids.
 ///
 /// `seed` controls tie-breaking in the multilevel method; strip and RCB
-/// are fully deterministic regardless of seed. `threads` > 1 runs the
-/// multilevel method's speculative parallel paths; the assignment is
-/// bit-identical at every thread count (see partition_multilevel).
+/// are fully deterministic regardless of seed. `threads` is accepted
+/// and ignored: every method is serial. It stays only because
+/// perfbench/krakperf.cpp still passes it; nothing else may.
 [[nodiscard]] Partition partition_deck(const mesh::InputDeck& deck,
                                        std::int32_t parts,
                                        PartitionMethod method,
@@ -99,39 +99,21 @@ enum class PartitionMethod {
 [[nodiscard]] Partition partition_rcb(const std::vector<mesh::Point>& centers,
                                       std::int32_t parts);
 
-/// Tuning knobs of the multilevel partitioner. The options never change
-/// the resulting assignment — they only change how fast it is computed.
-struct MultilevelOptions {
-  /// Worker threads for the speculative parallel paths (heavy-edge
-  /// matching, coarse-graph aggregation, FM gain recomputation). 1 runs
-  /// the fully serial reference path. Any value produces the assignment
-  /// the serial path produces, bit for bit; tests/partition enforces
-  /// this at 1/2/8 threads against checked-in checksums.
-  std::int32_t threads = 1;
-  /// Identity token for the coarsening ladder cache (docs/
-  /// PERFORMANCE.md). Two calls passing the same key assert that their
-  /// input graphs are identical; partition_deck derives it from the
-  /// grid dimensions, which fully determine the unweighted dual graph.
-  /// Leave empty to fingerprint the graph content instead — always
-  /// correct, costs one O(V+E) hash per call.
-  std::optional<std::uint64_t> ladder_key;
-};
+/// Multilevel k-way partition of a CSR graph; the assignment is a pure
+/// function of (graph, parts, seed). `ladder_key` is an identity token
+/// for the coarsening ladder cache (docs/PERFORMANCE.md): two calls
+/// passing the same key assert that their input graphs are identical,
+/// and partition_deck derives it from the grid dimensions, which fully
+/// determine the unweighted dual graph. Leave it empty to fingerprint
+/// the graph content instead — always correct, costs one O(V+E) hash
+/// per call. The key never changes the assignment.
+[[nodiscard]] Partition partition_multilevel(
+    const Graph& graph, std::int32_t parts, std::uint64_t seed = 1,
+    std::optional<std::uint64_t> ladder_key = std::nullopt);
 
-/// Multilevel k-way partition of a CSR graph.
-[[nodiscard]] Partition partition_multilevel(const Graph& graph,
-                                             std::int32_t parts,
-                                             std::uint64_t seed = 1);
-
-/// As above with explicit options; the overloads return identical
-/// assignments for every option combination.
-[[nodiscard]] Partition partition_multilevel(const Graph& graph,
-                                             std::int32_t parts,
-                                             std::uint64_t seed,
-                                             const MultilevelOptions& options);
-
-/// Drop every cached coarsening ladder (test isolation; the determinism
-/// suite clears it between thread counts so parallel coarsening is
-/// genuinely re-executed rather than replayed from cache).
+/// Drop every cached coarsening ladder (test isolation: the determinism
+/// suite clears it so coarsening is genuinely re-executed rather than
+/// replayed from cache).
 void clear_multilevel_ladder_cache();
 
 /// Cost-aware multilevel partition: balances the model's per-cell

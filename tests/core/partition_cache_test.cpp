@@ -119,7 +119,7 @@ TEST(PartitionCache, CancelledMissSurfacesAndEvicts) {
   token.cancel("deadline blown");
   EXPECT_THROW((void)cache.get(small_deck(), 16,
                                partition::PartitionMethod::kMultilevel, 1,
-                               /*threads=*/1, &token),
+                               &token),
                util::CancelledError);
   // The failed entry was evicted, not poisoned: a later request without
   // the token recomputes and succeeds.
@@ -151,7 +151,7 @@ TEST(PartitionCache, ConcurrentWaitersSeeOwnerFailureThenRetrySucceeds) {
       // become owners themselves after the eviction and fail too).
       const auto entry =
           cache.get(small_deck(), 16, partition::PartitionMethod::kMultilevel,
-                    7, /*threads=*/1, &cancelled);
+                    7, &cancelled);
       if (entry != nullptr) successes.fetch_add(1);
     } catch (const util::CancelledError&) {
       failures.fetch_add(1);

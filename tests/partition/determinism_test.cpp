@@ -1,20 +1,22 @@
 // Determinism contract of the multilevel partitioner (docs/PERFORMANCE.md,
 // "Partitioner"): the assignment is a pure function of (graph, parts,
-// seed). The checksums below were produced by the fully serial
-// reference implementation; every speculative parallel path and the
-// coarsening ladder cache must reproduce them bit for bit at every
-// thread count. CI runs this suite under ThreadSanitizer as well, so a
-// data race in the parallel paths fails even when it happens to produce
-// the right answer.
+// seed). The checksums below were produced by the serial reference
+// implementation; the coarsening ladder cache, the dual-graph cache and
+// partition_deck's grid-keyed path must reproduce them bit for bit,
+// also when concurrent callers share those caches. CI runs this suite
+// under ThreadSanitizer as well, so a data race between callers fails
+// even when it happens to produce the right answer.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "mesh/deck.hpp"
 #include "partition/dualgraph.hpp"
 #include "partition/partition.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -73,30 +75,32 @@ const ChecksumCase kCases[] = {
     {"medium", 4096, 2006, 0xec9f2b457fb8db95ull},
 };
 
-class MultilevelDeterminismTest : public ::testing::TestWithParam<std::int32_t> {
-};
+// The checksum kCases records for (deck, parts, seed).
+std::uint64_t reference_checksum(const std::string& deck, std::int32_t parts,
+                                 std::uint64_t seed) {
+  for (const ChecksumCase& c : kCases) {
+    if (c.deck == deck && c.parts == parts && c.seed == seed) {
+      return c.checksum;
+    }
+  }
+  ADD_FAILURE() << "no checksum for " << deck << " parts=" << parts
+                << " seed=" << seed;
+  return 0;
+}
 
-TEST_P(MultilevelDeterminismTest, MatchesSerialReferenceChecksums) {
-  const std::int32_t threads = GetParam();
+TEST(MultilevelDeterminismTest, MatchesSerialReferenceChecksums) {
   // A cached ladder would replay coarsening instead of re-running it;
-  // clearing first makes each thread count genuinely exercise the
-  // parallel matching and aggregation paths.
+  // clearing first makes every case genuinely coarsen.
   partition::clear_multilevel_ladder_cache();
   for (const ChecksumCase& c : kCases) {
     const mesh::InputDeck deck = make_deck(c.deck);
     const partition::Graph graph = partition::build_dual_graph(deck.grid());
-    partition::MultilevelOptions options;
-    options.threads = threads;
     const partition::Partition part =
-        partition::partition_multilevel(graph, c.parts, c.seed, options);
+        partition::partition_multilevel(graph, c.parts, c.seed);
     EXPECT_EQ(checksum_of(part), c.checksum)
-        << c.deck << " parts=" << c.parts << " seed=" << c.seed
-        << " threads=" << threads;
+        << c.deck << " parts=" << c.parts << " seed=" << c.seed;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, MultilevelDeterminismTest,
-                         ::testing::Values(1, 2, 8));
 
 // The ladder cache must be output-invariant when part counts of the
 // same (deck, seed) interleave: a larger part count stops higher up the
@@ -111,30 +115,43 @@ TEST(MultilevelLadderCacheTest, InterleavedPartCountsReplayExactly) {
   for (const std::int32_t parts : {512, 16, 256, 64}) {
     const partition::Partition part =
         partition::partition_multilevel(graph, parts, 1);
-    std::uint64_t want = 0;
-    for (const ChecksumCase& c : kCases) {
-      if (std::string(c.deck) == "medium" && c.parts == parts && c.seed == 1) {
-        want = c.checksum;
-      }
-    }
-    ASSERT_NE(want, 0u);
-    EXPECT_EQ(checksum_of(part), want) << "parts=" << parts;
+    EXPECT_EQ(checksum_of(part), reference_checksum("medium", parts, 1))
+        << "parts=" << parts;
   }
 }
 
-// partition_deck's threads parameter feeds the same machinery; the
-// derived ladder key (grid dimensions) must not change the result
-// either.
-TEST(MultilevelLadderCacheTest, PartitionDeckThreadsAreOutputInvariant) {
+// partition_deck reaches the partitioner by its own path: the dual graph
+// comes from its grid-keyed cache, and the ladder key is the grid
+// dimensions instead of a hash of the graph. Neither may change the
+// result.
+TEST(MultilevelLadderCacheTest, PartitionDeckMatchesReferenceChecksum) {
+  partition::clear_multilevel_ladder_cache();
+  const partition::Partition part = partition::partition_deck(
+      make_deck("small"), 64, partition::PartitionMethod::kMultilevel, 1);
+  EXPECT_EQ(checksum_of(part), reference_checksum("small", 64, 1));
+}
+
+// Callers on different threads share the ladder and dual-graph caches,
+// the only concurrency left in the partitioner. Part counts of one grid
+// stop at different depths of one ladder key, so with a cold cache
+// concurrent first-time coarsenings and copy-on-write extensions of
+// that key race; every result must still equal its checksum.
+TEST(MultilevelLadderCacheTest, ConcurrentPartCountsOfOneGridMatchChecksums) {
+  partition::clear_multilevel_ladder_cache();
   const mesh::InputDeck deck = make_deck("small");
-  partition::clear_multilevel_ladder_cache();
-  const partition::Partition serial = partition::partition_deck(
-      deck, 64, partition::PartitionMethod::kMultilevel, 1, /*threads=*/1);
-  partition::clear_multilevel_ladder_cache();
-  const partition::Partition parallel = partition::partition_deck(
-      deck, 64, partition::PartitionMethod::kMultilevel, 1, /*threads=*/8);
-  EXPECT_EQ(serial.assignment(), parallel.assignment());
-  EXPECT_EQ(checksum_of(serial), 0xb845599a67dcda90ull);
+  constexpr std::int32_t kParts[] = {16, 64, 128};
+  constexpr std::size_t kWorkers = 8;
+  constexpr std::size_t kRequests = kWorkers * 6;
+  std::vector<std::uint64_t> checksums(kRequests, 0);
+  util::ThreadPool pool(kWorkers);
+  pool.parallel_for(kRequests, [&](std::size_t i) {
+    checksums[i] = checksum_of(partition::partition_deck(
+        deck, kParts[i % 3], partition::PartitionMethod::kMultilevel, 1));
+  });
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(checksums[i], reference_checksum("small", kParts[i % 3], 1))
+        << "request " << i << " parts=" << kParts[i % 3];
+  }
 }
 
 }  // namespace
