@@ -130,10 +130,10 @@ BENCHMARK(BM_SimHotLoop)->Arg(16)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 // The hierarchical-network hot loop: every isend costs through the
-// devirtualized HierarchicalNetwork installed on the simulator instead
-// of the machine-level model. This is the datapoint guarding the
-// PairCost devirtualization — before it, each send paid two
-// std::function dispatches on the hot path.
+// concrete HierarchicalNetwork installed on the simulator instead of
+// the machine-level model. This is the datapoint guarding the pair
+// network's cost on the hot send path, which is one branch per send
+// over the flat model.
 void BM_SimHotLoopHierarchical(benchmark::State& state) {
   const HotLoopEnv& env = hot_loop_env();
   const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kSmall);

@@ -1,144 +1,19 @@
 #include "analyze/lint_faults.hpp"
 
-#include <sstream>
+#include <utility>
 
 #include "analyze/rules.hpp"
 #include "util/error.hpp"
 
 namespace krak::analyze {
 
-namespace {
-
-std::string component(const char* directive, std::size_t index) {
-  return std::string("faults/") + directive + " " + std::to_string(index);
-}
-
-/// Rank targets: `kAllRanks` is fine where wildcards are allowed,
-/// otherwise the rank must exist (when a rank count is known).
-void check_rank(DiagnosticReport& report, const std::string& where,
-                std::int32_t rank, std::int32_t ranks, bool wildcard_ok) {
-  if (rank == fault::kAllRanks) {
-    if (!wildcard_ok) {
-      report.error(rules::kFaultSpecTarget, where,
-                   "rank=* is not allowed here; name one rank");
-    }
-    return;
-  }
-  if (rank < 0) {
-    report.error(rules::kFaultSpecTarget, where,
-                 "rank " + std::to_string(rank) + " is negative");
-  } else if (ranks > 0 && rank >= ranks) {
-    report.error(rules::kFaultSpecTarget, where,
-                 "rank " + std::to_string(rank) + " outside [0, " +
-                     std::to_string(ranks) + ")");
-  }
-}
-
-void check_phase(DiagnosticReport& report, const std::string& where,
-                 std::int32_t phase, std::int32_t iteration,
-                 std::int32_t phases) {
-  if (phase < 1 || (phases > 0 && phase > phases)) {
-    std::ostringstream os;
-    os << "phase " << phase << " outside [1, "
-       << (phases > 0 ? std::to_string(phases) : std::string("phase count"))
-       << "]";
-    report.error(rules::kFaultSpecTarget, where, os.str());
-  }
-  if (iteration < 0) {
-    report.error(rules::kFaultSpecTarget, where,
-                 "iteration " + std::to_string(iteration) + " is negative");
-  }
-}
-
-void range_error(DiagnosticReport& report, const std::string& where,
-                 const std::string& what, double value) {
-  std::ostringstream os;
-  os << what << " (got " << value << ")";
-  report.error(rules::kFaultSpecRange, where, os.str());
-}
-
-}  // namespace
-
 DiagnosticReport lint_faults(const fault::FaultPlan& plan, std::int32_t ranks,
                              std::int32_t phases_per_iteration) {
   DiagnosticReport report;
-  for (std::size_t i = 0; i < plan.slowdowns.size(); ++i) {
-    const fault::ComputeSlowdown& s = plan.slowdowns[i];
-    const std::string where = component("slowdown", i);
-    check_rank(report, where, s.rank, ranks, /*wildcard_ok=*/true);
-    if (s.factor < 1.0) {
-      range_error(report, where, "slowdown factor must be >= 1", s.factor);
-    }
-  }
-  for (std::size_t i = 0; i < plan.noise.size(); ++i) {
-    const fault::NoiseBurst& n = plan.noise[i];
-    const std::string where = component("noise", i);
-    check_rank(report, where, n.rank, ranks, /*wildcard_ok=*/true);
-    if (n.period_s <= 0.0) {
-      range_error(report, where, "noise period must be positive", n.period_s);
-    }
-    if (n.duration_s < 0.0) {
-      range_error(report, where, "noise duration must be non-negative",
-                  n.duration_s);
-    }
-  }
-  for (std::size_t i = 0; i < plan.delays.size(); ++i) {
-    const fault::OneOffDelay& d = plan.delays[i];
-    const std::string where = component("delay", i);
-    check_rank(report, where, d.rank, ranks, /*wildcard_ok=*/false);
-    check_phase(report, where, d.phase, d.iteration, phases_per_iteration);
-    if (d.seconds < 0.0) {
-      range_error(report, where, "delay seconds must be non-negative",
-                  d.seconds);
-    }
-  }
-  for (std::size_t i = 0; i < plan.message_faults.size(); ++i) {
-    const fault::MessageFaultModel& m = plan.message_faults[i];
-    const std::string where = component("messages", i);
-    check_rank(report, where, m.rank, ranks, /*wildcard_ok=*/true);
-    if (m.drop_probability < 0.0 || m.drop_probability >= 1.0) {
-      range_error(report, where, "drop probability must be in [0, 1)",
-                  m.drop_probability);
-    }
-    if (m.extra_delay_s < 0.0) {
-      range_error(report, where, "extra delay must be non-negative",
-                  m.extra_delay_s);
-    }
-    if (m.retransmit_timeout_s < 0.0) {
-      range_error(report, where, "retransmit timeout must be non-negative",
-                  m.retransmit_timeout_s);
-    }
-    if (m.max_retries < 0) {
-      range_error(report, where, "max retries must be non-negative",
-                  m.max_retries);
-    }
-  }
-  for (std::size_t i = 0; i < plan.degrades.size(); ++i) {
-    const fault::NicDegrade& d = plan.degrades[i];
-    const std::string where = component("degrade", i);
-    check_rank(report, where, d.rank, ranks, /*wildcard_ok=*/true);
-    if (d.bandwidth_factor <= 0.0 || d.bandwidth_factor > 1.0) {
-      range_error(report, where, "bandwidth factor must be in (0, 1]",
-                  d.bandwidth_factor);
-    }
-  }
-  for (std::size_t i = 0; i < plan.crashes.size(); ++i) {
-    const fault::RankCrash& c = plan.crashes[i];
-    const std::string where = component("crash", i);
-    check_rank(report, where, c.rank, ranks, /*wildcard_ok=*/false);
-    check_phase(report, where, c.phase, c.iteration, phases_per_iteration);
-    if (c.restart_s < 0.0) {
-      range_error(report, where, "restart cost must be non-negative",
-                  c.restart_s);
-    }
-    if (c.checkpoint_interval_s < 0.0) {
-      range_error(report, where, "checkpoint interval must be non-negative",
-                  c.checkpoint_interval_s);
-    }
-  }
-  if (plan.max_sim_seconds < 0.0) {
-    range_error(report, "faults/watchdog",
-                "watchdog bound must be non-negative", plan.max_sim_seconds);
+  for (fault::PlanViolation& violation :
+       fault::check_fault_plan(plan, ranks, phases_per_iteration)) {
+    report.error(violation.rule, std::move(violation.component),
+                 std::move(violation.message));
   }
   if (plan.empty()) {
     report.info(rules::kFaultSpecRange, "faults",
@@ -170,6 +45,8 @@ std::string corrupted_fault_spec_text() {
          "messages rank=* drop=1.5\n"
          "# bandwidth factors cannot exceed 1           -> fault-spec-range\n"
          "degrade rank=0 bandwidth=2.0\n"
+         "# every number must be finite                 -> fault-spec-range\n"
+         "noise rank=* period=1e-3 duration=inf\n"
          "# the Krak iteration has 15 phases            -> fault-spec-target\n"
          "delay rank=0 phase=99 iter=0 seconds=0.01\n"
          "# crashes need one concrete rank              -> fault-spec-target\n"

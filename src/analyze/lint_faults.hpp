@@ -8,14 +8,12 @@
 
 namespace krak::analyze {
 
-/// Lint a fault-injection plan (fault/plan.hpp) against the rules a
-/// fault::InjectionEngine would enforce by throwing, reported as
-/// diagnostics instead so a driver can show every problem at once:
-/// value ranges (rules::kFaultSpecRange) and injection-target existence
-/// (rules::kFaultSpecTarget). `ranks` bounds the rank targets and
-/// `phases_per_iteration` the phase targets; pass 0 for either to skip
-/// those bound checks (e.g. when linting a spec file with no run
-/// context).
+/// Lint a fault-injection plan (fault/plan.hpp): every violation of
+/// fault::check_fault_plan, the check fault::InjectionEngine throws on,
+/// as an error, so a driver can show every problem at once. `ranks`
+/// bounds the rank targets and `phases_per_iteration` the phase
+/// targets; pass 0 for either to skip those bound checks (e.g. when
+/// linting a spec file with no run context).
 [[nodiscard]] DiagnosticReport lint_faults(const fault::FaultPlan& plan,
                                            std::int32_t ranks = 0,
                                            std::int32_t phases_per_iteration = 0);

@@ -2,6 +2,7 @@
 
 #include "core/campaign_journal.hpp"
 #include "core/partition_store.hpp"
+#include "fault/plan.hpp"
 
 namespace krak::analyze::rules {
 
@@ -97,13 +98,11 @@ inline constexpr const char* kJournalTornTail = "journal-torn-tail";
 
 // --- fault-spec files (krakfaults 1, fault/plan.hpp) ----------------------
 
-/// Structural validity of a fault-spec file (parse failures).
-inline constexpr const char* kFaultSpecFormat = "fault-spec-format";
-/// Value ranges: slowdown factor >= 1, drop probability in [0, 1),
-/// bandwidth factor in (0, 1], non-negative durations and costs.
-inline constexpr const char* kFaultSpecRange = "fault-spec-range";
-/// Injection targets must exist: rank within the run, phase within the
-/// iteration, no wildcard rank where a single rank is required.
-inline constexpr const char* kFaultSpecTarget = "fault-spec-target";
+// The plan's parser emits format errors and its one check,
+// fault::check_fault_plan, the range and target rules; they are
+// documented with it.
+using fault::rules::kFaultSpecFormat;
+using fault::rules::kFaultSpecRange;
+using fault::rules::kFaultSpecTarget;
 
 }  // namespace krak::analyze::rules

@@ -21,11 +21,6 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return x;
 }
 
-void check_rank(std::int32_t rank, std::int32_t ranks, const char* what) {
-  util::check(rank == kAllRanks || (rank >= 0 && rank < ranks),
-              std::string(what) + ": rank out of range");
-}
-
 }  // namespace
 
 InjectionEngine::InjectionEngine(const FaultPlan& plan, std::int32_t ranks,
@@ -34,18 +29,20 @@ InjectionEngine::InjectionEngine(const FaultPlan& plan, std::int32_t ranks,
   util::check(ranks > 0, "InjectionEngine requires at least one rank");
   util::check(phases_per_iteration > 0,
               "phases_per_iteration must be positive");
+  const std::vector<PlanViolation> violations =
+      check_fault_plan(plan, ranks, phases_per_iteration);
+  if (!violations.empty()) {
+    throw util::InvalidArgument("invalid fault plan: " +
+                                violations.front().component + ": " +
+                                violations.front().message);
+  }
   const auto n = static_cast<std::size_t>(ranks);
   slowdown_.assign(n, 1.0);
   bandwidth_.assign(n, 1.0);
   noise_.assign(n, {});
   message_models_.assign(n, {});
 
-  const auto compute_key = [&](std::int32_t phase, std::int32_t iteration,
-                               const char* what) {
-    util::check(phase >= 1 && phase <= phases_per_iteration,
-                std::string(what) + ": phase out of range");
-    util::check(iteration >= 0,
-                std::string(what) + ": iteration must be non-negative");
+  const auto compute_key = [&](std::int32_t phase, std::int32_t iteration) {
     return static_cast<std::int64_t>(iteration) * phases_per_iteration +
            (phase - 1);
   };
@@ -58,17 +55,11 @@ InjectionEngine::InjectionEngine(const FaultPlan& plan, std::int32_t ranks,
   };
 
   for (const ComputeSlowdown& s : plan.slowdowns) {
-    check_rank(s.rank, ranks, "slowdown");
-    util::check(s.factor >= 1.0, "slowdown factor must be >= 1");
     each_rank(s.rank, [&](std::int32_t r) {
       slowdown_[static_cast<std::size_t>(r)] *= s.factor;
     });
   }
   for (const NoiseBurst& burst : plan.noise) {
-    check_rank(burst.rank, ranks, "noise");
-    util::check(burst.period_s > 0.0, "noise period must be positive");
-    util::check(burst.duration_s >= 0.0,
-                "noise duration must be non-negative");
     each_rank(burst.rank, [&](std::int32_t r) {
       NoiseStream stream;
       stream.period = burst.period_s;
@@ -80,21 +71,8 @@ InjectionEngine::InjectionEngine(const FaultPlan& plan, std::int32_t ranks,
     });
   }
   for (const OneOffDelay& delay : plan.delays) {
-    util::check(delay.rank >= 0 && delay.rank < ranks,
-                "delay: rank out of range");
-    util::check(delay.seconds >= 0.0, "delay seconds must be non-negative");
-    delays_[{delay.rank, compute_key(delay.phase, delay.iteration, "delay")}] +=
+    delays_[{delay.rank, compute_key(delay.phase, delay.iteration)}] +=
         delay.seconds;
-  }
-  for (const MessageFaultModel& model : plan.message_faults) {
-    check_rank(model.rank, ranks, "messages");
-    util::check(model.drop_probability >= 0.0 && model.drop_probability < 1.0,
-                "message drop probability must be in [0, 1)");
-    util::check(model.extra_delay_s >= 0.0,
-                "message extra delay must be non-negative");
-    util::check(model.retransmit_timeout_s >= 0.0,
-                "retransmit timeout must be non-negative");
-    util::check(model.max_retries >= 0, "max retries must be non-negative");
   }
   for (std::size_t i = 0; i < plan.message_faults.size(); ++i) {
     each_rank(plan.message_faults[i].rank, [&](std::int32_t r) {
@@ -102,22 +80,13 @@ InjectionEngine::InjectionEngine(const FaultPlan& plan, std::int32_t ranks,
     });
   }
   for (const NicDegrade& degrade : plan.degrades) {
-    check_rank(degrade.rank, ranks, "degrade");
-    util::check(degrade.bandwidth_factor > 0.0 &&
-                    degrade.bandwidth_factor <= 1.0,
-                "bandwidth factor must be in (0, 1]");
     each_rank(degrade.rank, [&](std::int32_t r) {
       bandwidth_[static_cast<std::size_t>(r)] *= degrade.bandwidth_factor;
     });
   }
   for (const RankCrash& crash : plan.crashes) {
-    util::check(crash.rank >= 0 && crash.rank < ranks,
-                "crash: rank out of range");
-    util::check(crash.restart_s >= 0.0,
-                "crash restart cost must be non-negative");
     CrashSite& site =
-        crashes_[{crash.rank, compute_key(crash.phase, crash.iteration,
-                                          "crash")}];
+        crashes_[{crash.rank, compute_key(crash.phase, crash.iteration)}];
     site.restart += crash.restart_s;
     site.interval = std::max(site.interval, crash.checkpoint_interval_s);
   }

@@ -26,6 +26,8 @@ namespace krak::fault {
 /// engine can serve repeated Simulator::run calls.
 class InjectionEngine final : public sim::FaultInjector {
  public:
+  /// Throws util::InvalidArgument naming the first check_fault_plan
+  /// violation of `plan` for these rank and phase counts.
   InjectionEngine(const FaultPlan& plan, std::int32_t ranks,
                   std::int32_t phases_per_iteration);
 

@@ -1,9 +1,12 @@
 #include "fault/plan.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <system_error>
+#include <type_traits>
 
 #include "util/error.hpp"
 
@@ -20,6 +23,24 @@ constexpr int kVersion = 1;
 
 std::string rank_token(std::int32_t rank) {
   return rank == kAllRanks ? std::string("*") : std::to_string(rank);
+}
+
+/// Parse all of `token` as a T: false on a sign where T has none, on
+/// overflow and on any trailing character.
+template <typename T>
+bool parse_token(const std::string& token, T& value) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// The line of `directive` must hold nothing more.
+void expect_end_of_line(std::istringstream& line,
+                        const std::string& directive) {
+  std::string extra;
+  if (line >> extra) {
+    malformed("'" + directive + "': unexpected token '" + extra + "'");
+  }
 }
 
 /// key=value fields of one directive line, consumed with presence
@@ -42,35 +63,24 @@ class Fields {
     }
   }
 
-  [[nodiscard]] std::int32_t rank(const std::string& key = "rank") {
-    const std::string value = take(key);
-    if (value == "*") return kAllRanks;
-    return static_cast<std::int32_t>(to_int(key, value));
+  [[nodiscard]] std::int32_t rank() {
+    const std::string value = take("rank");
+    return value == "*" ? kAllRanks : parse<std::int32_t>("rank", value);
   }
 
-  [[nodiscard]] std::int64_t integer(const std::string& key) {
-    const std::string value = take(key);
-    return to_int(key, value);
+  [[nodiscard]] std::int32_t integer(const std::string& key) {
+    return parse<std::int32_t>(key, take(key));
   }
 
   [[nodiscard]] double number(const std::string& key) {
-    const std::string value = take(key);
-    try {
-      std::size_t used = 0;
-      const double parsed = std::stod(value, &used);
-      if (used != value.size()) throw std::invalid_argument(value);
-      return parsed;
-    } catch (const std::exception&) {
-      malformed("'" + directive_ + "': field " + key + "='" + value +
-                "' is not a number");
-    }
+    return parse<double>(key, take(key));
   }
 
   [[nodiscard]] double number_or(const std::string& key, double fallback) {
     return fields_.count(key) != 0 ? number(key) : fallback;
   }
-  [[nodiscard]] std::int64_t integer_or(const std::string& key,
-                                        std::int64_t fallback) {
+  [[nodiscard]] std::int32_t integer_or(const std::string& key,
+                                        std::int32_t fallback) {
     return fields_.count(key) != 0 ? integer(key) : fallback;
   }
 
@@ -93,16 +103,15 @@ class Fields {
     return value;
   }
 
-  std::int64_t to_int(const std::string& key, const std::string& value) {
-    try {
-      std::size_t used = 0;
-      const std::int64_t parsed = std::stoll(value, &used);
-      if (used != value.size()) throw std::invalid_argument(value);
-      return parsed;
-    } catch (const std::exception&) {
+  template <typename T>
+  T parse(const std::string& key, const std::string& value) const {
+    T parsed{};
+    if (!parse_token(value, parsed)) {
       malformed("'" + directive_ + "': field " + key + "='" + value +
-                "' is not an integer");
+                "' is not " +
+                (std::is_integral_v<T> ? "a 32-bit integer" : "a number"));
     }
+    return parsed;
   }
 
   std::string directive_;
@@ -158,34 +167,39 @@ void save_fault_plan(const std::string& path, const FaultPlan& plan) {
 }
 
 FaultPlan parse_fault_plan(std::istream& in) {
-  std::string header;
-  if (!std::getline(in, header)) malformed("missing header");
+  std::string line;
+  if (!std::getline(in, line)) malformed("missing header");
   {
-    std::istringstream hs(header);
+    std::istringstream header(line);
     std::string magic;
-    int version = 0;
-    if (!(hs >> magic >> version)) malformed("missing header");
+    std::string version;
+    if (!(header >> magic >> version)) malformed("missing header");
     if (magic != kMagic) malformed("bad magic '" + magic + "'");
-    if (version != kVersion) {
-      malformed("unsupported version " + std::to_string(version));
+    if (version != std::to_string(kVersion)) {
+      malformed("unsupported version '" + version + "'");
     }
+    expect_end_of_line(header, magic);
   }
 
   FaultPlan plan;
   bool saw_end = false;
-  std::string line;
   while (std::getline(in, line)) {
     std::istringstream ls(line);
     std::string directive;
     if (!(ls >> directive) || directive.front() == '#') continue;
+    if (saw_end) malformed("'" + directive + "' after 'end'");
     if (directive == "end") {
+      expect_end_of_line(ls, directive);
       saw_end = true;
-      break;
+      continue;
     }
     if (directive == "seed") {
-      std::uint64_t seed = 0;
-      if (!(ls >> seed)) malformed("'seed': missing value");
-      plan.seed = seed;
+      std::string value;
+      if (!(ls >> value)) malformed("'seed': missing value");
+      if (!parse_token(value, plan.seed)) {
+        malformed("'seed': '" + value + "' is not an unsigned 64-bit integer");
+      }
+      expect_end_of_line(ls, directive);
       continue;
     }
     Fields fields(directive, ls);
@@ -203,8 +217,8 @@ FaultPlan parse_fault_plan(std::istream& in) {
     } else if (directive == "delay") {
       OneOffDelay d;
       d.rank = fields.rank();
-      d.phase = static_cast<std::int32_t>(fields.integer("phase"));
-      d.iteration = static_cast<std::int32_t>(fields.integer("iter"));
+      d.phase = fields.integer("phase");
+      d.iteration = fields.integer("iter");
       d.seconds = fields.number("seconds");
       plan.delays.push_back(d);
     } else if (directive == "messages") {
@@ -213,8 +227,7 @@ FaultPlan parse_fault_plan(std::istream& in) {
       m.drop_probability = fields.number("drop");
       m.extra_delay_s = fields.number_or("delay", 0.0);
       m.retransmit_timeout_s = fields.number_or("rto", 1e-4);
-      m.max_retries =
-          static_cast<std::int32_t>(fields.integer_or("retries", 3));
+      m.max_retries = fields.integer_or("retries", 3);
       plan.message_faults.push_back(m);
     } else if (directive == "degrade") {
       NicDegrade d;
@@ -224,8 +237,8 @@ FaultPlan parse_fault_plan(std::istream& in) {
     } else if (directive == "crash") {
       RankCrash c;
       c.rank = fields.rank();
-      c.phase = static_cast<std::int32_t>(fields.integer("phase"));
-      c.iteration = static_cast<std::int32_t>(fields.integer("iter"));
+      c.phase = fields.integer("phase");
+      c.iteration = fields.integer("iter");
       c.restart_s = fields.number("restart");
       c.checkpoint_interval_s = fields.number_or("interval", 0.0);
       plan.crashes.push_back(c);
@@ -251,6 +264,103 @@ FaultPlan load_fault_plan(const std::string& path) {
   } catch (const util::KrakError& error) {
     throw util::KrakError("load_fault_plan: " + path + ": " + error.what());
   }
+}
+
+std::vector<PlanViolation> check_fault_plan(const FaultPlan& plan,
+                                            std::int32_t ranks,
+                                            std::int32_t phases_per_iteration) {
+  std::vector<PlanViolation> violations;
+  std::string where;
+  const auto at = [&](const char* directive, std::size_t index) {
+    where = std::string("faults/") + directive + " " + std::to_string(index);
+  };
+  const auto target = [&](const std::string& message) {
+    violations.push_back({rules::kFaultSpecTarget, where, message});
+  };
+  // The upper end of a target interval: the bound, if there is one.
+  const auto upper = [](std::int32_t bound, const char* unknown) {
+    return bound > 0 ? std::to_string(bound) : std::string(unknown);
+  };
+  const auto rank = [&](std::int32_t r, bool wildcard_ok) {
+    if (r == kAllRanks) {
+      if (!wildcard_ok) target("rank=* is not allowed here; name one rank");
+    } else if (r < 0 || (ranks > 0 && r >= ranks)) {
+      target("rank " + std::to_string(r) + " outside [0, " +
+             upper(ranks, "rank count") + ")");
+    }
+  };
+  const auto site = [&](std::int32_t phase, std::int32_t iteration) {
+    if (phase < 1 ||
+        (phases_per_iteration > 0 && phase > phases_per_iteration)) {
+      target("phase " + std::to_string(phase) + " outside [1, " +
+             upper(phases_per_iteration, "phase count") + "]");
+    }
+    if (iteration < 0) {
+      target("iteration " + std::to_string(iteration) + " is negative");
+    }
+  };
+  // A finite `v` for which `in_range` holds; `range` words that test.
+  const auto value = [&](const char* name, double v, bool in_range,
+                         const char* range) {
+    if (std::isfinite(v) && in_range) return;
+    std::ostringstream os;
+    os << name << " must be " << (std::isfinite(v) ? range : "finite")
+       << " (got " << v << ")";
+    violations.push_back({rules::kFaultSpecRange, where, os.str()});
+  };
+  const auto non_negative = [&](const char* name, double v) {
+    value(name, v, v >= 0.0, "non-negative");
+  };
+
+  for (std::size_t i = 0; i < plan.slowdowns.size(); ++i) {
+    const ComputeSlowdown& s = plan.slowdowns[i];
+    at("slowdown", i);
+    rank(s.rank, /*wildcard_ok=*/true);
+    value("slowdown factor", s.factor, s.factor >= 1.0, ">= 1");
+  }
+  for (std::size_t i = 0; i < plan.noise.size(); ++i) {
+    const NoiseBurst& n = plan.noise[i];
+    at("noise", i);
+    rank(n.rank, /*wildcard_ok=*/true);
+    value("noise period", n.period_s, n.period_s > 0.0, "positive");
+    non_negative("noise duration", n.duration_s);
+  }
+  for (std::size_t i = 0; i < plan.delays.size(); ++i) {
+    const OneOffDelay& d = plan.delays[i];
+    at("delay", i);
+    rank(d.rank, /*wildcard_ok=*/false);
+    site(d.phase, d.iteration);
+    non_negative("delay seconds", d.seconds);
+  }
+  for (std::size_t i = 0; i < plan.message_faults.size(); ++i) {
+    const MessageFaultModel& m = plan.message_faults[i];
+    at("messages", i);
+    rank(m.rank, /*wildcard_ok=*/true);
+    value("drop probability", m.drop_probability,
+          m.drop_probability >= 0.0 && m.drop_probability < 1.0,
+          "in [0, 1)");
+    non_negative("extra delay", m.extra_delay_s);
+    non_negative("retransmit timeout", m.retransmit_timeout_s);
+    non_negative("max retries", m.max_retries);
+  }
+  for (std::size_t i = 0; i < plan.degrades.size(); ++i) {
+    const NicDegrade& d = plan.degrades[i];
+    at("degrade", i);
+    rank(d.rank, /*wildcard_ok=*/true);
+    value("bandwidth factor", d.bandwidth_factor,
+          d.bandwidth_factor > 0.0 && d.bandwidth_factor <= 1.0, "in (0, 1]");
+  }
+  for (std::size_t i = 0; i < plan.crashes.size(); ++i) {
+    const RankCrash& c = plan.crashes[i];
+    at("crash", i);
+    rank(c.rank, /*wildcard_ok=*/false);
+    site(c.phase, c.iteration);
+    non_negative("restart cost", c.restart_s);
+    non_negative("checkpoint interval", c.checkpoint_interval_s);
+  }
+  where = "faults/watchdog";
+  non_negative("watchdog bound", plan.max_sim_seconds);
+  return violations;
 }
 
 double daly_optimal_interval(double checkpoint_cost_s, double mtbf_s) {

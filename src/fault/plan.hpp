@@ -7,6 +7,24 @@
 
 namespace krak::fault {
 
+namespace rules {
+
+/// Rule ids of `krakfaults` violations, as `krak_analyze --faults`
+/// reports them (docs/ANALYSIS.md).
+///
+/// Structure: whatever parse_fault_plan rejects as a malformed spec.
+inline constexpr const char* kFaultSpecFormat = "fault-spec-format";
+/// Values: every number is finite; slowdown factor >= 1, noise period
+/// > 0, drop probability in [0, 1), bandwidth factor in (0, 1], and
+/// every other duration, cost, interval, bound and retry count >= 0.
+inline constexpr const char* kFaultSpecRange = "fault-spec-range";
+/// Targets: a rank within the run (`*` only where every rank may be
+/// hit, so never for delay or crash), a phase within the iteration and
+/// a non-negative iteration.
+inline constexpr const char* kFaultSpecTarget = "fault-spec-target";
+
+}  // namespace rules
+
 /// Wildcard rank: the injection applies to every rank.
 inline constexpr std::int32_t kAllRanks = -1;
 
@@ -66,19 +84,20 @@ struct NicDegrade {
 /// Rank crash at an exact (rank, phase, iteration) with an analytic
 /// checkpoint/restart cost charged to `recovery`: restart_s plus the
 /// expected rework. With a checkpoint interval I the expected rework is
-/// I/2 (Daly's first-order model); without one (interval <= 0) the rank
-/// recomputes everything since t = 0.
+/// I/2 (Daly's first-order model); without one (interval 0) the rank
+/// recomputes everything since t = 0. A negative interval is an error.
 struct RankCrash {
   std::int32_t rank = 0;
   std::int32_t phase = 1;
   std::int32_t iteration = 0;
   double restart_s = 0.0;
-  double checkpoint_interval_s = 0.0;  ///< <= 0: no checkpointing
+  double checkpoint_interval_s = 0.0;  ///< 0: no checkpointing
 };
 
 /// A deterministic, seedable fault-injection plan (docs/RESILIENCE.md).
 /// An empty plan is the contract for "no perturbation": SimKrak skips
 /// the injector entirely and reproduces pre-fault behavior bit for bit.
+/// Every value must be finite and meet check_fault_plan's rules.
 struct FaultPlan {
   /// Seeds every stochastic choice (noise phase offsets, message drop
   /// draws); the same seed and plan give bit-identical runs.
@@ -89,8 +108,8 @@ struct FaultPlan {
   std::vector<MessageFaultModel> message_faults;
   std::vector<NicDegrade> degrades;
   std::vector<RankCrash> crashes;
-  /// Watchdog bound on simulated time; <= 0 disables (see
-  /// sim::WatchdogConfig::max_sim_seconds).
+  /// Watchdog bound on simulated time; 0 disables (see
+  /// sim::WatchdogConfig::max_sim_seconds). A negative bound is an error.
   double max_sim_seconds = 0.0;
 
   [[nodiscard]] bool empty() const {
@@ -119,7 +138,9 @@ struct FaultPlan {
 ///   end
 ///
 /// `rank=*` targets every rank. Unknown directives and keys are errors
-/// (no silent skipping: a typo must not quietly weaken an experiment).
+/// (no silent skipping: a typo must not quietly weaken an experiment),
+/// and so are extra tokens on the header, `seed` or `end` line, content
+/// after `end`, a negative seed and integers outside 32 bits.
 
 /// Serialize a plan. Throws KrakError on stream failure.
 void write_fault_plan(std::ostream& out, const FaultPlan& plan);
@@ -129,6 +150,24 @@ void save_fault_plan(const std::string& path, const FaultPlan& plan);
 /// malformed input. load_fault_plan prefixes the path and cause.
 [[nodiscard]] FaultPlan parse_fault_plan(std::istream& in);
 [[nodiscard]] FaultPlan load_fault_plan(const std::string& path);
+
+/// One rule a plan breaks: its rule id (rules::kFaultSpecRange or
+/// rules::kFaultSpecTarget), the directive it sits in ("faults/crash 0",
+/// "faults/watchdog") and what is wrong.
+struct PlanViolation {
+  const char* rule = "";
+  std::string component;
+  std::string message;
+};
+
+/// Every value and target rule of `plan` for a run of `ranks` ranks and
+/// `phases_per_iteration` phases; a bound of 0 skips its upper-bound
+/// check. Empty exactly when the plan is valid. The one copy of the
+/// rules: InjectionEngine throws the first violation, `krak_analyze
+/// --faults` reports them all.
+[[nodiscard]] std::vector<PlanViolation> check_fault_plan(
+    const FaultPlan& plan, std::int32_t ranks,
+    std::int32_t phases_per_iteration);
 
 /// Daly's first-order optimal checkpoint interval sqrt(2 * C * M) for
 /// checkpoint cost C and mean time between failures M (both > 0).

@@ -123,14 +123,6 @@ void Simulator::set_nic(NicConfig nic) {
   nic_ = nic;
 }
 
-void Simulator::set_pair_network(PairCost message_time, PairCost latency) {
-  check(static_cast<bool>(message_time) == static_cast<bool>(latency),
-        "pair message_time and latency must be set or cleared together");
-  pair_message_time_ = std::move(message_time);
-  pair_latency_ = std::move(latency);
-  hierarchy_ = nullptr;
-}
-
 void Simulator::set_pair_network(
     std::shared_ptr<const network::HierarchicalNetwork> network) {
   if (network != nullptr) {
@@ -138,8 +130,6 @@ void Simulator::set_pair_network(
           "hierarchical placement must cover every rank");
   }
   hierarchy_ = std::move(network);
-  pair_message_time_ = nullptr;
-  pair_latency_ = nullptr;
 }
 
 void Simulator::set_fault_injector(FaultInjector* injector) {
@@ -523,15 +513,12 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
           injected_by = inject_at + op.bytes / nic_.injection_bandwidth;
           nic_free_[node] = injected_by;
         }
-        // Concrete hierarchical dispatch first: the common production
-        // pair network costs two predictable branches per message here
-        // instead of a std::function call (bench/sim_hot_loop).
+        // The hierarchical pair network, when installed, costs one
+        // predictable branch per message here (bench/sim_hot_loop).
         double wire_time =
             hierarchy_ != nullptr
                 ? hierarchy_->message_time(rank, op.peer, op.bytes)
-                : (pair_message_time_
-                       ? pair_message_time_(rank, op.peer, op.bytes)
-                       : network_.message_time(op.bytes));
+                : network_.message_time(op.bytes);
         const std::int64_t send_ordinal = state.send_index++;
         FaultInjector::MessageFate fate;
         if (fault_ != nullptr) {
@@ -552,8 +539,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
         const double handoff =
             hierarchy_ != nullptr
                 ? hierarchy_->latency(rank, op.peer, op.bytes)
-                : (pair_latency_ ? pair_latency_(rank, op.peer, op.bytes)
-                                 : network_.latency(op.bytes));
+                : network_.latency(op.bytes);
         state.send_completions.push_back(inject_at + handoff);
         ++shard.traffic.point_to_point_messages;
         state.sent_bytes += op.bytes;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -371,22 +370,13 @@ class Simulator {
   /// Configure the shared-NIC injection model (see NicConfig).
   void set_nic(NicConfig nic);
 
-  /// Per-pair point-to-point cost functions (e.g. a two-level
-  /// intra/inter-node network). When set, point-to-point sends use
-  /// them instead of the flat machine model; collectives continue to
-  /// use the flat model's tree costs. Pass empty functions to revert.
-  /// Opaque callables leave the parallel engine without a usable
-  /// lookahead (degenerate epochs) — prefer the HierarchicalNetwork
-  /// overload for production pair costs.
-  using PairCost = std::function<double(RankId from, RankId to, double bytes)>;
-  void set_pair_network(PairCost message_time, PairCost latency);
-
-  /// Devirtualized pair network: sends call the concrete
-  /// HierarchicalNetwork directly instead of paying a std::function
-  /// dispatch per message on the hot send path, and the parallel engine
+  /// Per-pair point-to-point costs from a two-level intra/inter-node
+  /// network: point-to-point sends call the concrete
+  /// HierarchicalNetwork instead of the flat machine model, while
+  /// collectives keep the flat model's tree costs. The parallel engine
   /// derives its lookahead from the inter-node model and aligns shard
-  /// boundaries to node boundaries. Overrides (and is overridden by)
-  /// the callable form; pass nullptr to revert to the flat model.
+  /// boundaries to node boundaries. Pass nullptr to revert to the flat
+  /// model.
   void set_pair_network(
       std::shared_ptr<const network::HierarchicalNetwork> network);
 
@@ -591,8 +581,6 @@ class Simulator {
 
   network::MessageCostModel network_;
   network::CollectiveModel collectives_;
-  PairCost pair_message_time_;
-  PairCost pair_latency_;
   std::shared_ptr<const network::HierarchicalNetwork> hierarchy_;
   NicConfig nic_;
   FaultInjector* fault_ = nullptr;

@@ -41,9 +41,6 @@ double Simulator::plan_lookahead() const {
     // cross-shard payload pays at least the inter-node minimum.
     return hierarchy_->inter_node().min_message_time();
   }
-  // Opaque pair callables admit no bound; fall back to the degenerate
-  // one-timestamp-per-epoch (null-message-style) progression.
-  if (pair_message_time_) return 0.0;
   return network_.min_message_time();
 }
 

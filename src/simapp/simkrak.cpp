@@ -351,8 +351,6 @@ SimKrakResult SimKrak::run() const {
   result.events_processed = sim_result.events_processed;
   result.max_queue_depth = sim_result.max_queue_depth;
   result.coordinator_seconds = sim_result.coordinator_seconds;
-  result.sort_seconds = sim_result.sort_seconds;
-  result.inject_seconds = sim_result.inject_seconds;
   // Moved, not copied: at 100k ranks the per-rank breakdown is the
   // result's dominant allocation, and the simulator no longer needs it.
   result.rank_breakdown = std::move(sim_result.breakdown);

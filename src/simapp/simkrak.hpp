@@ -86,12 +86,6 @@ struct SimKrakResult {
   /// serial oracle). The Amdahl numerator BENCH reports as
   /// coordinator_serial_fraction.
   double coordinator_seconds = 0.0;
-  /// Worker-phase barrier prep seconds, summed over shards
-  /// (sim::SimResult::sort_seconds).
-  double sort_seconds = 0.0;
-  /// Barrier apply-phase seconds, summed over shards
-  /// (sim::SimResult::inject_seconds).
-  double inject_seconds = 0.0;
   /// Aggregate fault-injection accounting (zero when no plan was set).
   sim::FaultStats fault_stats;
   /// Structured failures the watchdog recorded instead of hanging or

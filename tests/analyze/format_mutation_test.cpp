@@ -1,10 +1,11 @@
 // Mutation tests of the one-parser contract (docs/ANALYSIS.md): over
 // seeded mutants of writer-produced files and of the corrupted fixtures,
 // a krakpart entry lints clean exactly when PartitionStore serves it,
-// and CampaignJournal recovery replays exactly the records before the
+// CampaignJournal recovery replays exactly the records before the
 // linter's first journal-format or journal-checksum error — refusing
-// the file exactly when that error is in the header. Neither side may
-// throw anything else on any mutant.
+// the file exactly when that error is in the header — and a krakfaults
+// plan lints clean exactly when it loads and InjectionEngine accepts
+// it. Neither side may throw anything else on any mutant.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +20,16 @@
 #include <utility>
 #include <vector>
 
+#include "analyze/lint_faults.hpp"
 #include "analyze/lint_journal.hpp"
 #include "analyze/lint_partition_store.hpp"
 #include "analyze/rules.hpp"
 #include "core/campaign_journal.hpp"
 #include "core/partition_store.hpp"
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 #include "partition/partition.hpp"
+#include "simapp/costmodel.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -289,6 +294,55 @@ TEST_F(FormatMutation, JournalRecoveryStopsAtTheFirstLintError) {
   EXPECT_GT(refused, 0u);
   EXPECT_GT(truncated, 0u);
   EXPECT_LT(refused + truncated, 2u * kMutantsPerSeed);
+}
+
+TEST_F(FormatMutation, FaultPlanLintsCleanExactlyWhenTheEngineAcceptsIt) {
+  constexpr std::int32_t kRanks = 8;
+  // One of every directive, as the writer emits it.
+  std::istringstream example(
+      "krakfaults 1\n"
+      "seed 42\n"
+      "slowdown rank=2 factor=1.5\n"
+      "noise rank=* period=1e-3 duration=25e-6\n"
+      "delay rank=0 phase=4 iter=1 seconds=2e-3\n"
+      "messages rank=* drop=0.05 delay=1e-6 rto=1e-4 retries=3\n"
+      "degrade rank=3 bandwidth=0.25\n"
+      "crash rank=1 phase=9 iter=0 restart=0.05 interval=0.4\n"
+      "watchdog max_seconds=10\n"
+      "end\n");
+  std::ostringstream written;
+  fault::write_fault_plan(written, fault::parse_fault_plan(example));
+
+  const fs::path path = directory_ / "mutant.krakfaults";
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const std::pair<std::string, std::uint64_t> seeds[] = {
+      {written.str(), 505}, {corrupted_fault_spec_text(), 606}};
+  for (const auto& [seed, rng_seed] : seeds) {
+    util::Rng rng(rng_seed);
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string mutant = mutate(seed, rng);
+      write_file(path, mutant);
+      const DiagnosticReport report =
+          lint_fault_file(path.string(), kRanks, simapp::kPhaseCount);
+      bool runs = true;
+      try {
+        const fault::InjectionEngine engine(
+            fault::load_fault_plan(path.string()), kRanks,
+            simapp::kPhaseCount);
+      } catch (const util::KrakError&) {
+        runs = false;
+      }
+      ASSERT_EQ(runs, !report.has_errors())
+          << "mutant " << i << " of seed " << rng_seed << ":\n"
+          << mutant << "\n--- lint:\n"
+          << report.to_text();
+      ++(runs ? accepted : rejected);
+    }
+  }
+  // Both outcomes occur, so the equivalence is not vacuous.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <string>
 
 #include "analyze/rules.hpp"
+#include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "util/error.hpp"
 
 namespace krak::analyze {
 namespace {
@@ -81,6 +83,48 @@ TEST(LintFaults, CorruptedFixtureTriggersRangeAndTargetRules) {
   EXPECT_TRUE(report.has_errors());
   EXPECT_TRUE(report.has_rule(rules::kFaultSpecRange)) << report.to_text();
   EXPECT_TRUE(report.has_rule(rules::kFaultSpecTarget)) << report.to_text();
+  bool non_finite = false;
+  for (const Diagnostic& diagnostic : report.diagnostics()) {
+    if (diagnostic.message.find("must be finite") != std::string::npos) {
+      non_finite = true;
+    }
+  }
+  EXPECT_TRUE(non_finite) << report.to_text();
+}
+
+TEST(LintFaults, LintErrorsExactlyWhenTheEngineThrows) {
+  // Plans the linter and InjectionEngine once judged differently: a nan
+  // field linted clean and made the engine throw, a negative interval or
+  // watchdog bound linted as an error and ran, and an infinite slowdown
+  // passed both. Both sides must reject every one.
+  const char* const directives[] = {
+      "slowdown rank=0 factor=nan",
+      "noise rank=0 period=nan duration=0",
+      "messages rank=0 drop=nan",
+      "degrade rank=0 bandwidth=nan",
+      "delay rank=0 phase=1 iter=0 seconds=nan",
+      "crash rank=0 phase=1 iter=0 restart=nan",
+      "crash rank=0 phase=1 iter=0 restart=0 interval=-1",
+      "watchdog max_seconds=-1",
+      "slowdown rank=0 factor=inf",
+  };
+  for (const char* directive : directives) {
+    std::istringstream in(std::string("krakfaults 1\n") + directive +
+                          "\nend\n");
+    const fault::FaultPlan plan = fault::parse_fault_plan(in);
+    const DiagnosticReport report = lint_faults(plan, 8, 15);
+    bool engine_threw = false;
+    try {
+      const fault::InjectionEngine engine(plan, 8, 15);
+    } catch (const util::KrakError&) {
+      engine_threw = true;
+    }
+    EXPECT_EQ(report.has_errors(), engine_threw)
+        << directive << "\n" << report.to_text();
+    EXPECT_TRUE(engine_threw) << directive;
+    EXPECT_TRUE(report.has_rule(rules::kFaultSpecRange))
+        << directive << "\n" << report.to_text();
+  }
 }
 
 TEST(LintFaults, UnreadableFileIsFormatError) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -43,6 +44,24 @@ TEST(InjectionEngine, RejectsOutOfRangePlanValues) {
   crash.rank = kAllRanks;  // crashes must name one rank
   wildcard_crash.crashes.push_back(crash);
   EXPECT_THROW(InjectionEngine(wildcard_crash, 4, kPhases), util::KrakError);
+}
+
+TEST(InjectionEngine, ErrorNamesTheFirstViolation) {
+  FaultPlan plan;
+  plan.slowdowns.push_back({0, 2.0});
+  plan.degrades.push_back({0, 2.0});  // bandwidth must be in (0, 1]
+  RankCrash crash;
+  crash.rank = 9;  // only 4 ranks
+  plan.crashes.push_back(crash);
+  try {
+    const InjectionEngine engine(plan, 4, kPhases);
+    FAIL() << "expected KrakError";
+  } catch (const util::KrakError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("faults/degrade 0: bandwidth factor must be in (0, 1]"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(InjectionEngine, SlowdownScalesComputeExcess) {

@@ -104,7 +104,9 @@ TEST(FaultPlan, CommentsAndBlankLinesAreIgnored) {
       "\n"
       "seed 9\n"
       "slowdown rank=0 factor=2\n"
-      "end\n");
+      "end\n"
+      "\n"
+      "# a trailing note\n");
   const FaultPlan plan = parse_fault_plan(in);
   EXPECT_EQ(plan.seed, 9u);
   ASSERT_EQ(plan.slowdowns.size(), 1u);
@@ -131,6 +133,18 @@ TEST(FaultPlan, ParseRejectsMalformedInput) {
   expect_malformed(
       "krakfaults 1\nslowdown rank=0 factor=2 color=red\nend\n");  // unknown key
   expect_malformed("krakfaults 1\nslowdown rank=0 factor=2\n");  // missing end
+  // Input the parser once dropped or changed without an error.
+  expect_malformed(
+      "krakfaults 1\nseed 7 slowdown rank=0 factor=2\nend\n");  // seed tail
+  expect_malformed(
+      "krakfaults 1\nend\nslowdown rank=0 factor=2\n");  // directive after end
+  expect_malformed("krakfaults 1 extra\nend\n");  // header tail
+  expect_malformed("krakfaults 1\nend extra\n");  // end tail
+  expect_malformed("krakfaults 1\nseed -1\nend\n");  // negative seed
+  expect_malformed(
+      "krakfaults 1\nslowdown rank=4294967296 factor=2\nend\n");  // > 32 bits
+  expect_malformed(
+      "krakfaults 1\nmessages rank=* drop=0.1 retries=4294967296\nend\n");
 }
 
 TEST(FaultPlan, LoadNamesMissingPathAndCause) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "network/msgmodel.hpp"
 #include "network/topology.hpp"
 #include "sim/simulator.hpp"
-#include "util/error.hpp"
 
 namespace krak::sim {
 namespace {
@@ -15,12 +17,19 @@ Simulator flat_simulator(std::int32_t ranks) {
   return Simulator(ranks, network::make_hockney_model(1.0, 1e30), config);
 }
 
+/// One rank per node, so every point-to-point message costs `inter`.
+std::shared_ptr<const network::HierarchicalNetwork> one_rank_per_node(
+    std::int32_t ranks, network::MessageCostModel inter) {
+  return std::make_shared<network::HierarchicalNetwork>(
+      network::MessageCostModel(), std::move(inter),
+      network::Placement(ranks, 1));
+}
+
 TEST(PairNetwork, OverridesPointToPointCosts) {
   Simulator sim = flat_simulator(2);
-  // Override: every message takes 5 s on the wire, 0 s to hand off.
+  // Override: 8 bytes take 5 s on the wire, 0 s to hand off.
   sim.set_pair_network(
-      [](RankId, RankId, double) { return 5.0; },
-      [](RankId, RankId, double) { return 0.0; });
+      one_rank_per_node(2, network::make_hockney_model(0.0, 1.6)));
   sim.set_schedule(0, {Op::isend(1, 8.0, 1)});
   sim.set_schedule(1, {Op::recv(0, 8.0, 1)});
   const SimResult result = sim.run();
@@ -31,8 +40,7 @@ TEST(PairNetwork, OverridesPointToPointCosts) {
 TEST(PairNetwork, CollectivesStillUseFlatModel) {
   Simulator sim = flat_simulator(2);
   sim.set_pair_network(
-      [](RankId, RankId, double) { return 100.0; },
-      [](RankId, RankId, double) { return 100.0; });
+      one_rank_per_node(2, network::make_hockney_model(100.0, 1e30)));
   const Schedule schedule = {Op::allreduce(8.0)};
   sim.set_schedule(0, schedule);
   sim.set_schedule(1, schedule);
@@ -42,19 +50,11 @@ TEST(PairNetwork, CollectivesStillUseFlatModel) {
   EXPECT_NEAR(result.makespan, 2.0, 1e-12);
 }
 
-TEST(PairNetwork, MismatchedFunctionsRejected) {
-  Simulator sim = flat_simulator(2);
-  EXPECT_THROW(
-      sim.set_pair_network([](RankId, RankId, double) { return 1.0; },
-                           Simulator::PairCost{}),
-      util::InvalidArgument);
-}
-
 TEST(PairNetwork, CanBeCleared) {
   Simulator sim = flat_simulator(2);
-  sim.set_pair_network([](RankId, RankId, double) { return 50.0; },
-                       [](RankId, RankId, double) { return 0.0; });
-  sim.set_pair_network({}, {});
+  sim.set_pair_network(
+      one_rank_per_node(2, network::make_hockney_model(50.0, 1e30)));
+  sim.set_pair_network(nullptr);
   sim.set_schedule(0, {Op::isend(1, 8.0, 1)});
   sim.set_schedule(1, {Op::recv(0, 8.0, 1)});
   const SimResult result = sim.run();
@@ -62,21 +62,14 @@ TEST(PairNetwork, CanBeCleared) {
 }
 
 TEST(PairNetwork, HierarchicalRanksSeeAsymmetricCosts) {
-  // Wire a real HierarchicalNetwork: ranks 0-3 on node 0, 4-7 on node 1.
-  const auto hierarchy = std::make_shared<network::HierarchicalNetwork>(
-      network::make_es45_shared_memory_model(), network::make_qsnet1_model(),
-      network::Placement(8, 4));
+  // Ranks 0-3 on node 0, 4-7 on node 1.
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
   Simulator sim(8, network::make_qsnet1_model(), config);
-  sim.set_pair_network(
-      [hierarchy](RankId from, RankId to, double bytes) {
-        return hierarchy->message_time(from, to, bytes);
-      },
-      [hierarchy](RankId from, RankId to, double bytes) {
-        return hierarchy->latency(from, to, bytes);
-      });
+  sim.set_pair_network(std::make_shared<network::HierarchicalNetwork>(
+      network::make_es45_shared_memory_model(), network::make_qsnet1_model(),
+      network::Placement(8, 4)));
   // Rank 0 pings rank 1 (same node) and rank 4 (other node).
   sim.set_schedule(0, {Op::isend(1, 1024.0, 1), Op::isend(4, 1024.0, 2)});
   sim.set_schedule(1, {Op::recv(0, 1024.0, 1)});
