@@ -8,8 +8,9 @@
 // needs to compare performance against this one.
 //
 // Usage:
-//   krak_bench [--quick] [--out FILE]   generate a report (default
-//                                       BENCH_PR10.json)
+//   krak_bench [--quick] --out FILE     generate a report; --out is
+//                                       required, so a bare run cannot
+//                                       overwrite a checked-in report
 //   krak_bench --threads N              thread-pool width for the
 //                                       campaigns (0 = hardware); the
 //                                       partitioner is serial, and the
@@ -100,7 +101,7 @@ using namespace krak;
 
 struct Options {
   bool quick = false;
-  std::string out = "BENCH_PR10.json";
+  std::string out;       // report to write; required unless validating
   std::string validate;  // non-empty: validate this file and exit
   std::string faults;    // non-empty: krakfaults plan for the campaigns
   std::string compare;   // non-empty: baseline report for the perf gate
@@ -116,7 +117,7 @@ struct Options {
 };
 
 [[noreturn]] void usage(int exit_code) {
-  std::cout << "usage: krak_bench [--quick] [--out FILE] [--faults FILE]\n"
+  std::cout << "usage: krak_bench [--quick] --out FILE [--faults FILE]\n"
                "                  [--threads N] [--compare BASELINE]\n"
                "                  [--partition-store DIR]\n"
                "                  [--journal FILE] [--resume]\n"
@@ -641,6 +642,10 @@ void print_summary(const obs::Json& report) {
 int main(int argc, char** argv) {
   const Options options = parse_args(argc, argv);
   if (!options.validate.empty()) return validate_file(options.validate);
+  if (options.out.empty()) {
+    std::cerr << "krak_bench: --out FILE is required to generate a report\n";
+    usage(2);
+  }
   if (!options.partition_store.empty()) {
     // Attach before anything partitions (calibration included), so a
     // warm store satisfies every configuration of the run.

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <deque>
@@ -168,8 +169,9 @@ std::vector<PeId> initial_partition(const Graph& graph, std::int32_t parts,
 
   for (PeId p = 0; p < parts - 1; ++p) {
     const std::int64_t target = total / parts;
-    // Seed: a random unassigned vertex, preferring one adjacent to an
-    // already-assigned region boundary for contiguity.
+    // Seed: the first of up to 16 uniform draws that hits an unassigned
+    // vertex (any one, adjacent to an assigned region or not), else the
+    // lowest-numbered unassigned vertex. These draws feed every checksum.
     std::int32_t seed = -1;
     for (std::int32_t attempt = 0; attempt < 16 && seed == -1; ++attempt) {
       const auto v = static_cast<std::int32_t>(
@@ -250,39 +252,54 @@ std::vector<PeId> initial_partition(const Graph& graph, std::int32_t parts,
 /// ceiling even at zero or negative gain.
 ///
 /// A vertex's move decision depends only on its own part, its
-/// neighbors' parts and edge weights, and the weights of the parts
-/// involved. Between passes most of that state is untouched, so the
-/// loop keeps per-part and per-vertex stamps and skips any vertex whose
-/// decision inputs provably did not change since its last evaluation —
-/// the skipped evaluation would have reproduced the same "stay"
-/// decision, so the move sequence is bit-identical to evaluating
-/// everything. Two stamp granularities keep the skip rate high:
-/// `weight_stamp` advances on every weight change of a part, while
-/// `danger_stamp` advances only when a change can flip one of the three
-/// predicates a decision actually reads (the balance-ceiling filter,
-/// the overweight test, and the never-empty guard), which lets vertices
-/// ignore irrelevant weight drift in non-overweight parts.
+/// neighbors' parts and edge weights, and the weights of the parts it
+/// references (its own part and its neighbors' parts). Between passes
+/// most of that state is untouched, so a pass visits only the boundary
+/// vertices on a dirty worklist, in ascending vertex id. These events
+/// push a vertex onto it:
+///   - the start of the level (its first evaluation);
+///   - a move of a neighbor (which also covers an interior vertex
+///     becoming boundary);
+///   - a "danger" weight change of a part it references: one that can
+///     flip a predicate a decision reads (the balance-ceiling filter,
+///     the overweight test, or the never-empty guard);
+///   - any other weight change of a part it references while its own
+///     part is overweight, because the balance-repair branch orders
+///     candidates by exact weights.
+/// A mover's own move is not an event for it: it is dirtied only through
+/// its move's weight changes, as a vertex of its new part. The checksums
+/// in tests/partition/determinism_test.cpp were recorded under exactly
+/// these rules (docs/PERFORMANCE.md, "The dirty worklist"), so changing
+/// them changes partitions.
 ///
-/// FM refinement is the single largest cost of a cold run (1.22 s of
-/// 1.96 s in BENCH_PR5), so it carries the partition.fm.* probes:
-/// counters accumulate in locals and record once per call, keeping the
-/// move loop free of atomics and the move sequence bit-identical.
+/// Multilevel partitioning is one of the two largest layers of a cold
+/// validation run (perfbench's traced validate_cold ledger on a 4-vCPU
+/// host: partition.multilevel_s 2.5 s of a 6.3 s timed phase, next to
+/// simapp.run_s at 2.9 s), and FM refinement is most of it, so it
+/// carries the partition.fm.* probes: counters accumulate in locals and
+/// record once per call, keeping the move loop free of atomics.
 // krak: hot
 void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
             double max_imbalance) {
   const util::Stopwatch fm_watch;
   std::int64_t fm_passes = 0;
   std::int64_t fm_moves = 0;
+  std::int64_t fm_evaluations = 0;
   const std::int32_t n = graph.num_vertices();
   const std::int64_t total = graph.total_vertex_weight();
   const auto ceiling = static_cast<std::int64_t>(
       std::ceil(static_cast<double>(total) / parts * max_imbalance));
+  const auto over = [ceiling](std::int64_t w) -> int {
+    return w > ceiling ? 1 : 0;
+  };
 
   std::vector<std::int64_t> weight(static_cast<std::size_t>(parts), 0);
   for (std::int32_t v = 0; v < n; ++v) {
     weight[static_cast<std::size_t>(part[static_cast<std::size_t>(v)])] +=
         graph.vwgt[static_cast<std::size_t>(v)];
   }
+  std::int32_t overweight_parts = 0;
+  for (const std::int64_t w : weight) overweight_parts += over(w);
 
   // Connection weight of v to each part, computed on demand. `touched`
   // (the parts v connects to, in first-occurrence order — the move
@@ -295,69 +312,114 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
   const std::int32_t* const adjncy = graph.adjncy.data();
   const std::int32_t* const ewgt = graph.ewgt.data();
 
-  // Interior fast path: a vertex whose neighbors all share its part can
-  // never move. Boundary membership depends only on a vertex's own part
-  // and its neighbors' parts, so a move of v can only change the status
-  // of v and of v's neighbors — exactly those are recomputed after each
-  // move, and the flag always equals what a fresh scan would return.
-  const auto is_boundary = [&part, xadj, adjncy](std::int32_t v) -> char {
-    const PeId p = part[static_cast<std::size_t>(v)];
-    for (std::int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
-      if (part[static_cast<std::size_t>(adjncy[e])] != p) return 1;
-    }
-    return 0;
+  // Vertex sets as bitsets over vertex ids: `dirty` is the worklist,
+  // `boundary` the vertices with a neighbor in another part (an interior
+  // vertex can never move). Every vertex starts dirty; the tail bits past
+  // n are never boundary, so they are never visited.
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  std::vector<std::uint64_t> dirty(words, ~std::uint64_t{0});
+  std::vector<std::uint64_t> boundary(words, 0);
+  const auto word = [](std::int32_t v) {
+    return static_cast<std::size_t>(v) / 64;
   };
-  std::vector<char> boundary(static_cast<std::size_t>(n));
-  for (std::int32_t v = 0; v < n; ++v) {
-    boundary[static_cast<std::size_t>(v)] = is_boundary(v);
-  }
+  const auto bit = [](std::int32_t v) {
+    return std::uint64_t{1} << (static_cast<std::uint32_t>(v) % 64);
+  };
+  const auto mark = [&](std::int32_t v) { dirty[word(v)] |= bit(v); };
+
+  // Boundary membership depends only on a vertex's own part and its
+  // neighbors' parts, so a move of v can only change the status of v and
+  // of v's neighbors — exactly those are recomputed after each move.
+  // Each part lists its boundary vertices (`slot` is a vertex's index in
+  // its part's list, -1 when interior). A vertex referencing part p is
+  // on p's list or adjacent to a vertex on it, which is how a weight
+  // change of p finds the vertices to dirty.
+  std::vector<std::vector<std::int32_t>> members(
+      static_cast<std::size_t>(parts));
+  std::vector<std::int32_t> slot(static_cast<std::size_t>(n), -1);
+  const auto unlist = [&](std::int32_t v, PeId p) {
+    std::vector<std::int32_t>& list = members[static_cast<std::size_t>(p)];
+    std::int32_t& at = slot[static_cast<std::size_t>(v)];
+    const std::int32_t last = list.back();
+    list[static_cast<std::size_t>(at)] = last;
+    slot[static_cast<std::size_t>(last)] = at;
+    list.pop_back();
+    at = -1;
+    boundary[word(v)] &= ~bit(v);
+  };
+  const auto set_boundary = [&](std::int32_t v) {
+    const PeId p = part[static_cast<std::size_t>(v)];
+    bool now = false;
+    for (std::int64_t e = xadj[v]; e < xadj[v + 1] && !now; ++e) {
+      now = part[static_cast<std::size_t>(adjncy[e])] != p;
+    }
+    std::int32_t& at = slot[static_cast<std::size_t>(v)];
+    if (now == (at >= 0)) return;
+    if (!now) {
+      unlist(v, p);
+      return;
+    }
+    std::vector<std::int32_t>& list = members[static_cast<std::size_t>(p)];
+    at = static_cast<std::int32_t>(list.size());
+    list.push_back(v);
+    boundary[word(v)] |= bit(v);
+  };
+  for (std::int32_t v = 0; v < n; ++v) set_boundary(v);
 
   std::int64_t max_vw = 0;
   for (const std::int32_t w : graph.vwgt) {
     max_vw = std::max<std::int64_t>(max_vw, w);
   }
-  std::vector<std::uint32_t> weight_stamp(static_cast<std::size_t>(parts), 1);
-  std::vector<std::uint32_t> danger_stamp(static_cast<std::size_t>(parts), 1);
-  std::vector<std::uint32_t> moved_stamp(static_cast<std::size_t>(n), 1);
-  std::vector<std::uint32_t> vertex_stamp(static_cast<std::size_t>(n), 0);
-  std::uint32_t move_counter = 1;
 
-  // Advance a part's stamps after its weight changed from old_w to
-  // new_w. The danger stamp moves only when the change can flip a
-  // predicate some vertex's decision reads: the ceiling filter
+  // Dirty the vertices whose decision inputs changed when part p's
+  // weight went from old_w to its current weight. A danger change can
+  // flip a predicate some vertex's decision reads: the ceiling filter
   // (weight + vw > ceiling for vw in [1, max_vw]), the overweight test
-  // (weight > ceiling), or the never-empty guard (weight - vw > 0).
-  const auto bump_part = [&](PeId p, std::int64_t old_w, std::int64_t new_w) {
-    weight_stamp[static_cast<std::size_t>(p)] = move_counter;
+  // (weight > ceiling), or the never-empty guard (weight - vw > 0); it
+  // dirties every boundary vertex referencing p. Any other change
+  // dirties only those whose own part is overweight. (Interior vertices
+  // of p may be dirtied too; they are not visited while interior, and
+  // turning boundary dirties them anyway.)
+  const auto weight_changed = [&](PeId p, std::int64_t old_w) {
+    const std::int64_t new_w = weight[static_cast<std::size_t>(p)];
     const std::int64_t lo = std::min(old_w, new_w);
     const std::int64_t hi = std::max(old_w, new_w);
-    const bool ceiling_flip = lo <= ceiling - 1 && hi > ceiling - max_vw;
-    const bool overweight_flip = lo <= ceiling && hi > ceiling;
-    const bool empty_flip = lo <= max_vw && hi > 1;
-    if (ceiling_flip || overweight_flip || empty_flip) {
-      danger_stamp[static_cast<std::size_t>(p)] = move_counter;
+    const bool danger = (lo <= ceiling - 1 && hi > ceiling - max_vw) ||
+                        (lo <= ceiling && hi > ceiling) ||
+                        (lo <= max_vw && hi > 1);
+    if (!danger && overweight_parts == 0) return;
+    const bool own = danger || over(new_w) != 0;
+    for (const std::int32_t w : members[static_cast<std::size_t>(p)]) {
+      if (own) mark(w);
+      for (std::int64_t e = xadj[w]; e < xadj[w + 1]; ++e) {
+        const std::int32_t u = adjncy[e];
+        if (danger || over(weight[static_cast<std::size_t>(
+                          part[static_cast<std::size_t>(u)])]) != 0) {
+          mark(u);
+        }
+      }
     }
   };
 
-  // True when any decision input of v changed after `stamp`; stamp 0
-  // means "never evaluated". Overweight parts re-check against the
-  // fine-grained weight stamp because the balance-repair branch orders
-  // candidates by exact weights.
-  const auto is_stale = [&](std::int32_t v, std::uint32_t stamp) -> bool {
-    if (stamp == 0) return true;
-    const PeId from = part[static_cast<std::size_t>(v)];
-    const bool overweight_now = weight[static_cast<std::size_t>(from)] > ceiling;
-    const auto& part_stamps = overweight_now ? weight_stamp : danger_stamp;
-    if (part_stamps[static_cast<std::size_t>(from)] > stamp) return true;
+  const auto apply_move = [&](std::int32_t v, PeId from, PeId to,
+                              std::int64_t vw) {
+    // v leaves its old part's boundary list before its part changes.
+    if (slot[static_cast<std::size_t>(v)] >= 0) unlist(v, from);
+    part[static_cast<std::size_t>(v)] = to;
+    const std::int64_t old_from = weight[static_cast<std::size_t>(from)];
+    const std::int64_t old_to = weight[static_cast<std::size_t>(to)];
+    weight[static_cast<std::size_t>(from)] = old_from - vw;
+    weight[static_cast<std::size_t>(to)] = old_to + vw;
+    overweight_parts += over(old_from - vw) - over(old_from) +
+                        over(old_to + vw) - over(old_to);
+    set_boundary(v);
     for (std::int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
       const std::int32_t u = adjncy[e];
-      if (moved_stamp[static_cast<std::size_t>(u)] > stamp ||
-          part_stamps[static_cast<std::size_t>(
-              part[static_cast<std::size_t>(u)])] > stamp) {
-        return true;
-      }
+      set_boundary(u);
+      mark(u);
     }
-    return false;
+    weight_changed(from, old_from);
+    weight_changed(to, old_to);
   };
 
   // The move decision of v against the current assignment. Returns
@@ -407,38 +469,33 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
     return best_part;
   };
 
+  // Each pass walks dirty ∩ boundary in ascending vertex id. The word
+  // under the cursor is re-read after every evaluation, so a vertex a
+  // move dirtied ahead of the cursor is still visited in this pass and
+  // one behind it waits for the next; the checksums depend on this
+  // order.
   constexpr int kMaxPasses = 32;
   for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++fm_passes;
     bool moved_any = false;
-    for (std::int32_t v = 0; v < n; ++v) {
-      if (!boundary[static_cast<std::size_t>(v)]) continue;
-      if (!is_stale(v, vertex_stamp[static_cast<std::size_t>(v)])) continue;
-      const PeId from = part[static_cast<std::size_t>(v)];
-      const PeId best_part = evaluate_move(v);
-      vertex_stamp[static_cast<std::size_t>(v)] = move_counter;
-      if (best_part != from) {
+    for (std::size_t wi = 0; wi < words; ++wi) {
+      std::uint64_t pending = dirty[wi] & boundary[wi];
+      while (pending != 0) {
+        const int b = std::countr_zero(pending);
+        const auto v = static_cast<std::int32_t>(wi * 64) + b;
+        dirty[wi] &= ~(std::uint64_t{1} << b);
+        ++fm_evaluations;
+        const PeId from = part[static_cast<std::size_t>(v)];
+        const PeId best_part = evaluate_move(v);
         const std::int64_t vw = graph.vwgt[static_cast<std::size_t>(v)];
         // Never empty a part: the model indexes every PE.
-        if (weight[static_cast<std::size_t>(from)] - vw > 0) {
-          part[static_cast<std::size_t>(v)] = best_part;
-          ++move_counter;
-          moved_stamp[static_cast<std::size_t>(v)] = move_counter;
-          const std::int64_t old_from = weight[static_cast<std::size_t>(from)];
-          const std::int64_t old_to =
-              weight[static_cast<std::size_t>(best_part)];
-          weight[static_cast<std::size_t>(from)] -= vw;
-          weight[static_cast<std::size_t>(best_part)] += vw;
-          bump_part(from, old_from, old_from - vw);
-          bump_part(best_part, old_to, old_to + vw);
+        if (best_part != from &&
+            weight[static_cast<std::size_t>(from)] - vw > 0) {
+          apply_move(v, from, best_part, vw);
           moved_any = true;
           ++fm_moves;
-          boundary[static_cast<std::size_t>(v)] = is_boundary(v);
-          for (std::int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
-            const std::int32_t u = adjncy[e];
-            boundary[static_cast<std::size_t>(u)] = is_boundary(u);
-          }
         }
+        pending = dirty[wi] & boundary[wi] & (~std::uint64_t{0} << b << 1);
       }
     }
     if (!moved_any) break;
@@ -448,6 +505,7 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
     registry.timer("partition.fm.seconds").record(fm_watch.seconds());
     registry.counter("partition.fm.passes").add(fm_passes);
     registry.counter("partition.fm.moves").add(fm_moves);
+    registry.counter("partition.fm.evaluations").add(fm_evaluations);
   }
 }
 

@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "mesh/deck.hpp"
+#include "obs/metrics.hpp"
 #include "partition/dualgraph.hpp"
 #include "partition/partition.hpp"
 #include "util/thread_pool.hpp"
@@ -69,6 +71,10 @@ const ChecksumCase kCases[] = {
     {"large", 256, 1, 0xe3d46887b06451e2ull},
     {"large", 257, 1, 0xff2b8cc6ce54ea32ull},
     {"large", 512, 1, 0x58089e31eb230279ull},
+    // The strong-scaling sweep's configurations: the costliest FM calls.
+    {"large", 1024, 1, 0x0f33b7d939b4868dull},
+    {"large", 2048, 1, 0x6c2b83a8a2d19c2full},
+    {"large", 4096, 1, 0x2bdfbac9d1047623ull},
     {"medium", 8, 2006, 0x542b19cd811b8dbfull},
     {"medium", 64, 2006, 0x0dc23472cbf16999ull},
     {"medium", 512, 2006, 0x5ff37b31e4443d1aull},
@@ -100,6 +106,61 @@ TEST(MultilevelDeterminismTest, MatchesSerialReferenceChecksums) {
     EXPECT_EQ(checksum_of(part), c.checksum)
         << c.deck << " parts=" << c.parts << " seed=" << c.seed;
   }
+}
+
+// cost_aware_test.cpp's skewed material costs: HE gas 4x the rest.
+constexpr std::array<double, mesh::kMaterialCount> kSkewedCosts = {4.0, 1.0,
+                                                                   1.0, 1.0};
+
+// partition_cost_aware is the one caller whose finest-level vertex
+// weights exceed 1 (100 and 400 with kSkewedCosts), so it pins
+// refinement's balance-ceiling band at max_vw > 1.
+TEST(MultilevelDeterminismTest, CostAwareMatchesReferenceChecksums) {
+  partition::clear_multilevel_ladder_cache();
+  const mesh::InputDeck deck = make_deck("medium");
+  const struct {
+    std::int32_t parts;
+    std::uint64_t checksum;
+  } cases[] = {{64, 0x377af0cfe0bb0c74ull}, {512, 0x4e8fc79d9b224038ull}};
+  for (const auto& c : cases) {
+    const partition::Partition part =
+        partition::partition_cost_aware(deck, c.parts, kSkewedCosts, 1);
+    EXPECT_EQ(checksum_of(part), c.checksum) << "parts=" << c.parts;
+  }
+}
+
+// refine() evaluates exactly the vertices whose decision inputs changed
+// since their last evaluation (docs/PERFORMANCE.md, "The dirty
+// worklist"). Extra evaluations, of a mover say, keep the checksums
+// above on these decks and only cost time, so the evaluation counts are
+// pinned as well; they are the counts of the per-vertex stamp check the
+// worklist replaced.
+TEST(MultilevelDeterminismTest, FmEvaluationCountsArePinned) {
+  const mesh::InputDeck small = make_deck("small");
+  const mesh::InputDeck medium = make_deck("medium");
+  const obs::Counter& evaluations =
+      obs::global_registry().counter("partition.fm.evaluations");
+  const auto count = [&evaluations](const auto& partition_once) {
+    partition::clear_multilevel_ladder_cache();
+    const std::int64_t before = evaluations.value();
+    (void)partition_once();
+    return evaluations.value() - before;
+  };
+  EXPECT_EQ(count([&] {
+              return partition::partition_multilevel(
+                  partition::build_dual_graph(small.grid()), 64, 1);
+            }),
+            5924);
+  EXPECT_EQ(count([&] {
+              return partition::partition_multilevel(
+                  partition::build_dual_graph(medium.grid()), 512, 1);
+            }),
+            545979);
+  EXPECT_EQ(count([&] {
+              return partition::partition_cost_aware(medium, 512,
+                                                     kSkewedCosts, 1);
+            }),
+            531086);
 }
 
 // The ladder cache must be output-invariant when part counts of the
