@@ -1,7 +1,6 @@
 // Google-benchmark microbenchmarks of the simulator's hot path
 // (docs/PERFORMANCE.md): the slab-backed event queue, the
-// open-addressing mailbox, schedule construction (replay vs. the
-// per-iteration rebuild it replaced), and the end-to-end event loop.
+// open-addressing mailbox, and the end-to-end event loop.
 // CI's perf-smoke job runs this with --benchmark_min_time=0.05 as a
 // does-it-still-run canary; run it bare for stable numbers.
 
@@ -83,30 +82,11 @@ const HotLoopEnv& hot_loop_env() {
   return env;
 }
 
-simapp::SimKrakOptions hot_loop_options(bool replay) {
+simapp::SimKrakOptions hot_loop_options() {
   simapp::SimKrakOptions options;
   options.iterations = 3;
-  options.replay_schedules = replay;
   return options;
 }
-
-// Schedule construction alone: template replay vs. the per-iteration
-// rebuild it replaced. Both produce bit-identical op streams (the
-// SimKrakReplay golden tests); this measures the construction saving.
-void BM_ScheduleBuild(benchmark::State& state) {
-  const HotLoopEnv& env = hot_loop_env();
-  const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kSmall);
-  const partition::Partition part = partition::partition_deck(
-      deck, 64, partition::PartitionMethod::kMultilevel, 1);
-  const simapp::SimKrak app(deck, part, env.machine, env.engine,
-                            hot_loop_options(state.range(0) != 0));
-  for (auto _ : state) {
-    // Construction (including schedule building) plus the run; the
-    // contrast between range(0)=0 and 1 isolates the builder.
-    benchmark::DoNotOptimize(app.run());
-  }
-}
-BENCHMARK(BM_ScheduleBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // End-to-end hot loop: the full simulated Krak iteration at the event
 // engine's steady state, items = events drained per second.
@@ -117,7 +97,7 @@ void BM_SimHotLoop(benchmark::State& state) {
   const partition::Partition part = partition::partition_deck(
       deck, pes, partition::PartitionMethod::kMultilevel, 1);
   const simapp::SimKrak app(deck, part, env.machine, env.engine,
-                            hot_loop_options(true));
+                            hot_loop_options());
   std::size_t events = 0;
   for (auto _ : state) {
     const simapp::SimKrakResult result = app.run();
@@ -140,7 +120,7 @@ void BM_SimHotLoopHierarchical(benchmark::State& state) {
   const auto pes = static_cast<std::int32_t>(state.range(0));
   const partition::Partition part = partition::partition_deck(
       deck, pes, partition::PartitionMethod::kMultilevel, 1);
-  simapp::SimKrakOptions options = hot_loop_options(true);
+  simapp::SimKrakOptions options = hot_loop_options();
   options.hierarchical_network = true;
   const simapp::SimKrak app(deck, part, env.machine, env.engine, options);
   std::size_t events = 0;
@@ -164,7 +144,7 @@ void BM_SimHotLoopParallel(benchmark::State& state) {
   const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kSmall);
   const partition::Partition part = partition::partition_deck(
       deck, 128, partition::PartitionMethod::kMultilevel, 1);
-  simapp::SimKrakOptions options = hot_loop_options(true);
+  simapp::SimKrakOptions options = hot_loop_options();
   options.sim_threads = static_cast<std::int32_t>(state.range(0));
   const simapp::SimKrak app(deck, part, env.machine, env.engine, options);
   std::size_t events = 0;

@@ -4,6 +4,7 @@
 
 #include "fault/injector.hpp"
 #include "network/topology.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace krak::simapp {
@@ -34,14 +35,13 @@ SimKrak::SimKrak(const mesh::InputDeck& deck,
               std::make_shared<partition::PartitionStats>(deck, partition),
               options) {}
 
-SimKrak::SimKrak(const mesh::InputDeck& deck,
+SimKrak::SimKrak(const mesh::InputDeck& /*deck*/,
                  const partition::Partition& partition,
                  const network::MachineConfig& machine,
                  const ComputationCostEngine& costs,
                  std::shared_ptr<const partition::PartitionStats> stats,
                  SimKrakOptions options)
-    : deck_(deck),
-      partition_(partition),
+    : partition_(partition),
       machine_(machine),
       costs_(costs),
       options_(options),
@@ -164,93 +164,13 @@ std::size_t SimKrak::iteration_op_count(const partition::SubdomainInfo& sub) {
   return count;
 }
 
-SimKrak::IterationTemplate SimKrak::build_iteration_template(
-    partition::PeId pe) const {
-  const partition::SubdomainInfo& sub = stats_->subdomain(pe);
-  const std::span<const std::int64_t, mesh::kMaterialCount> cells(
-      sub.cells_per_material);
-  IterationTemplate tmpl;
-  tmpl.ops.reserve(iteration_op_count(sub));
-
-  for (const PhaseSpec& phase : iteration_phases()) {
-    // Computation: the noise-free ground-truth phase time; replay
-    // overwrites it with the iteration's noise draw when noise is on.
-    tmpl.compute_ops.emplace_back(tmpl.ops.size(), phase.number);
-    tmpl.ops.push_back(sim::Op::compute(
-        costs_.subgrid_time(phase.number, cells) / machine_.compute_speedup));
-
-    switch (phase.action) {
-      case PhaseAction::kBroadcastPair:
-        tmpl.ops.push_back(sim::Op::broadcast(4.0));
-        tmpl.ops.push_back(sim::Op::broadcast(8.0));
-        break;
-      case PhaseAction::kBoundaryExchange:
-        tmpl.ops.push_back(sim::Op::broadcast(4.0));
-        tmpl.ops.push_back(sim::Op::broadcast(8.0));
-        append_boundary_exchange(tmpl.ops, sub);
-        tmpl.ops.push_back(sim::Op::gather(32.0));
-        break;
-      case PhaseAction::kGhostUpdate8:
-      case PhaseAction::kGhostUpdate16:
-        append_ghost_update(tmpl.ops, sub, phase.ghost_bytes(), phase.number);
-        break;
-      case PhaseAction::kComputationOnly:
-        break;
-    }
-
-    // The global reductions separating phases (Table 1 sync points).
-    for (double size : phase.sync_sizes) {
-      tmpl.ops.push_back(sim::Op::allreduce(size));
-    }
-    // All ranks leave the final allreduce at the same simulated time,
-    // so this marker is a globally consistent phase boundary.
-    tmpl.record_ops.push_back(tmpl.ops.size());
-    tmpl.ops.push_back(sim::Op::record(phase.number - 1));
-  }
-  util::require_internal(tmpl.ops.size() == iteration_op_count(sub),
-                         "iteration op count drifted from the builder");
-  return tmpl;
-}
-
-sim::Schedule SimKrak::build_schedule_replay(partition::PeId pe) const {
-  const partition::SubdomainInfo& sub = stats_->subdomain(pe);
-  const IterationTemplate tmpl = build_iteration_template(pe);
-  const std::span<const std::int64_t, mesh::kMaterialCount> cells(
-      sub.cells_per_material);
-  util::Rng rng(rank_seed(options_.noise_seed, pe));
-
-  sim::Schedule schedule;
-  schedule.reserve(tmpl.ops.size() *
-                   static_cast<std::size_t>(options_.iterations));
-  for (std::int32_t iter = 0; iter < options_.iterations; ++iter) {
-    const std::size_t base = schedule.size();
-    schedule.insert(schedule.end(), tmpl.ops.begin(), tmpl.ops.end());
-    if (options_.enable_noise) {
-      // Resample in exactly the rebuild path's draw order — one draw
-      // per phase per iteration from the same per-rank stream — so the
-      // two paths are bit-identical (golden-tested).
-      for (const auto& [pos, phase] : tmpl.compute_ops) {
-        double compute_time = costs_.measured_subgrid_time(phase, cells, rng);
-        compute_time /= machine_.compute_speedup;
-        schedule[base + pos].duration = compute_time;
-      }
-    }
-    if (iter > 0) {
-      for (const std::size_t pos : tmpl.record_ops) {
-        schedule[base + pos].slot =
-            tmpl.ops[pos].slot + iter * kPhaseCount;
-      }
-    }
-  }
-  return schedule;
-}
-
-sim::Schedule SimKrak::build_schedule_rebuild(partition::PeId pe) const {
+sim::Schedule SimKrak::build_schedule(partition::PeId pe) const {
   const partition::SubdomainInfo& sub = stats_->subdomain(pe);
   util::Rng rng(rank_seed(options_.noise_seed, pe));
+  const std::size_t op_count =
+      iteration_op_count(sub) * static_cast<std::size_t>(options_.iterations);
   sim::Schedule schedule;
-  schedule.reserve(iteration_op_count(sub) *
-                   static_cast<std::size_t>(options_.iterations));
+  schedule.reserve(op_count);
 
   const std::span<const std::int64_t, mesh::kMaterialCount> cells(
       sub.cells_per_material);
@@ -296,12 +216,10 @@ sim::Schedule SimKrak::build_schedule_rebuild(partition::PeId pe) const {
           sim::Op::record(iter * kPhaseCount + (phase.number - 1)));
     }
   }
+  // An inexact reserve would make every rank's schedule reallocate.
+  util::require_internal(schedule.size() == op_count,
+                         "iteration op count drifted from the builder");
   return schedule;
-}
-
-sim::Schedule SimKrak::build_schedule(partition::PeId pe) const {
-  return options_.replay_schedules ? build_schedule_replay(pe)
-                                   : build_schedule_rebuild(pe);
 }
 
 SimKrakResult SimKrak::run() const {
@@ -337,8 +255,14 @@ SimKrakResult SimKrak::run() const {
     simulator.set_watchdog(injector->watchdog());
   }
   if (options_.cancel != nullptr) simulator.set_cancellation(options_.cancel);
-  for (partition::PeId pe = 0; pe < ranks; ++pe) {
-    simulator.set_schedule(pe, build_schedule(pe));
+  {
+    // Timed apart from the simulation it feeds (docs/OBSERVABILITY.md).
+    static obs::Timer& build_timer =
+        obs::global_registry().timer("simapp.schedule_build.seconds");
+    const obs::ScopedTimer timed(build_timer);
+    for (partition::PeId pe = 0; pe < ranks; ++pe) {
+      simulator.set_schedule(pe, build_schedule(pe));
+    }
   }
   sim::SimResult sim_result = simulator.run();
 

@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -35,12 +34,6 @@ struct SimKrakOptions {
   /// bandwidth (the ranks of one ES-45 node share a single QsNet
   /// adapter). Off by default — the paper's Tmsg is contention-free.
   bool nic_contention = false;
-  /// Build each rank's per-iteration op sequence once and replay it
-  /// across `iterations`, resampling only the noisy compute times and
-  /// the record slots per iteration (docs/PERFORMANCE.md). The op
-  /// stream is bit-identical to the per-iteration rebuild — the legacy
-  /// path is kept reachable (and golden-tested) by clearing this flag.
-  bool replay_schedules = true;
   /// Deterministic fault-injection plan (see fault/plan.hpp). Empty by
   /// default: no injector is installed and the run is bit-identical to
   /// a build without the fault subsystem. A non-empty plan also arms
@@ -128,22 +121,10 @@ class SimKrak {
   }
 
  private:
-  /// One iteration's op sequence plus the positions replay must patch:
-  /// compute ops get a fresh noise draw per iteration, record ops get
-  /// the iteration's slot offset. Everything else is invariant.
-  struct IterationTemplate {
-    sim::Schedule ops;  ///< compute times noise-free, record slots for iter 0
-    /// (op position, phase number) of every compute op, in phase order.
-    std::vector<std::pair<std::size_t, std::int32_t>> compute_ops;
-    /// Op positions of the per-phase record markers.
-    std::vector<std::size_t> record_ops;
-  };
-
+  /// Every iteration's ops for one rank, drawing each phase's compute
+  /// noise in order from the rank's own stream (docs/PERFORMANCE.md,
+  /// "Schedule construction").
   [[nodiscard]] sim::Schedule build_schedule(partition::PeId pe) const;
-  [[nodiscard]] sim::Schedule build_schedule_replay(partition::PeId pe) const;
-  [[nodiscard]] sim::Schedule build_schedule_rebuild(partition::PeId pe) const;
-  [[nodiscard]] IterationTemplate build_iteration_template(
-      partition::PeId pe) const;
   void append_boundary_exchange(sim::Schedule& schedule,
                                 const partition::SubdomainInfo& sub) const;
   void append_ghost_update(sim::Schedule& schedule,
@@ -157,7 +138,6 @@ class SimKrak {
   [[nodiscard]] static std::size_t iteration_op_count(
       const partition::SubdomainInfo& sub);
 
-  const mesh::InputDeck& deck_;
   // Stored by value: callers routinely pass freshly built partitions as
   // temporaries, and a dangling reference here outlives the expression.
   partition::Partition partition_;

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ios>
 
 #include "mesh/synthetic.hpp"
 #include "network/machine.hpp"
 #include "partition/partition.hpp"
+#include "result_digest.hpp"
 #include "simapp/simkrak.hpp"
 
 namespace krak::simapp {
@@ -44,6 +46,12 @@ TEST(SimKrakSynthetic, TwentyThousandRankIdentityWithFullStack) {
   const SimKrakResult serial = serial_app.run();
   EXPECT_TRUE(serial.failures.empty());
   EXPECT_GT(serial.total_time, 0.0);
+  // Pinned across commits (simkrak_pinned_test.cpp): one iteration with
+  // the hierarchical network and NIC contention is the 100k-rank
+  // replay's shape at a fifth of its rank count.
+  const std::uint64_t digest = result_digest(serial);
+  EXPECT_EQ(digest, 0x2d39c4ecaaba5a6full)
+      << "digest 0x" << std::hex << digest;
 
   SimKrakOptions parallel_options = options;
   parallel_options.sim_threads = 8;
