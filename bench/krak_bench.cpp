@@ -70,6 +70,8 @@
 // "failures" section naming each failed scenario and its cause — and
 // the exit status is non-zero so CI notices.
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -130,24 +132,23 @@ struct Options {
   std::exit(exit_code);
 }
 
-/// Parse a non-negative count argument or die with usage.
-std::uint64_t parse_count(const std::string& flag, const std::string& value) {
-  std::size_t consumed = 0;
-  unsigned long parsed = 0;
-  try {
-    parsed = std::stoul(value, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != value.size()) {
-    std::cerr << "krak_bench: " << flag
-              << " expects a non-negative integer, got '" << value << "'\n";
+/// Parse a count argument that must fit T or die with usage. Digits
+/// only: a sign or a value past T's range is refused, never wrapped.
+template <typename T>
+T parse_count(const std::string& flag, const std::string& value) {
+  T parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc() || stop != end) {
+    std::cerr << "krak_bench: " << flag << " expects an integer in [0, "
+              << std::numeric_limits<T>::max() << "], got '" << value
+              << "'\n";
     usage(2);
   }
   return parsed;
 }
 
-/// Parse a non-negative seconds argument or die with usage.
+/// Parse a finite non-negative seconds argument or die with usage.
 double parse_seconds(const std::string& flag, const std::string& value) {
   std::size_t consumed = 0;
   double parsed = 0.0;
@@ -156,10 +157,10 @@ double parse_seconds(const std::string& flag, const std::string& value) {
   } catch (const std::exception&) {
     consumed = 0;
   }
-  if (consumed != value.size() || parsed < 0.0) {
+  if (consumed != value.size() || !std::isfinite(parsed) || parsed < 0.0) {
     std::cerr << "krak_bench: " << flag
-              << " expects a non-negative number of seconds, got '" << value
-              << "'\n";
+              << " expects a finite non-negative number of seconds, got '"
+              << value << "'\n";
     usage(2);
   }
   return parsed;
@@ -186,15 +187,13 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--max-attempts" && i + 1 < argc) {
-      options.max_attempts = static_cast<std::uint32_t>(
-          parse_count(arg, argv[++i]));
+      options.max_attempts = parse_count<std::uint32_t>(arg, argv[++i]);
       if (options.max_attempts == 0) {
         std::cerr << "krak_bench: --max-attempts must be >= 1\n";
         usage(2);
       }
     } else if (arg == "--quarantine-after" && i + 1 < argc) {
-      options.quarantine_after = static_cast<std::uint32_t>(
-          parse_count(arg, argv[++i]));
+      options.quarantine_after = parse_count<std::uint32_t>(arg, argv[++i]);
       if (options.quarantine_after == 0) {
         std::cerr << "krak_bench: --quarantine-after must be >= 1\n";
         usage(2);
@@ -206,8 +205,7 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--campaign-deadline" && i + 1 < argc) {
       options.campaign_deadline = parse_seconds(arg, argv[++i]);
     } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads = static_cast<std::size_t>(
-          parse_count(arg, argv[++i]));
+      options.threads = parse_count<std::size_t>(arg, argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
       usage(0);
     } else {

@@ -79,24 +79,6 @@ double CostTable::uniform_subgrid_time(std::int32_t phase,
   return cells * per_cell(phase, material, cells);
 }
 
-double CostTable::mixed_subgrid_time(
-    std::int32_t phase,
-    std::span<const double, mesh::kMaterialCount> cells_per_material) const {
-  double total = 0.0;
-  for (double n : cells_per_material) {
-    check(n >= 0.0, "cell counts must be non-negative");
-    total += n;
-  }
-  if (total == 0.0) return 0.0;
-  double time = 0.0;
-  for (std::size_t m = 0; m < mesh::kMaterialCount; ++m) {
-    if (cells_per_material[m] == 0.0) continue;
-    time += cells_per_material[m] *
-            per_cell(phase, mesh::material_from_index(m), total);
-  }
-  return time;
-}
-
 bool CostTable::has_samples(std::int32_t phase, mesh::Material material) const {
   return !curve(phase, material).empty();
 }

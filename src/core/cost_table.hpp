@@ -46,13 +46,6 @@ class CostTable {
                                             mesh::Material material,
                                             double cells) const;
 
-  /// Fractional-cell variant of subgrid_time for the general model,
-  /// whose per-material counts are ratios of Cells/PEs and need not be
-  /// integral.
-  [[nodiscard]] double mixed_subgrid_time(
-      std::int32_t phase,
-      std::span<const double, mesh::kMaterialCount> cells_per_material) const;
-
   /// True if (phase, material) has at least one sample.
   [[nodiscard]] bool has_samples(std::int32_t phase,
                                  mesh::Material material) const;

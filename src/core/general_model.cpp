@@ -11,6 +11,13 @@ namespace krak::core {
 
 using util::check;
 
+namespace {
+
+/// Neighbors of each idealized square subgrid: one per side (Section 3.2).
+constexpr std::int32_t kNeighborsPerPe = 4;
+
+}  // namespace
+
 std::string_view general_model_mode_name(GeneralModelMode mode) {
   switch (mode) {
     case GeneralModelMode::kHeterogeneous: return "heterogeneous";
@@ -30,11 +37,6 @@ GeneralModel::GeneralModel(CostTable table, network::MachineConfig machine,
     sum += r;
   }
   check(std::abs(sum - 1.0) < 1e-6, "material ratios must sum to 1");
-}
-
-void GeneralModel::set_neighbors_per_pe(std::int32_t neighbors) {
-  check(neighbors >= 0, "neighbor count must be non-negative");
-  neighbors_per_pe_ = neighbors;
 }
 
 double GeneralModel::boundary_faces(std::int64_t total_cells,
@@ -100,7 +102,7 @@ PredictionReport GeneralModel::predict(std::int64_t total_cells,
 
   // --- point-to-point communication (Equations 5-7) ------------------
   const std::int32_t neighbors =
-      std::min<std::int32_t>(neighbors_per_pe_, pes - 1);
+      std::min<std::int32_t>(kNeighborsPerPe, pes - 1);
   if (neighbors > 0) {
     const double faces = boundary_faces(total_cells, pes);
 

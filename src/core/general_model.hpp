@@ -52,12 +52,6 @@ class GeneralModel {
   [[nodiscard]] static double boundary_faces(std::int64_t total_cells,
                                              std::int32_t pes);
 
-  /// Number of neighbors each idealized square subgrid has.
-  [[nodiscard]] std::int32_t neighbors_per_pe() const {
-    return neighbors_per_pe_;
-  }
-  void set_neighbors_per_pe(std::int32_t neighbors);
-
   [[nodiscard]] const CostTable& cost_table() const { return table_; }
   [[nodiscard]] const network::MachineConfig& machine() const {
     return machine_;
@@ -72,7 +66,6 @@ class GeneralModel {
   CostTable table_;
   network::MachineConfig machine_;
   std::array<double, mesh::kMaterialCount> ratios_;
-  std::int32_t neighbors_per_pe_ = 4;
 };
 
 }  // namespace krak::core

@@ -24,7 +24,6 @@
 #include "hydro/state.hpp"        // IWYU pragma: export
 #include "mesh/deck.hpp"          // IWYU pragma: export
 #include "mesh/grid.hpp"          // IWYU pragma: export
-#include "mesh/io.hpp"            // IWYU pragma: export
 #include "mesh/material.hpp"      // IWYU pragma: export
 #include "network/collectives.hpp"  // IWYU pragma: export
 #include "network/machine.hpp"    // IWYU pragma: export
@@ -36,5 +35,4 @@
 #include "simapp/simkrak.hpp"     // IWYU pragma: export
 #include "simapp/trace.hpp"       // IWYU pragma: export
 #include "util/cli.hpp"           // IWYU pragma: export
-#include "util/logging.hpp"       // IWYU pragma: export
 #include "util/stats.hpp"         // IWYU pragma: export

@@ -25,53 +25,12 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-  check(r < rows_ && c < cols_, "Matrix::at out of range");
-  return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  check(r < rows_ && c < cols_, "Matrix::at out of range");
-  return (*this)(r, c);
-}
-
-std::span<double> Matrix::row(std::size_t r) {
-  check(r < rows_, "Matrix::row out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<const double> Matrix::row(std::size_t r) const {
-  check(r < rows_, "Matrix::row out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
   }
   return t;
-}
-
-Matrix Matrix::operator*(const Matrix& rhs) const {
-  check(cols_ == rhs.rows_, "Matrix multiply dimension mismatch");
-  Matrix out(rows_, rhs.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(r, k);
-      if (a == 0.0) continue;
-      for (std::size_t c = 0; c < rhs.cols_; ++c) {
-        out(r, c) += a * rhs(k, c);
-      }
-    }
-  }
-  return out;
 }
 
 std::vector<double> Matrix::operator*(std::span<const double> x) const {
@@ -83,28 +42,6 @@ std::vector<double> Matrix::operator*(std::span<const double> x) const {
     out[r] = sum;
   }
   return out;
-}
-
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  check(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-        "Matrix add dimension mismatch");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  check(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-        "Matrix subtract dimension mismatch");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-double Matrix::max_abs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
 }
 
 double norm2(std::span<const double> v) {

@@ -15,21 +15,16 @@ namespace krak::linalg {
 /// made at cache blocking or BLAS dispatch.
 class Matrix {
  public:
-  Matrix() = default;
-
   /// rows x cols matrix, zero-initialized.
   Matrix(std::size_t rows, std::size_t cols);
 
   /// Build from nested initializer lists; all rows must be equal length.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  [[nodiscard]] static Matrix identity(std::size_t n);
-
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
-  [[nodiscard]] bool empty() const { return data_.empty(); }
 
-  /// Unchecked element access (checked variants: at()).
+  /// Unchecked element access.
   [[nodiscard]] double& operator()(std::size_t r, std::size_t c) {
     return data_[r * cols_ + c];
   }
@@ -37,27 +32,10 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Bounds-checked access; throws InvalidArgument when out of range.
-  [[nodiscard]] double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
-  /// View of row r.
-  [[nodiscard]] std::span<double> row(std::size_t r);
-  [[nodiscard]] std::span<const double> row(std::size_t r) const;
-
   [[nodiscard]] Matrix transposed() const;
-
-  /// Matrix product; inner dimensions must agree.
-  [[nodiscard]] Matrix operator*(const Matrix& rhs) const;
 
   /// Matrix-vector product; x.size() must equal cols().
   [[nodiscard]] std::vector<double> operator*(std::span<const double> x) const;
-
-  [[nodiscard]] Matrix operator+(const Matrix& rhs) const;
-  [[nodiscard]] Matrix operator-(const Matrix& rhs) const;
-
-  /// Largest absolute element (max norm); 0 for empty.
-  [[nodiscard]] double max_abs() const;
 
   friend bool operator==(const Matrix&, const Matrix&) = default;
 

@@ -10,50 +10,6 @@ namespace krak::linalg {
 
 using util::check;
 
-std::vector<double> solve_lu(Matrix a, std::vector<double> b) {
-  check(a.rows() == a.cols(), "solve_lu requires a square matrix");
-  check(a.rows() == b.size(), "solve_lu dimension mismatch");
-  const std::size_t n = a.rows();
-
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivot: largest magnitude in this column at or below the
-    // diagonal.
-    std::size_t pivot = col;
-    double best = std::abs(a(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double mag = std::abs(a(r, col));
-      if (mag > best) {
-        best = mag;
-        pivot = r;
-      }
-    }
-    if (best < 1e-300) {
-      throw util::KrakError("solve_lu: singular matrix");
-    }
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a(col, c), a(pivot, c));
-      std::swap(b[col], b[pivot]);
-    }
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = a(r, col) / a(col, col);
-      if (factor == 0.0) continue;
-      a(r, col) = 0.0;
-      for (std::size_t c = col + 1; c < n; ++c) {
-        a(r, c) -= factor * a(col, c);
-      }
-      b[r] -= factor * b[col];
-    }
-  }
-
-  std::vector<double> x(n, 0.0);
-  for (std::size_t ri = n; ri-- > 0;) {
-    double sum = b[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) sum -= a(ri, c) * x[c];
-    x[ri] = sum / a(ri, ri);
-  }
-  return x;
-}
-
 LeastSquaresResult solve_least_squares(Matrix a, std::vector<double> b) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();

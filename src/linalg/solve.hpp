@@ -7,10 +7,6 @@
 
 namespace krak::linalg {
 
-/// Solve the square system A x = b by LU decomposition with partial
-/// pivoting. Throws KrakError if A is singular to working precision.
-[[nodiscard]] std::vector<double> solve_lu(Matrix a, std::vector<double> b);
-
 /// Result of a least-squares solve.
 struct LeastSquaresResult {
   std::vector<double> x;

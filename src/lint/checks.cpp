@@ -373,7 +373,7 @@ class FileLinter {
         const std::size_t hit = find_word(task, thrower, 0);
         if (hit == std::string_view::npos) continue;
         add(rules::kThreadpoolTaskThrow, flat_.line_of(open + 1 + hit),
-            "'" + std::string(thrower) +
+            std::string("'") + std::string(thrower) +
                 "' can throw out of a ThreadPool::submit task, which "
                 "terminates the process; catch inside the task or use "
                 "parallel_for");
@@ -460,7 +460,8 @@ class FileLinter {
       if (target.empty()) continue;
       if (!seen.insert(std::string(target)).second) {
         add(rules::kNoDuplicateInclude, i + 1,
-            "'" + std::string(target) + "' is already included above");
+            std::string("'") + std::string(target) +
+                "' is already included above");
       }
       if (file_.is_header &&
           policy_.rule_enabled(rules::kNoSelfInclude) &&

@@ -131,8 +131,9 @@ InputDeck make_figure2_deck() { return make_cylindrical_deck(256, 256); }
 
 namespace {
 
-/// Deck names are single tokens (see mesh/io.hpp): slugify material
-/// names like "Al (Out)" into "al-out".
+/// Deck names are single tokens, since they label validation points and
+/// lint locations ("deck/<name>"): slugify material names like
+/// "Al (Out)" into "al-out".
 std::string material_slug(Material material) {
   std::string slug;
   for (char c : material_short_name(material)) {
@@ -154,25 +155,6 @@ InputDeck make_uniform_deck(std::int32_t nx, std::int32_t ny,
                                   material);
   const std::string name = "uniform-" + material_slug(material) +
                            "-" + std::to_string(nx) + "x" + std::to_string(ny);
-  return InputDeck(name, grid, std::move(materials),
-                   Point{0.0, 0.4 * static_cast<double>(ny)});
-}
-
-InputDeck make_two_material_deck(std::int32_t nx, std::int32_t ny,
-                                 Material other) {
-  check(nx % 2 == 0, "two-material deck requires an even column count");
-  check(nx >= 2, "two-material deck needs at least 2 columns");
-  Grid grid(nx, ny);
-  std::vector<Material> materials(static_cast<std::size_t>(grid.num_cells()));
-  const std::int32_t half = nx / 2;
-  for (std::int32_t j = 0; j < ny; ++j) {
-    for (std::int32_t i = 0; i < nx; ++i) {
-      materials[static_cast<std::size_t>(grid.cell_at(i, j))] =
-          (i < half) ? Material::kHEGas : other;
-    }
-  }
-  const std::string name = "two-material-" + material_slug(other) + "-" +
-                           std::to_string(nx) + "x" + std::to_string(ny);
   return InputDeck(name, grid, std::move(materials),
                    Point{0.0, 0.4 * static_cast<double>(ny)});
 }

@@ -74,12 +74,6 @@ inline constexpr std::array<double, kMaterialCount> kPaperMaterialRatios = {
 [[nodiscard]] InputDeck make_uniform_deck(std::int32_t nx, std::int32_t ny,
                                           Material material);
 
-/// Two-material calibration deck (Section 3.1, Method 1): HE gas on the
-/// left half of the columns (a detonation requires high-explosive gas to
-/// be present), `other` on the right half. nx must be even.
-[[nodiscard]] InputDeck make_two_material_deck(std::int32_t nx, std::int32_t ny,
-                                               Material other);
-
 /// Total cell count for a standard deck size.
 [[nodiscard]] std::int64_t standard_deck_cells(DeckSize size);
 

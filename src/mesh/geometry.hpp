@@ -12,8 +12,4 @@ struct Point {
   friend constexpr bool operator==(const Point&, const Point&) = default;
 };
 
-[[nodiscard]] constexpr Point midpoint(Point a, Point b) {
-  return {(a.x + b.x) * 0.5, (a.y + b.y) * 0.5};
-}
-
 }  // namespace krak::mesh

@@ -22,10 +22,6 @@ bool Placement::same_node(std::int32_t a, std::int32_t b) const {
   return node_of(a) == node_of(b);
 }
 
-std::int32_t Placement::nodes_used() const {
-  return (pes_ + pes_per_node_ - 1) / pes_per_node_;
-}
-
 HierarchicalNetwork::HierarchicalNetwork(MessageCostModel intra_node,
                                          MessageCostModel inter_node,
                                          Placement placement)

@@ -19,9 +19,6 @@ class Placement {
   [[nodiscard]] std::int32_t node_of(std::int32_t pe) const;
   [[nodiscard]] bool same_node(std::int32_t a, std::int32_t b) const;
 
-  /// Number of nodes actually occupied.
-  [[nodiscard]] std::int32_t nodes_used() const;
-
  private:
   std::int32_t pes_;
   std::int32_t pes_per_node_;

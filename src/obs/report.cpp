@@ -1,10 +1,5 @@
 #include "obs/report.hpp"
 
-#include <fstream>
-
-#include "util/csv.hpp"
-#include "util/error.hpp"
-
 namespace krak::obs {
 
 Json snapshot_to_json(const Snapshot& snapshot) {
@@ -27,22 +22,6 @@ Json snapshot_to_json(const Snapshot& snapshot) {
     out[name] = std::move(entry);
   }
   return out;
-}
-
-void write_json_report(const Snapshot& snapshot, const std::string& path) {
-  std::ofstream out(path);
-  util::check(out.good(), "cannot open JSON report file for writing");
-  out << snapshot_to_json(snapshot).dump(2) << "\n";
-  util::check(out.good(), "failed writing JSON report");
-}
-
-void write_csv_report(const Snapshot& snapshot, const std::string& path) {
-  util::CsvWriter csv(path);
-  csv.write_header({"name", "kind", "count", "value"});
-  for (const auto& [name, metric] : snapshot) {
-    csv.write_row({name, std::string(metric_kind_name(metric.kind)),
-                   std::to_string(metric.count), std::to_string(metric.value)});
-  }
 }
 
 }  // namespace krak::obs

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
@@ -14,12 +12,5 @@ namespace krak::obs {
 /// Keys are sorted (Json object invariant), so output is byte-stable
 /// for a given snapshot — this is the "metrics" section of BENCH_*.json.
 [[nodiscard]] Json snapshot_to_json(const Snapshot& snapshot);
-
-/// Write `snapshot_to_json(...).dump(2)` plus a trailing newline to
-/// `path`. Throws KrakError when the file cannot be written.
-void write_json_report(const Snapshot& snapshot, const std::string& path);
-
-/// Write the snapshot as CSV with header `name,kind,count,value`.
-void write_csv_report(const Snapshot& snapshot, const std::string& path);
 
 }  // namespace krak::obs

@@ -96,15 +96,6 @@ std::vector<std::int64_t> Partition::cell_counts() const {
   return counts;
 }
 
-std::vector<std::int64_t> Partition::cells_of_pe(PeId pe) const {
-  KRAK_REQUIRE(pe >= 0 && pe < parts_, "pe id out of range");
-  std::vector<std::int64_t> cells;
-  for (std::size_t cell = 0; cell < assignment_.size(); ++cell) {
-    if (assignment_[cell] == pe) cells.push_back(static_cast<std::int64_t>(cell));
-  }
-  return cells;
-}
-
 PartitionQuality evaluate_partition(const Graph& graph,
                                     const Partition& partition) {
   KRAK_REQUIRE(graph.num_vertices() == partition.num_cells(),

@@ -32,9 +32,6 @@ class Partition {
   /// Cells per processor.
   [[nodiscard]] std::vector<std::int64_t> cell_counts() const;
 
-  /// Cells owned by one processor, in ascending cell order.
-  [[nodiscard]] std::vector<std::int64_t> cells_of_pe(PeId pe) const;
-
  private:
   std::int32_t parts_;
   std::vector<PeId> assignment_;

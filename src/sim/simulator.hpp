@@ -40,12 +40,6 @@ struct SimConfig {
   /// state outright and the oracle's injection serialization replays
   /// exactly (docs/PERFORMANCE.md, "The 100k-rank regime").
   std::int32_t threads = 1;
-  /// Epoch lookahead override (seconds) for the parallel engine;
-  /// negative means derive it from the network's minimum cross-shard
-  /// message time (MessageCostModel::min_message_time). Zero forces the
-  /// degenerate null-message-style progression — one timestamp per
-  /// epoch — which is always correct, just slower.
-  double lookahead = -1.0;
 };
 
 /// Optional shared-NIC injection model: the ranks of one SMP node share

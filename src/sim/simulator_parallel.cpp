@@ -35,7 +35,6 @@ template <typename Message>
 }  // namespace
 
 double Simulator::plan_lookahead() const {
-  if (config_.lookahead >= 0.0) return config_.lookahead;
   if (hierarchy_ != nullptr) {
     // Shards align to node boundaries (plan_shards), so every
     // cross-shard payload pays at least the inter-node minimum.

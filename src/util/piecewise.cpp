@@ -48,23 +48,6 @@ void PiecewiseLinear::set_extrapolation(Extrapolation extrap) {
   extrap_ = extrap;
 }
 
-double PiecewiseLinear::x_min() const {
-  check(!xs_.empty(), "PiecewiseLinear::x_min on empty function");
-  return xs_.front();
-}
-
-double PiecewiseLinear::x_max() const {
-  check(!xs_.empty(), "PiecewiseLinear::x_max on empty function");
-  return xs_.back();
-}
-
-bool PiecewiseLinear::is_non_decreasing() const {
-  for (std::size_t i = 1; i < ys_.size(); ++i) {
-    if (ys_[i] < ys_[i - 1]) return false;
-  }
-  return true;
-}
-
 double PiecewiseLinear::interp_segment(std::size_t hi_index, double x) const {
   const double x0 = xs_[hi_index - 1];
   const double x1 = xs_[hi_index];

@@ -58,14 +58,6 @@ class PiecewiseLinear {
   [[nodiscard]] std::span<const double> xs() const { return xs_; }
   [[nodiscard]] std::span<const double> ys() const { return ys_; }
 
-  /// Smallest / largest breakpoint x. Requires non-empty.
-  [[nodiscard]] double x_min() const;
-  [[nodiscard]] double x_max() const;
-
-  /// True if y values never decrease with x (useful sanity check for
-  /// bandwidth-cost tables).
-  [[nodiscard]] bool is_non_decreasing() const;
-
  private:
   [[nodiscard]] double interp_segment(std::size_t hi_index, double x) const;
 

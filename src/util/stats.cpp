@@ -1,21 +1,12 @@
 #include "util/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/error.hpp"
 
 namespace krak::util {
 
 void OnlineStats::add(double value) {
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
   ++count_;
   const double delta = value - mean_;
   mean_ += delta / static_cast<double>(count_);
@@ -33,113 +24,5 @@ double OnlineStats::variance() const {
 }
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-double OnlineStats::min() const {
-  check(count_ > 0, "OnlineStats::min requires at least one sample");
-  return min_;
-}
-
-double OnlineStats::max() const {
-  check(count_ > 0, "OnlineStats::max requires at least one sample");
-  return max_;
-}
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-LinearFit fit_line(std::span<const double> x, std::span<const double> y) {
-  check(x.size() == y.size(), "fit_line requires equal-length spans");
-  check(x.size() >= 2, "fit_line requires at least two points");
-  const auto n = static_cast<double>(x.size());
-  double sx = 0.0, sy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-  }
-  const double mx = sx / n;
-  const double my = sy / n;
-  double sxx = 0.0, sxy = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-  }
-  check(sxx > 0.0, "fit_line requires non-constant x values");
-  LinearFit fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  if (syy > 0.0) {
-    fit.r_squared = (sxy * sxy) / (sxx * syy);
-  } else {
-    fit.r_squared = 1.0;  // all y identical and the fit is exact
-  }
-  return fit;
-}
-
-double relative_error(double measured, double predicted) {
-  check(measured != 0.0, "relative_error requires measured != 0");
-  return (predicted - measured) / measured;
-}
-
-double paper_error(double measured, double predicted) {
-  check(measured != 0.0, "paper_error requires measured != 0");
-  return (measured - predicted) / measured;
-}
-
-double percentile(std::span<const double> values, double p) {
-  check(!values.empty(), "percentile requires a non-empty span");
-  check(p >= 0.0 && p <= 100.0, "percentile p must be in [0, 100]");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-double mean(std::span<const double> values) {
-  check(!values.empty(), "mean requires a non-empty span");
-  return kahan_sum(values) / static_cast<double>(values.size());
-}
-
-double geometric_mean(std::span<const double> values) {
-  check(!values.empty(), "geometric_mean requires a non-empty span");
-  double log_sum = 0.0;
-  for (double v : values) {
-    check(v > 0.0, "geometric_mean requires positive values");
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-double kahan_sum(std::span<const double> values) {
-  double sum = 0.0;
-  double c = 0.0;
-  for (double v : values) {
-    const double y = v - c;
-    const double t = sum + y;
-    c = (t - sum) - y;
-    sum = t;
-  }
-  return sum;
-}
 
 }  // namespace krak::util

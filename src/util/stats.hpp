@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 namespace krak::util {
 
@@ -18,51 +16,11 @@ class OnlineStats {
   /// Unbiased sample variance; 0 for fewer than two samples.
   [[nodiscard]] double variance() const;
   [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
-  /// Merge another accumulator (parallel reduction support).
-  void merge(const OnlineStats& other);
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
-
-/// Result of an ordinary least-squares line fit y = intercept + slope*x.
-struct LinearFit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  /// Coefficient of determination; 1 means perfect fit.
-  double r_squared = 0.0;
-};
-
-/// Fit a line through (x, y) pairs. Requires >= 2 points and non-constant x.
-[[nodiscard]] LinearFit fit_line(std::span<const double> x,
-                                 std::span<const double> y);
-
-/// Signed relative error (predicted - measured) / measured.
-/// This matches the paper's Table 5/6 convention up to sign: the paper
-/// reports (measured - predicted)/measured; use paper_error() for that.
-[[nodiscard]] double relative_error(double measured, double predicted);
-
-/// The paper's error convention: (measured - predicted) / measured.
-[[nodiscard]] double paper_error(double measured, double predicted);
-
-/// p-th percentile (0..100) by linear interpolation between order
-/// statistics; input need not be sorted (a copy is sorted internally).
-[[nodiscard]] double percentile(std::span<const double> values, double p);
-
-/// Arithmetic mean of a span; requires at least one element.
-[[nodiscard]] double mean(std::span<const double> values);
-
-/// Geometric mean; requires all values > 0.
-[[nodiscard]] double geometric_mean(std::span<const double> values);
-
-/// Sum with Kahan compensation for long series.
-[[nodiscard]] double kahan_sum(std::span<const double> values);
 
 }  // namespace krak::util

@@ -30,8 +30,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
 
 void TextTable::add_rule() { pending_rule_ = true; }
 
-std::size_t TextTable::row_count() const { return rows_.size(); }
-
 std::string TextTable::to_string() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
@@ -98,12 +96,6 @@ std::string format_us(double seconds, int precision) {
 
 std::string format_percent(double fraction, int precision) {
   return format_double(fraction * 100.0, precision) + "%";
-}
-
-std::string format_bytes(double bytes) {
-  if (bytes < 1024.0) return format_double(bytes, 0) + " B";
-  if (bytes < 1024.0 * 1024.0) return format_double(bytes / 1024.0, 1) + " KiB";
-  return format_double(bytes / (1024.0 * 1024.0), 2) + " MiB";
 }
 
 }  // namespace krak::util

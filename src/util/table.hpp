@@ -28,8 +28,6 @@ class TextTable {
   /// Insert a horizontal rule before the next added row.
   void add_rule();
 
-  [[nodiscard]] std::size_t row_count() const;
-
   /// Render with box-drawing ASCII (+, -, |).
   [[nodiscard]] std::string to_string() const;
 
@@ -52,6 +50,5 @@ class TextTable {
 [[nodiscard]] std::string format_ms(double seconds, int precision = 1);
 [[nodiscard]] std::string format_us(double seconds, int precision = 2);
 [[nodiscard]] std::string format_percent(double fraction, int precision = 1);
-[[nodiscard]] std::string format_bytes(double bytes);
 
 }  // namespace krak::util

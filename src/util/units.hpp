@@ -1,26 +1,10 @@
 #pragma once
 
-#include <cstdint>
-
 namespace krak::util {
 
 /// Time is represented throughout krakmodel as seconds in double
 /// precision; these helpers make literals self-documenting.
-[[nodiscard]] constexpr double seconds(double s) { return s; }
-[[nodiscard]] constexpr double milliseconds(double ms) { return ms * 1e-3; }
 [[nodiscard]] constexpr double microseconds(double us) { return us * 1e-6; }
 [[nodiscard]] constexpr double nanoseconds(double ns) { return ns * 1e-9; }
-
-/// Bandwidths: bytes per second.
-[[nodiscard]] constexpr double mib_per_second(double mib) {
-  return mib * 1024.0 * 1024.0;
-}
-[[nodiscard]] constexpr double mb_per_second(double mb) { return mb * 1e6; }
-
-/// Byte-count literals.
-[[nodiscard]] constexpr std::uint64_t kib(std::uint64_t n) { return n * 1024; }
-[[nodiscard]] constexpr std::uint64_t mib(std::uint64_t n) {
-  return n * 1024 * 1024;
-}
 
 }  // namespace krak::util

@@ -5,7 +5,9 @@
 // linter's first journal-format or journal-checksum error — refusing
 // the file exactly when that error is in the header — and a krakfaults
 // plan lints clean exactly when it loads and InjectionEngine accepts
-// it. Neither side may throw anything else on any mutant.
+// it. Neither side may throw anything else on any mutant. A krakcosts
+// table has no text linter: each mutant either loads or is refused with
+// KrakError, and a table that loads round-trips through the writer.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 #include "analyze/rules.hpp"
 #include "core/campaign_journal.hpp"
 #include "core/partition_store.hpp"
+#include "core/table_io.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "partition/partition.hpp"
@@ -343,6 +346,54 @@ TEST_F(FormatMutation, FaultPlanLintsCleanExactlyWhenTheEngineAcceptsIt) {
   // Both outcomes occur, so the equivalence is not vacuous.
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+std::string cost_table_text(const core::CostTable& table) {
+  std::ostringstream out;
+  core::write_cost_table(out, table);
+  return out.str();
+}
+
+TEST_F(FormatMutation, CostTableLoadsOrIsRefusedAndRoundTrips) {
+  // Every (phase, material) curve sampled from the engine: the shape of
+  // the calibrated tables `model_explorer --save-costs` writes.
+  const simapp::ComputationCostEngine engine;
+  core::CostTable table;
+  for (std::int32_t phase = 1; phase <= simapp::kPhaseCount; ++phase) {
+    for (const mesh::Material material : mesh::all_materials()) {
+      for (const std::int64_t cells : {16, 256, 4096}) {
+        table.add_sample(phase, material, static_cast<double>(cells),
+                         engine.per_cell_cost(phase, material, cells));
+      }
+    }
+  }
+  const std::string written = cost_table_text(table);
+
+  const fs::path path = directory_ / "mutant.krakcosts";
+  std::size_t loaded = 0;
+  std::size_t refused = 0;
+  for (const std::uint64_t rng_seed : {707u, 808u}) {
+    util::Rng rng(rng_seed);
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string mutant = mutate(written, rng);
+      write_file(path, mutant);
+      std::string text;
+      try {
+        text = cost_table_text(core::load_cost_table(path.string()));
+      } catch (const util::KrakError&) {
+        ++refused;
+        continue;
+      }
+      ++loaded;
+      std::istringstream reread(text);
+      ASSERT_EQ(cost_table_text(core::read_cost_table(reread)), text)
+          << "mutant " << i << " of seed " << rng_seed << ":\n"
+          << mutant;
+    }
+  }
+  // Both outcomes occur, so the check is not vacuous.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 }  // namespace

@@ -92,16 +92,6 @@ TEST(CostTable, AbsentMaterialWithZeroCellsIgnored) {
   EXPECT_NO_THROW((void)table.subgrid_time(1, counts));
 }
 
-TEST(CostTable, MixedSubgridTimeAcceptsFractionalCells) {
-  CostTable table;
-  for (Material m : mesh::all_materials()) {
-    table.add_sample(1, m, 10.0, 2e-6);
-  }
-  std::array<double, mesh::kMaterialCount> fractional = {39.1, 17.2, 20.3,
-                                                         23.4};
-  EXPECT_NEAR(table.mixed_subgrid_time(1, fractional), 100.0 * 2e-6, 1e-12);
-}
-
 TEST(CostTable, RejectsInvalidArguments) {
   CostTable table;
   EXPECT_THROW(table.add_sample(0, Material::kFoam, 10.0, 1e-6),

@@ -134,16 +134,6 @@ TEST(GeneralModel, ComputeSpeedupScalesComputationOnly) {
   EXPECT_DOUBLE_EQ(f.allreduce, b.allreduce);
 }
 
-TEST(GeneralModel, NeighborsConfigurable) {
-  GeneralModel model(flat_table(), network::make_es45_qsnet());
-  const auto four = model.predict(204800, 64, GeneralModelMode::kHomogeneous);
-  model.set_neighbors_per_pe(8);
-  const auto eight = model.predict(204800, 64, GeneralModelMode::kHomogeneous);
-  EXPECT_NEAR(eight.boundary_exchange, 2.0 * four.boundary_exchange, 1e-12);
-  EXPECT_NEAR(eight.ghost_updates, 2.0 * four.ghost_updates, 1e-12);
-  EXPECT_THROW(model.set_neighbors_per_pe(-1), util::InvalidArgument);
-}
-
 TEST(GeneralModel, TwoProcessorsHaveOneNeighbor) {
   const GeneralModel model(flat_table(), network::make_es45_qsnet());
   const auto two = model.predict(204800, 2, GeneralModelMode::kHomogeneous);

@@ -11,56 +11,6 @@
 namespace krak::linalg {
 namespace {
 
-TEST(SolveLu, Solves2x2System) {
-  const Matrix a = {{2.0, 1.0}, {1.0, 3.0}};
-  const std::vector<double> b = {5.0, 10.0};
-  const std::vector<double> x = solve_lu(a, b);
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(SolveLu, HandlesPivoting) {
-  // Zero on the initial diagonal forces a row swap.
-  const Matrix a = {{0.0, 1.0}, {1.0, 0.0}};
-  const std::vector<double> b = {2.0, 3.0};
-  const std::vector<double> x = solve_lu(a, b);
-  EXPECT_NEAR(x[0], 3.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
-}
-
-TEST(SolveLu, SingularMatrixThrows) {
-  const Matrix a = {{1.0, 2.0}, {2.0, 4.0}};
-  const std::vector<double> b = {1.0, 2.0};
-  EXPECT_THROW((void)solve_lu(a, b), util::KrakError);
-}
-
-TEST(SolveLu, RejectsNonSquare) {
-  const Matrix a(2, 3);
-  const std::vector<double> b = {1.0, 2.0};
-  EXPECT_THROW((void)solve_lu(a, b), util::InvalidArgument);
-}
-
-TEST(SolveLu, RandomSystemsRoundTrip) {
-  util::Rng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 2 + trial % 6;
-    Matrix a(n, n);
-    std::vector<double> x_true(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      x_true[r] = rng.next_double(-5.0, 5.0);
-      for (std::size_t c = 0; c < n; ++c) {
-        a(r, c) = rng.next_double(-1.0, 1.0);
-      }
-      a(r, r) += 4.0;  // diagonally dominant => well conditioned
-    }
-    const std::vector<double> b = a * std::span<const double>(x_true);
-    const std::vector<double> x = solve_lu(a, b);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(x[i], x_true[i], 1e-9) << "trial " << trial;
-    }
-  }
-}
-
 TEST(LeastSquares, ExactSystemRecovered) {
   const Matrix a = {{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}};
   const std::vector<double> x_true = {2.0, -3.0};

@@ -122,20 +122,6 @@ TEST(UniformDeck, SingleMaterialEverywhere) {
   EXPECT_EQ(counts[material_index(Material::kFoam)], 64);
 }
 
-TEST(TwoMaterialDeck, HalvesAreExact) {
-  // Method 1 calibration layout: HE gas on the left half, the material
-  // under test on the right (a detonation needs HE gas present).
-  const InputDeck deck = make_two_material_deck(16, 4, Material::kFoam);
-  const auto counts = deck.material_cell_counts();
-  EXPECT_EQ(counts[material_index(Material::kHEGas)], 32);
-  EXPECT_EQ(counts[material_index(Material::kFoam)], 32);
-}
-
-TEST(TwoMaterialDeck, RejectsOddColumns) {
-  EXPECT_THROW((void)make_two_material_deck(5, 4, Material::kFoam),
-               util::InvalidArgument);
-}
-
 TEST(InputDeck, MaterialOfChecksRange) {
   const InputDeck deck = make_uniform_deck(2, 2, Material::kHEGas);
   EXPECT_THROW((void)deck.material_of(4), util::InvalidArgument);

@@ -2,14 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <string>
-
-#include "util/error.hpp"
-
 namespace krak::obs {
 namespace {
 
@@ -19,13 +11,6 @@ Snapshot example_snapshot() {
   snapshot["sim.max_queue_depth"] = {MetricValue::Kind::kGauge, 0, 7.0};
   snapshot["campaign.run"] = {MetricValue::Kind::kTimer, 4, 0.5};
   return snapshot;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// Byte-exact golden rendering: object keys are sorted and numbers use
@@ -50,34 +35,6 @@ constexpr const char* kGolden = R"({
 
 TEST(Report, SnapshotToJsonMatchesGolden) {
   EXPECT_EQ(snapshot_to_json(example_snapshot()).dump(2), kGolden);
-}
-
-TEST(Report, WriteJsonReportRoundTrips) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "krak_obs_report_test.json")
-          .string();
-  write_json_report(example_snapshot(), path);
-  EXPECT_EQ(read_file(path), std::string(kGolden) + "\n");
-  std::remove(path.c_str());
-}
-
-TEST(Report, WriteJsonReportThrowsOnUnwritablePath) {
-  EXPECT_THROW(
-      write_json_report(example_snapshot(), "/nonexistent-dir/report.json"),
-      util::KrakError);
-}
-
-TEST(Report, CsvReportListsEveryMetric) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "krak_obs_report_test.csv")
-          .string();
-  write_csv_report(example_snapshot(), path);
-  const std::string csv = read_file(path);
-  EXPECT_NE(csv.find("name,kind,count,value"), std::string::npos);
-  EXPECT_NE(csv.find("sim.events,counter,120"), std::string::npos);
-  EXPECT_NE(csv.find("campaign.run,timer,4"), std::string::npos);
-  EXPECT_NE(csv.find("sim.max_queue_depth,gauge"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -26,15 +26,6 @@ TEST(Partition, CellCountsSumToTotal) {
             p.num_cells());
 }
 
-TEST(Partition, CellsOfPeSortedAndComplete) {
-  const Partition p(2, {0, 1, 0, 1, 0});
-  const auto zero = p.cells_of_pe(0);
-  const auto one = p.cells_of_pe(1);
-  EXPECT_EQ(zero, (std::vector<std::int64_t>{0, 2, 4}));
-  EXPECT_EQ(one, (std::vector<std::int64_t>{1, 3}));
-  EXPECT_THROW((void)p.cells_of_pe(2), util::InvalidArgument);
-}
-
 TEST(Partition, PeOfChecksRange) {
   const Partition p(1, {0, 0});
   EXPECT_THROW((void)p.pe_of(2), util::InvalidArgument);

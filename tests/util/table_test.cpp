@@ -102,11 +102,5 @@ TEST(Format, Percent) {
   EXPECT_EQ(format_percent(0.029, 1), "2.9%");
 }
 
-TEST(Format, Bytes) {
-  EXPECT_EQ(format_bytes(120.0), "120 B");
-  EXPECT_EQ(format_bytes(2048.0), "2.0 KiB");
-  EXPECT_EQ(format_bytes(3.0 * 1024 * 1024), "3.00 MiB");
-}
-
 }  // namespace
 }  // namespace krak::util
