@@ -118,50 +118,16 @@ void BM_HydroStep(benchmark::State& state) {
 }
 BENCHMARK(BM_HydroStep)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// Cost of one instrumented scope with recording live: a clock read on
-// entry and exit plus the atomic accumulate.
-void BM_ScopedTimerEnabled(benchmark::State& state) {
-  obs::set_enabled(true);
+// Cost of one instrumented scope: two clock reads plus the atomic
+// accumulate.
+void BM_ScopedTimer(benchmark::State& state) {
   obs::Timer& timer = obs::global_registry().timer("bench.scoped_timer");
   for (auto _ : state) {
     obs::ScopedTimer scope(timer);
     benchmark::DoNotOptimize(&scope);
   }
-  obs::set_enabled(true);
 }
-BENCHMARK(BM_ScopedTimerEnabled);
-
-// The disabled path the acceptance criterion cares about: one relaxed
-// atomic load, no clock read, no allocation. Should be indistinguishable
-// from an empty loop iteration.
-void BM_ScopedTimerDisabled(benchmark::State& state) {
-  obs::Timer& timer = obs::global_registry().timer("bench.scoped_timer");
-  obs::set_enabled(false);
-  for (auto _ : state) {
-    obs::ScopedTimer scope(timer);
-    benchmark::DoNotOptimize(&scope);
-  }
-  obs::set_enabled(true);
-}
-BENCHMARK(BM_ScopedTimerDisabled);
-
-// Reference: the SimKrak replay with instrumentation globally off —
-// compare against BM_SimKrakIteration to confirm the simulator's
-// run-level probes cost nothing measurable.
-void BM_SimKrakIterationObsOff(benchmark::State& state) {
-  const auto& env = krakbench::environment();
-  const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kSmall);
-  const auto pes = static_cast<std::int32_t>(state.range(0));
-  const partition::Partition part = partition::partition_deck(
-      deck, pes, partition::PartitionMethod::kMultilevel, 1);
-  const simapp::SimKrak app(deck, part, env.machine, env.engine, {});
-  obs::set_enabled(false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(app.run().time_per_iteration);
-  }
-  obs::set_enabled(true);
-}
-BENCHMARK(BM_SimKrakIterationObsOff)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScopedTimer);
 
 }  // namespace
 

@@ -198,30 +198,27 @@ void attach_parallel_scaling(obs::Json& replay, std::int32_t threads,
   replay["parallel"] = std::move(parallel);
 }
 
-std::vector<std::string> compare_campaign_walls(const obs::Json& report,
-                                                const obs::Json& baseline,
-                                                double factor) {
+namespace {
+
+/// The perf gate shared by campaigns and parallel replays: every name
+/// must appear on both sides, and no wall may exceed `factor` x its
+/// baseline. `noun` names the gated entries in the messages.
+std::vector<std::string> compare_walls(
+    const std::map<std::string, double>& walls,
+    const std::map<std::string, double>& baseline_walls, double factor,
+    const std::string& noun) {
   std::vector<std::string> failures;
-  std::map<std::string, double> baseline_walls;
-  for (const obs::Json& campaign : baseline.find("campaigns")->as_array()) {
-    baseline_walls.emplace(campaign.find("name")->as_string(),
-                           campaign.find("wall_seconds")->as_double());
-  }
-  std::set<std::string> compared;
-  for (const obs::Json& campaign : report.find("campaigns")->as_array()) {
-    const std::string& name = campaign.find("name")->as_string();
-    compared.insert(name);
+  for (const auto& [name, wall] : walls) {
     const auto base = baseline_walls.find(name);
     if (base == baseline_walls.end()) {
-      failures.push_back("campaign '" + name +
-                         "' has no like-named campaign in the baseline"
-                         " report; the gate cannot vouch for it");
+      failures.push_back(noun + " '" + name + "' has no like-named " + noun +
+                         " in the baseline report; the gate cannot vouch"
+                         " for it");
       continue;
     }
-    const double wall = campaign.find("wall_seconds")->as_double();
     if (wall > base->second * factor) {
       std::ostringstream message;
-      message << "campaign '" << name << "' regressed: " << wall
+      message << noun << " '" << name << "' regressed: " << wall
               << " s vs baseline " << base->second << " s (limit " << factor
               << "x)";
       failures.push_back(message.str());
@@ -229,57 +226,51 @@ std::vector<std::string> compare_campaign_walls(const obs::Json& report,
   }
   for (const auto& [name, wall] : baseline_walls) {
     (void)wall;
-    if (compared.count(name) == 0) {
-      failures.push_back("baseline campaign '" + name +
+    if (walls.count(name) == 0) {
+      failures.push_back("baseline " + noun + " '" + name +
                          "' is missing from the generated report; a dropped"
-                         " or renamed campaign disables its gate");
+                         " or renamed " + noun + " disables its gate");
     }
   }
   return failures;
 }
 
+std::map<std::string, double> campaign_walls(const obs::Json& report) {
+  std::map<std::string, double> walls;
+  for (const obs::Json& campaign : report.find("campaigns")->as_array()) {
+    walls.emplace(campaign.find("name")->as_string(),
+                  campaign.find("wall_seconds")->as_double());
+  }
+  return walls;
+}
+
+/// Serial replays carry no engine wall to bound and are left out.
+std::map<std::string, double> parallel_replay_walls(const obs::Json& report) {
+  std::map<std::string, double> walls;
+  for (const obs::Json& replay : report.find("replays")->as_array()) {
+    if (const obs::Json* parallel = replay.find("parallel")) {
+      walls.emplace(replay.find("name")->as_string(),
+                    parallel->find("parallel_wall_s")->as_double());
+    }
+  }
+  return walls;
+}
+
+}  // namespace
+
+std::vector<std::string> compare_campaign_walls(const obs::Json& report,
+                                                const obs::Json& baseline,
+                                                double factor) {
+  return compare_walls(campaign_walls(report), campaign_walls(baseline),
+                       factor, "campaign");
+}
+
 std::vector<std::string> compare_replay_walls(const obs::Json& report,
                                               const obs::Json& baseline,
                                               double factor) {
-  std::vector<std::string> failures;
-  std::map<std::string, double> baseline_walls;
-  for (const obs::Json& replay : baseline.find("replays")->as_array()) {
-    if (const obs::Json* parallel = replay.find("parallel")) {
-      baseline_walls.emplace(replay.find("name")->as_string(),
-                             parallel->find("parallel_wall_s")->as_double());
-    }
-  }
-  std::set<std::string> compared;
-  for (const obs::Json& replay : report.find("replays")->as_array()) {
-    const obs::Json* parallel = replay.find("parallel");
-    if (parallel == nullptr) continue;
-    const std::string& name = replay.find("name")->as_string();
-    compared.insert(name);
-    const auto base = baseline_walls.find(name);
-    if (base == baseline_walls.end()) {
-      failures.push_back("replay '" + name +
-                         "' has no like-named parallel replay in the baseline"
-                         " report; the gate cannot vouch for it");
-      continue;
-    }
-    const double wall = parallel->find("parallel_wall_s")->as_double();
-    if (wall > base->second * factor) {
-      std::ostringstream message;
-      message << "replay '" << name << "' regressed: parallel wall " << wall
-              << " s vs baseline " << base->second << " s (limit " << factor
-              << "x)";
-      failures.push_back(message.str());
-    }
-  }
-  for (const auto& [name, wall] : baseline_walls) {
-    (void)wall;
-    if (compared.count(name) == 0) {
-      failures.push_back("baseline parallel replay '" + name +
-                         "' is missing from the generated report; a dropped"
-                         " or renamed replay disables its gate");
-    }
-  }
-  return failures;
+  return compare_walls(parallel_replay_walls(report),
+                       parallel_replay_walls(baseline), factor,
+                       "parallel replay");
 }
 
 obs::Json make_bench_report(const std::string& name, bool quick,

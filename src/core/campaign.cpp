@@ -29,9 +29,6 @@ std::string campaign_run_name(const CampaignRun& run) {
     case CampaignRun::Flavor::kGeneralHomogeneous:
       flavor = "general-homogeneous";
       break;
-    case CampaignRun::Flavor::kGeneralHeterogeneous:
-      flavor = "general-heterogeneous";
-      break;
   }
   return std::string(mesh::deck_size_name(run.deck)) + "/" +
          std::to_string(run.pes) + "pe/" + flavor;
@@ -73,6 +70,12 @@ std::uint64_t scenario_fingerprint(std::string_view label,
 }
 
 namespace {
+
+/// Retry backoff growth, cap and jitter seed (docs/RESILIENCE.md,
+/// "Retry, backoff, and quarantine").
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffMaxSeconds = 5.0;
+constexpr std::uint64_t kBackoffSeed = 0x6b72616bu;
 
 /// Classify a scenario failure for the retry policy. Transient causes
 /// — blown wall budgets, explicit cancellation, allocation pressure —
@@ -239,10 +242,10 @@ CampaignSummary run_validation_campaign(
       std::uint32_t attempt = history.attempts;
       std::uint32_t failures_seen = history.failures();
       std::uint32_t deterministic_seen = history.deterministic_failures;
-      // Jitter stream: deterministic per scenario (policy seed mixed
+      // Jitter stream: deterministic per scenario (a fixed seed mixed
       // with the fingerprint and run index), decorrelated across
       // scenarios so a sweep of retries does not thunder in lockstep.
-      util::Rng backoff_rng(policy.backoff_seed ^ fingerprint ^
+      util::Rng backoff_rng(kBackoffSeed ^ fingerprint ^
                             (0x9e3779b97f4a7c15ull *
                              static_cast<std::uint64_t>(i + 1)));
       bool first_local_attempt = true;
@@ -280,11 +283,6 @@ CampaignSummary run_validation_campaign(
               summary.points[i] = validate_general(
                   deck, run.pes, model, GeneralModelMode::kHomogeneous, engine,
                   run_config);
-              break;
-            case CampaignRun::Flavor::kGeneralHeterogeneous:
-              summary.points[i] = validate_general(
-                  deck, run.pes, model, GeneralModelMode::kHeterogeneous,
-                  engine, run_config);
               break;
           }
           if (policy.journal != nullptr) {
@@ -335,9 +333,9 @@ CampaignSummary run_validation_campaign(
           // Bounded deterministic exponential backoff before the retry.
           double delay = policy.backoff_initial_seconds;
           if (delay > 0.0) {
-            delay *= std::pow(policy.backoff_multiplier,
+            delay *= std::pow(kBackoffMultiplier,
                               static_cast<double>(failures_seen - 1));
-            delay = std::min(delay, policy.backoff_max_seconds);
+            delay = std::min(delay, kBackoffMaxSeconds);
             delay *= 0.5 + 0.5 * backoff_rng.next_double();
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(delay));

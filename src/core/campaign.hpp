@@ -14,7 +14,7 @@ namespace krak::core {
 /// One configuration of a validation campaign.
 struct CampaignRun {
   /// Which model flavor to validate against the measurement.
-  enum class Flavor { kMeshSpecific, kGeneralHomogeneous, kGeneralHeterogeneous };
+  enum class Flavor { kMeshSpecific, kGeneralHomogeneous };
 
   CampaignRun() = default;
   CampaignRun(mesh::DeckSize deck_size, std::int32_t pe_count, Flavor f)
@@ -55,15 +55,11 @@ struct CampaignPolicy {
   /// Deterministic failures before a scenario is quarantined: recorded
   /// as poison in the journal and never re-run by resumed campaigns.
   std::uint32_t quarantine_after = 2;
-  /// First retry delay; 0 retries immediately. Subsequent delays grow
-  /// by `backoff_multiplier` up to `backoff_max_seconds`, each scaled
-  /// by a jitter factor in [0.5, 1) drawn from a util::Rng stream
-  /// seeded with `backoff_seed ^ fingerprint` — deterministic per
-  /// scenario, decorrelated across scenarios.
+  /// First retry delay; 0 retries immediately. Subsequent delays double
+  /// up to 5 s, each scaled by a jitter factor in [0.5, 1) drawn from a
+  /// util::Rng stream seeded from the scenario fingerprint —
+  /// deterministic per scenario, decorrelated across scenarios.
   double backoff_initial_seconds = 0.0;
-  double backoff_multiplier = 2.0;
-  double backoff_max_seconds = 5.0;
-  std::uint64_t backoff_seed = 0x6b72616bu;
   /// Wall budget of one attempt; <= 0 is unlimited. Expiry surfaces as
   /// a structured kDeadline / CancelledError failure (classified
   /// transient), never a hang.

@@ -27,7 +27,7 @@ namespace {
 constexpr std::string_view kMagic = "krakjournal 1";
 
 void bump_journal_counter(const char* name, std::int64_t count = 1) {
-  if (!obs::enabled() || count == 0) return;
+  if (count == 0) return;
   obs::global_registry().counter(name).add(count);
 }
 

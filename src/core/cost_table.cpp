@@ -6,18 +6,6 @@ namespace krak::core {
 
 using util::check;
 
-CostTable::CostTable() {
-  for (auto& phase_curves : curves_) {
-    for (auto& curve : phase_curves) {
-      // Per-cell cost samples interpolate linearly in the cell count —
-      // the paper's "linear interpolation between measured values" —
-      // and clamp outside the sampled range.
-      curve.set_interpolation(util::Interpolation::kLinear);
-      curve.set_extrapolation(util::Extrapolation::kClamp);
-    }
-  }
-}
-
 const util::PiecewiseLinear& CostTable::curve(std::int32_t phase,
                                               mesh::Material material) const {
   check(phase >= 1 && phase <= simapp::kPhaseCount, "phase must be in 1..15");

@@ -17,12 +17,12 @@ namespace krak::core {
 /// "T() returns the per-cell cost from a piecewise linear equation given
 /// the phase and material type" (Section 3). Entries are built by the
 /// calibration procedures (Section 3.1) from measured samples; queries
-/// between samples interpolate linearly, exactly as the paper does —
-/// including the inaccuracy near the knee that the paper reports.
+/// between samples interpolate linearly in the cell count, exactly as
+/// the paper does — including the inaccuracy near the knee that the
+/// paper reports — and queries outside them clamp to the nearest
+/// sample.
 class CostTable {
  public:
-  CostTable();
-
   /// Record a measured per-cell cost sample: phase in 1..15, `cells` the
   /// local subgrid size the sample was taken at.
   void add_sample(std::int32_t phase, mesh::Material material, double cells,

@@ -17,7 +17,6 @@ namespace krak::core {
 namespace {
 
 void bump_store_counter(const char* name) {
-  if (!obs::enabled()) return;
   obs::global_registry().counter(name).add();
 }
 
@@ -346,7 +345,7 @@ PartitionStore::PartitionStore(std::filesystem::path directory)
   // that no load ever consults; sweep them on open so an interrupted
   // run cannot accumulate dead files in the store directory.
   const std::size_t orphans = util::remove_orphan_temp_files(directory_);
-  if (orphans > 0 && obs::enabled()) {
+  if (orphans > 0) {
     obs::global_registry()
         .counter("partition_store.orphans_removed")
         .add(static_cast<std::int64_t>(orphans));

@@ -77,10 +77,7 @@ InputDeck make_synthetic_deck(const SyntheticSpec& spec) {
     }
   }
 
-  const Point detonator =
-      spec.detonator.y < 0.0
-          ? Point{0.0, 0.4 * static_cast<double>(spec.ny)}
-          : spec.detonator;
+  const Point detonator{0.0, 0.4 * static_cast<double>(spec.ny)};
   return InputDeck(spec.name, grid, std::move(materials), detonator);
 }
 

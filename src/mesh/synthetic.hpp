@@ -26,9 +26,6 @@ struct SyntheticSpec {
   /// Inner-to-outer radial layers; see paper_synthetic_spec for the
   /// paper-shaped default mix.
   std::vector<Layer> layers;
-  /// Detonator location; a negative y means "use the paper's placement"
-  /// (the axis of rotation, slightly below center).
-  Point detonator{0.0, -1.0};
 };
 
 /// A spec with the paper's four-layer material mix (kPaperMaterialRatios)
@@ -38,7 +35,9 @@ struct SyntheticSpec {
                                                  std::string name = "");
 
 /// Materialize the spec into a deck: layer column breaks come from the
-/// cumulative fractions (every layer keeps at least one column), and the
+/// cumulative fractions (every layer keeps at least one column), the
+/// detonator takes the paper's placement (on the axis of rotation,
+/// slightly below center, as make_cylindrical_deck places it), and the
 /// result is a pure function of the spec — bit-identical across runs,
 /// platforms, and thread counts. Throws KrakError on an invalid spec
 /// (no layers, non-positive fractions, fractions not summing to 1,

@@ -46,17 +46,10 @@ double MessageCostModel::min_message_time() const {
   if (zero_) return 0.0;
   // Tmsg(S) = L(S) + S * TB(S) with S >= 0 and TB >= 0, so the infimum
   // over sizes is bounded below by the infimum of L alone. L is
-  // piecewise linear over the evaluated domain [1, inf): its infimum is
-  // attained at a breakpoint (or at the clamped left edge) unless the
-  // table extrapolates past its last breakpoint with a negative slope,
-  // in which case no positive bound exists and the horizon degenerates.
-  const std::span<const double> ys = latency_.ys();
+  // piecewise linear and clamped over the evaluated domain [1, inf), so
+  // its infimum is attained at a breakpoint or at the left edge.
   double bound = latency_(1.0);
-  for (const double y : ys) bound = std::min(bound, y);
-  if (latency_.extrapolation() == util::Extrapolation::kLinear &&
-      ys.size() >= 2 && ys[ys.size() - 1] < ys[ys.size() - 2]) {
-    return 0.0;
-  }
+  for (const double y : latency_.ys()) bound = std::min(bound, y);
   return bound > 0.0 ? bound : 0.0;
 }
 
@@ -66,14 +59,12 @@ MessageCostModel MessageCostModel::scaled(double latency_factor,
         "scale factors must be positive");
   if (zero_) return {};
   // Scale the y values only; x breakpoints and — crucially — the source
-  // table's interpolation and extrapolation modes carry over unchanged,
-  // so a scaled Hockney (linear-interp) model stays Hockney and a
-  // linear-extrapolating table keeps extrapolating.
+  // table's interpolation mode carry over unchanged, so a scaled Hockney
+  // (linear-interp) model stays Hockney.
   const auto scale_table = [](const PiecewiseLinear& table, double factor) {
     std::vector<double> ys(table.ys().begin(), table.ys().end());
     for (double& y : ys) y *= factor;
-    return PiecewiseLinear(table.xs(), ys, table.interpolation(),
-                           table.extrapolation());
+    return PiecewiseLinear(table.xs(), ys, table.interpolation());
   };
   return MessageCostModel(scale_table(latency_, latency_factor),
                           scale_table(byte_cost_, byte_cost_factor));

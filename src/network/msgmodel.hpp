@@ -35,8 +35,8 @@ class MessageCostModel {
   /// A guaranteed lower bound on message_time over every message size —
   /// the lookahead horizon of the conservative parallel simulator: no
   /// payload sent at time t can arrive before t + min_message_time().
-  /// Returns 0 (a degenerate horizon) for the zero-cost model or when
-  /// the latency table's extrapolation could dip below its breakpoints.
+  /// Returns 0 (a degenerate horizon) for the zero-cost model or a
+  /// zero-latency table.
   [[nodiscard]] double min_message_time() const;
 
   /// Scale latencies by `latency_factor` and per-byte costs by

@@ -4,16 +4,6 @@
 
 namespace krak::obs {
 
-namespace {
-
-std::atomic<bool> g_enabled{true};
-
-}  // namespace
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
-
 std::string_view metric_kind_name(MetricValue::Kind kind) {
   switch (kind) {
     case MetricValue::Kind::kCounter: return "counter";
@@ -81,17 +71,6 @@ Snapshot Registry::snapshot() const {
     out.emplace(name, value);
   }
   return out;
-}
-
-void Registry::reset() {
-  std::lock_guard lock(mutex_);
-  for (auto& [name, entry] : metrics_) {
-    switch (entry.kind) {
-      case MetricValue::Kind::kCounter: entry.counter->reset(); break;
-      case MetricValue::Kind::kGauge: entry.gauge->reset(); break;
-      case MetricValue::Kind::kTimer: entry.timer->reset(); break;
-    }
-  }
 }
 
 std::size_t Registry::size() const {

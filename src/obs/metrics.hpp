@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -9,16 +8,9 @@
 #include <string>
 #include <string_view>
 
-namespace krak::obs {
+#include "util/stopwatch.hpp"
 
-/// Global instrumentation switch. All recording calls (Counter::add,
-/// Gauge::set, Timer::record, ScopedTimer) are no-ops while disabled;
-/// registration and reads are always allowed. Defaults to enabled —
-/// recording is a handful of relaxed atomic operations — but hot loops
-/// that must not pay even that can flip it off (see
-/// bench_perf_kernels's BM_ScopedTimer* pair for the measured cost).
-[[nodiscard]] bool enabled();
-void set_enabled(bool on);
+namespace krak::obs {
 
 /// Value of one metric at snapshot time.
 struct MetricValue {
@@ -39,12 +31,11 @@ using Snapshot = std::map<std::string, MetricValue>;
 class Counter {
  public:
   void add(std::int64_t delta = 1) {
-    if (enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -53,13 +44,10 @@ class Counter {
 /// Last-write-wins sample (queue depth, imbalance of the last partition).
 class Gauge {
  public:
-  void set(double value) {
-    if (enabled()) value_.store(value, std::memory_order_relaxed);
-  }
+  void set(double value) { value_.store(value, std::memory_order_relaxed); }
   [[nodiscard]] double value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -68,9 +56,8 @@ class Gauge {
 /// Accumulated duration plus call count (mean = total / count).
 class Timer {
  public:
-  /// Record one interval of `seconds` (gated on the global switch).
+  /// Record one interval of `seconds`.
   void record(double seconds) {
-    if (!enabled()) return;
     double current = total_.load(std::memory_order_relaxed);
     while (!total_.compare_exchange_weak(current, current + seconds,
                                          std::memory_order_relaxed)) {
@@ -83,36 +70,24 @@ class Timer {
   [[nodiscard]] std::int64_t count() const {
     return count_.load(std::memory_order_relaxed);
   }
-  void reset() {
-    total_.store(0.0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<double> total_{0.0};
   std::atomic<std::int64_t> count_{0};
 };
 
-/// RAII wall-clock probe: records into `timer` on destruction. When
-/// instrumentation is disabled at construction the scope costs one
-/// relaxed atomic load — no clock read, no allocation, nothing to undo.
+/// RAII wall-clock probe: records the scope's elapsed seconds into
+/// `timer` on destruction.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Timer& timer)
-      : timer_(enabled() ? &timer : nullptr),
-        start_(timer_ != nullptr ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{}) {}
-  ~ScopedTimer() {
-    if (timer_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    timer_->record(std::chrono::duration<double>(elapsed).count());
-  }
+  explicit ScopedTimer(Timer& timer) : timer_(timer) {}
+  ~ScopedTimer() { timer_.record(watch_.seconds()); }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  Timer* timer_;
-  std::chrono::steady_clock::time_point start_;
+  Timer& timer_;
+  util::Stopwatch watch_;
 };
 
 /// Thread-safe named-metric registry. Registration returns a stable
@@ -128,9 +103,6 @@ class Registry {
 
   /// Copy out every metric's current value, sorted by name.
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Zero every metric (registrations survive; references stay valid).
-  void reset();
 
   [[nodiscard]] std::size_t size() const;
 

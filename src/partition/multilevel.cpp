@@ -500,13 +500,11 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
     }
     if (!moved_any) break;
   }
-  if (obs::enabled()) {
-    obs::Registry& registry = obs::global_registry();
-    registry.timer("partition.fm.seconds").record(fm_watch.seconds());
-    registry.counter("partition.fm.passes").add(fm_passes);
-    registry.counter("partition.fm.moves").add(fm_moves);
-    registry.counter("partition.fm.evaluations").add(fm_evaluations);
-  }
+  obs::Registry& registry = obs::global_registry();
+  registry.timer("partition.fm.seconds").record(fm_watch.seconds());
+  registry.counter("partition.fm.passes").add(fm_passes);
+  registry.counter("partition.fm.moves").add(fm_moves);
+  registry.counter("partition.fm.evaluations").add(fm_evaluations);
 }
 
 // --- coarsening ladder cache ---------------------------------------------
@@ -647,12 +645,10 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
   const std::uint64_t key = ladder_cache_key(graph, seed, ladder_key);
   std::shared_ptr<const CoarseningLadder> cached =
       LadderCache::instance().find(key);
-  if (obs::enabled()) {
-    obs::global_registry()
-        .counter(cached != nullptr ? "partition.ladder.hits"
-                                   : "partition.ladder.misses")
-        .add();
-  }
+  obs::global_registry()
+      .counter(cached != nullptr ? "partition.ladder.hits"
+                                 : "partition.ladder.misses")
+      .add();
   CoarseningLadder working;
   if (cached != nullptr) working = *cached;  // shallow: levels are shared
 
@@ -732,12 +728,10 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
   }
   const double refine_seconds = refine_watch.seconds();
 
-  if (obs::enabled()) {
-    obs::Registry& registry = obs::global_registry();
-    registry.timer("partition.coarsen.seconds").record(coarsen_seconds);
-    registry.timer("partition.init.seconds").record(init_seconds);
-    registry.timer("partition.refine.seconds").record(refine_seconds);
-  }
+  obs::Registry& registry = obs::global_registry();
+  registry.timer("partition.coarsen.seconds").record(coarsen_seconds);
+  registry.timer("partition.init.seconds").record(init_seconds);
+  registry.timer("partition.refine.seconds").record(refine_seconds);
 
   // Guarantee no part is empty (tiny graphs with aggressive growing can
   // starve the last parts): steal single cells from the largest part.

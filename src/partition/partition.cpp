@@ -22,7 +22,6 @@ namespace {
 /// cell-count scan for the balance gauges.
 void record_partition_metrics(PartitionMethod method,
                               const Partition& partition, double seconds) {
-  if (!obs::enabled()) return;
   obs::Registry& registry = obs::global_registry();
   const std::string prefix =
       "partition." + std::string(partition_method_name(method));

@@ -245,7 +245,9 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
                              bool budget_exhausted, std::size_t events_fired) {
   const std::int32_t n = ranks();
   result.events_processed = events_fired;
+  std::int64_t nic_stalls = 0;
   for (Shard& shard : shards) {
+    nic_stalls += shard.nic_stalls;
     result.max_queue_depth =
         std::max(result.max_queue_depth, shard.queue.max_size());
     result.pooled_events += shard.queue.pooled_events();
@@ -318,37 +320,37 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
 
   // Run-level probes only — nothing per-op or per-event, so the
   // simulator's hot loop stays instrumentation-free.
-  if (obs::enabled()) {
-    obs::Registry& registry = obs::global_registry();
-    static obs::Counter& runs = registry.counter("sim.runs");
-    static obs::Counter& events = registry.counter("sim.events");
-    static obs::Counter& pooled = registry.counter("sim.events.pooled");
-    static obs::Counter& probes = registry.counter("sim.mailbox.probes");
-    static obs::Counter& messages = registry.counter("sim.p2p_messages");
-    static obs::Gauge& depth = registry.gauge("sim.max_queue_depth");
-    static obs::Gauge& collective_high_water =
-        registry.gauge("sim.collective_states_high_water");
-    runs.add(1);
-    events.add(static_cast<std::int64_t>(result.events_processed));
-    pooled.add(static_cast<std::int64_t>(result.pooled_events));
-    probes.add(static_cast<std::int64_t>(result.mailbox_probes));
-    messages.add(result.traffic.point_to_point_messages);
-    depth.set(static_cast<double>(result.max_queue_depth));
-    collective_high_water.set(static_cast<double>(collective_high_water_));
-    if (fault_ != nullptr) {
-      static obs::Counter& injections = registry.counter("fault.injections");
-      static obs::Counter& retransmits = registry.counter("fault.retransmits");
-      static obs::Counter& lost = registry.counter("fault.lost_messages");
-      static obs::Counter& failures = registry.counter("fault.sim_failures");
-      static obs::Gauge& delay = registry.gauge("fault.delay_injected_s");
-      static obs::Gauge& recovery = registry.gauge("fault.recovery_s");
-      injections.add(result.faults.injections);
-      retransmits.add(result.faults.retransmits);
-      lost.add(result.faults.messages_lost);
-      failures.add(static_cast<std::int64_t>(result.failures.size()));
-      delay.set(result.faults.fault_delay_seconds);
-      recovery.set(result.faults.recovery_seconds);
-    }
+  obs::Registry& registry = obs::global_registry();
+  static obs::Counter& runs = registry.counter("sim.runs");
+  static obs::Counter& events = registry.counter("sim.events");
+  static obs::Counter& pooled = registry.counter("sim.events.pooled");
+  static obs::Counter& probes = registry.counter("sim.mailbox.probes");
+  static obs::Counter& messages = registry.counter("sim.p2p_messages");
+  static obs::Counter& stalls = registry.counter("sim.nic.stalls");
+  static obs::Gauge& depth = registry.gauge("sim.max_queue_depth");
+  static obs::Gauge& collective_high_water =
+      registry.gauge("sim.collective_states_high_water");
+  runs.add(1);
+  events.add(static_cast<std::int64_t>(result.events_processed));
+  pooled.add(static_cast<std::int64_t>(result.pooled_events));
+  probes.add(static_cast<std::int64_t>(result.mailbox_probes));
+  messages.add(result.traffic.point_to_point_messages);
+  stalls.add(nic_stalls);
+  depth.set(static_cast<double>(result.max_queue_depth));
+  collective_high_water.set(static_cast<double>(collective_high_water_));
+  if (fault_ != nullptr) {
+    static obs::Counter& injections = registry.counter("fault.injections");
+    static obs::Counter& retransmits = registry.counter("fault.retransmits");
+    static obs::Counter& lost = registry.counter("fault.lost_messages");
+    static obs::Counter& failures = registry.counter("fault.sim_failures");
+    static obs::Gauge& delay = registry.gauge("fault.delay_injected_s");
+    static obs::Gauge& recovery = registry.gauge("fault.recovery_s");
+    injections.add(result.faults.injections);
+    retransmits.add(result.faults.retransmits);
+    lost.add(result.faults.messages_lost);
+    failures.add(static_cast<std::int64_t>(result.failures.size()));
+    delay.set(result.faults.fault_delay_seconds);
+    recovery.set(result.faults.recovery_seconds);
   }
 }
 
@@ -508,7 +510,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
               static_cast<std::size_t>(rank / nic_.pes_per_node);
           if (nic_free_[node] > inject_at) {
             inject_at = nic_free_[node];
-            ++shard.nic_conflicts;
+            ++shard.nic_stalls;
           }
           injected_by = inject_at + op.bytes / nic_.injection_bandwidth;
           nic_free_[node] = injected_by;

@@ -511,8 +511,8 @@ class Simulator {
         merge_runs;
     /// Sends that found this node's adapter busy (NIC model only):
     /// inject_at was pushed past the sender's clock by nic_free_.
-    /// Exported as `sim.parallel.nic_shard_conflicts`.
-    std::int64_t nic_conflicts = 0;
+    /// Exported as `sim.nic.stalls` by both engines.
+    std::int64_t nic_stalls = 0;
     std::size_t fired = 0;
     /// Wall seconds this shard spent executing its last epoch window
     /// (observability only — never feeds back into simulated time).

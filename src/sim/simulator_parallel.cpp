@@ -438,36 +438,29 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
   result.sort_seconds = sort_seconds;
   result.inject_seconds = inject_seconds;
 
-  if (obs::enabled()) {
-    obs::Registry& registry = obs::global_registry();
-    static obs::Counter& runs = registry.counter("sim.parallel.runs");
-    static obs::Counter& epoch_count = registry.counter("sim.parallel.epochs");
-    static obs::Counter& crossings =
-        registry.counter("sim.parallel.cross_shard_messages");
-    static obs::Gauge& shard_gauge = registry.gauge("sim.parallel.shards");
-    static obs::Gauge& barrier_wait =
-        registry.gauge("sim.parallel.barrier_wait_s");
-    static obs::Counter& empty_epoch_count =
-        registry.counter("sim.parallel.empty_epochs");
-    static obs::Counter& nic_conflict_count =
-        registry.counter("sim.parallel.nic_shard_conflicts");
-    static obs::Gauge& coordinator_gauge =
-        registry.gauge("sim.parallel.coordinator_s");
-    static obs::Gauge& sort_gauge = registry.gauge("sim.parallel.sort_s");
-    static obs::Gauge& inject_gauge = registry.gauge("sim.parallel.inject_s");
-    runs.add(1);
-    epoch_count.add(static_cast<std::int64_t>(epochs));
-    crossings.add(static_cast<std::int64_t>(cross_messages));
-    shard_gauge.set(static_cast<double>(shard_count));
-    barrier_wait.set(barrier_wait_seconds);
-    empty_epoch_count.add(static_cast<std::int64_t>(empty_epochs));
-    std::int64_t nic_conflicts = 0;
-    for (const Shard& shard : shards) nic_conflicts += shard.nic_conflicts;
-    nic_conflict_count.add(nic_conflicts);
-    coordinator_gauge.set(coordinator_seconds);
-    sort_gauge.set(sort_seconds);
-    inject_gauge.set(inject_seconds);
-  }
+  obs::Registry& registry = obs::global_registry();
+  static obs::Counter& runs = registry.counter("sim.parallel.runs");
+  static obs::Counter& epoch_count = registry.counter("sim.parallel.epochs");
+  static obs::Counter& crossings =
+      registry.counter("sim.parallel.cross_shard_messages");
+  static obs::Gauge& shard_gauge = registry.gauge("sim.parallel.shards");
+  static obs::Gauge& barrier_wait =
+      registry.gauge("sim.parallel.barrier_wait_s");
+  static obs::Counter& empty_epoch_count =
+      registry.counter("sim.parallel.empty_epochs");
+  static obs::Gauge& coordinator_gauge =
+      registry.gauge("sim.parallel.coordinator_s");
+  static obs::Gauge& sort_gauge = registry.gauge("sim.parallel.sort_s");
+  static obs::Gauge& inject_gauge = registry.gauge("sim.parallel.inject_s");
+  runs.add(1);
+  epoch_count.add(static_cast<std::int64_t>(epochs));
+  crossings.add(static_cast<std::int64_t>(cross_messages));
+  shard_gauge.set(static_cast<double>(shard_count));
+  barrier_wait.set(barrier_wait_seconds);
+  empty_epoch_count.add(static_cast<std::int64_t>(empty_epochs));
+  coordinator_gauge.set(coordinator_seconds);
+  sort_gauge.set(sort_seconds);
+  inject_gauge.set(inject_seconds);
   finalize_run(result, shards, budget_exhausted, total_fired);
   return result;
 }

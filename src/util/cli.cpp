@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/error.hpp"
@@ -68,6 +69,9 @@ double ArgParser::get_double(const std::string& name, double fallback) const {
     const double value = std::stod(it->second, &consumed);
     check(consumed == it->second.size(),
           "trailing characters in numeric option --" + name);
+    check(std::isfinite(value),
+          "option --" + name + " expects a finite number, got '" +
+              it->second + "'");
     return value;
   } catch (const std::invalid_argument&) {
     throw InvalidArgument("option --" + name + " expects a number, got '" +

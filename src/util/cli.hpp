@@ -20,7 +20,8 @@ class ArgParser {
   [[nodiscard]] bool has(const std::string& name) const;
 
   /// Value lookups with defaults. Throw InvalidArgument when the option
-  /// is present but its value does not parse.
+  /// is present but its value does not parse; get_double also refuses
+  /// `nan` and `inf`.
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,

@@ -9,8 +9,8 @@ namespace krak::util {
 
 PiecewiseLinear::PiecewiseLinear(std::span<const double> xs,
                                  std::span<const double> ys,
-                                 Interpolation interp, Extrapolation extrap)
-    : interp_(interp), extrap_(extrap) {
+                                 Interpolation interp)
+    : interp_(interp) {
   check(xs.size() == ys.size(), "PiecewiseLinear spans must match in length");
   check(!xs.empty(), "PiecewiseLinear requires at least one breakpoint");
   for (std::size_t i = 1; i < xs.size(); ++i) {
@@ -44,10 +44,6 @@ void PiecewiseLinear::set_interpolation(Interpolation interp) {
   interp_ = interp;
 }
 
-void PiecewiseLinear::set_extrapolation(Extrapolation extrap) {
-  extrap_ = extrap;
-}
-
 double PiecewiseLinear::interp_segment(std::size_t hi_index, double x) const {
   const double x0 = xs_[hi_index - 1];
   const double x1 = xs_[hi_index];
@@ -70,18 +66,8 @@ double PiecewiseLinear::operator()(double x) const {
   }
   if (xs_.size() == 1) return ys_.front();
 
-  if (x <= xs_.front()) {
-    if (extrap_ == Extrapolation::kClamp || x == xs_.front()) {
-      return ys_.front();
-    }
-    return interp_segment(1, x);
-  }
-  if (x >= xs_.back()) {
-    if (extrap_ == Extrapolation::kClamp || x == xs_.back()) {
-      return ys_.back();
-    }
-    return interp_segment(xs_.size() - 1, x);
-  }
+  if (x <= xs_.front()) return ys_.front();
+  if (x >= xs_.back()) return ys_.back();
   const auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
   const auto hi = static_cast<std::size_t>(it - xs_.begin());
   return interp_segment(hi, x);

@@ -6,14 +6,6 @@
 
 namespace krak::util {
 
-/// How a PiecewiseLinear behaves outside its breakpoint range.
-enum class Extrapolation {
-  /// Hold the first/last y value constant.
-  kClamp,
-  /// Continue the first/last segment's slope.
-  kLinear,
-};
-
 /// How x values are interpolated between breakpoints.
 enum class Interpolation {
   /// Straight-line interpolation in x.
@@ -29,7 +21,9 @@ enum class Interpolation {
 /// This is the paper's modeling primitive: both the per-cell computation
 /// cost T(phase, material, n) of Section 3 and the message-cost terms
 /// L(S), TB(S) of Equation 4 are "piecewise linear equations" built from
-/// measured samples.
+/// measured samples. Outside the breakpoint range it holds the first or
+/// last y value: a curve is trusted only over the sizes it was sampled
+/// at.
 class PiecewiseLinear {
  public:
   /// Empty function; add_point() before evaluating.
@@ -38,17 +32,14 @@ class PiecewiseLinear {
   /// Build from parallel breakpoint arrays. xs must be strictly
   /// increasing; both spans must be equal, non-empty length.
   PiecewiseLinear(std::span<const double> xs, std::span<const double> ys,
-                  Interpolation interp = Interpolation::kLinear,
-                  Extrapolation extrap = Extrapolation::kClamp);
+                  Interpolation interp = Interpolation::kLinear);
 
   /// Insert a breakpoint, keeping xs sorted. Duplicate x replaces y.
   void add_point(double x, double y);
 
   void set_interpolation(Interpolation interp);
-  void set_extrapolation(Extrapolation extrap);
 
   [[nodiscard]] Interpolation interpolation() const { return interp_; }
-  [[nodiscard]] Extrapolation extrapolation() const { return extrap_; }
 
   /// Evaluate at x. Requires at least one breakpoint.
   [[nodiscard]] double operator()(double x) const;
@@ -64,7 +55,6 @@ class PiecewiseLinear {
   std::vector<double> xs_;
   std::vector<double> ys_;
   Interpolation interp_ = Interpolation::kLinear;
-  Extrapolation extrap_ = Extrapolation::kClamp;
 };
 
 }  // namespace krak::util

@@ -6,8 +6,8 @@ namespace krak::util {
 
 /// Monotonic elapsed-seconds stopwatch.
 ///
-/// The only sanctioned wall-clock access outside `src/obs` and
-/// `src/util` (krak_lint's no-wall-clock rule, docs/STATIC_ANALYSIS.md):
+/// The only sanctioned wall-clock access outside `src/util` (krak_lint's
+/// no-wall-clock rule, docs/STATIC_ANALYSIS.md):
 /// measurement sites hold a Stopwatch instead of touching
 /// std::chrono clocks directly, which keeps clock reads auditable and
 /// out of the deterministic simulation paths — simulated time never

@@ -178,16 +178,15 @@ TEST_F(CampaignResilienceFixture, BackoffIsDeterministicAndBounded) {
   policy.max_attempts = 3;
   policy.quarantine_after = 10;
   policy.backoff_initial_seconds = 0.002;
-  policy.backoff_multiplier = 2.0;
-  policy.backoff_max_seconds = 0.003;
   const CampaignSummary a =
       run_validation_campaign(model, engine, runs, {}, 1, policy);
   const CampaignSummary b =
       run_validation_campaign(model, engine, runs, {}, 1, policy);
   // Two sleeps happened (before retries 2 and 3), each jittered from
-  // the same seeded stream: equal across reruns, bounded by the cap.
+  // the same seeded stream: equal across reruns, bounded by the
+  // doubling delays 0.002 and 0.004 s.
   EXPECT_GT(a.resilience.backoff_seconds, 0.0);
-  EXPECT_LE(a.resilience.backoff_seconds, 2 * 0.003);
+  EXPECT_LE(a.resilience.backoff_seconds, 0.002 + 0.004);
   EXPECT_DOUBLE_EQ(a.resilience.backoff_seconds, b.resilience.backoff_seconds);
 }
 
@@ -255,6 +254,17 @@ TEST_F(CampaignResilienceFixture, FingerprintSeparatesScenariosAndLabels) {
   faulty.faults.message_faults.push_back(lossy);
   EXPECT_NE(scenario_fingerprint("t", a, config),
             scenario_fingerprint("t", faulty, config));
+}
+
+TEST(CampaignFingerprint, PinnedValuesSurviveRebuilds) {
+  // Journals are keyed by these values: a build that hashes a scenario
+  // differently no longer resumes the journals earlier builds wrote.
+  const ValidationConfig config;
+  EXPECT_EQ(scenario_fingerprint("table5_meshspecific", table5_runs()[0],
+                                 config),
+            0x4ff689502d60e650ull);
+  EXPECT_EQ(scenario_fingerprint("table6_general", table6_runs()[0], config),
+            0xd22500ff6e68b99bull);
 }
 
 }  // namespace

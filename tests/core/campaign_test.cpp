@@ -25,7 +25,7 @@ TEST_F(CampaignFixture, ProducesOnePointPerRunInOrder) {
   const std::vector<CampaignRun> runs = {
       {mesh::DeckSize::kSmall, 8, CampaignRun::Flavor::kMeshSpecific},
       {mesh::DeckSize::kSmall, 16, CampaignRun::Flavor::kGeneralHomogeneous},
-      {mesh::DeckSize::kSmall, 32, CampaignRun::Flavor::kGeneralHeterogeneous},
+      {mesh::DeckSize::kSmall, 32, CampaignRun::Flavor::kGeneralHomogeneous},
   };
   const CampaignSummary summary =
       run_validation_campaign(model, engine, runs, {}, 2);

@@ -94,8 +94,8 @@ TEST(MessageCostModel, ScaledModelScalesComponents) {
 
 TEST(MessageCostModel, ScaledIdentityIsExactEverywhere) {
   // Regression: scaled() used to rebuild its tables point by point with
-  // the default interpolation/extrapolation modes, so scaled(1, 1) of a
-  // kLogX model changed values between breakpoints.
+  // the default interpolation mode, so scaled(1, 1) of a kLogX model
+  // changed values between breakpoints.
   const MessageCostModel base = make_qsnet1_model();
   const MessageCostModel same = base.scaled(1.0, 1.0);
   // Off-breakpoint sizes are the interesting ones.
@@ -123,23 +123,6 @@ TEST(MessageCostModel, ScaledPreservesLinearInterpolation) {
   EXPECT_DOUBLE_EQ(same.latency(501.0), 2e-6);
   const MessageCostModel fast = base.scaled(0.5, 1.0);
   EXPECT_DOUBLE_EQ(fast.latency(501.0), 1e-6);
-}
-
-TEST(MessageCostModel, ScaledPreservesLinearExtrapolation) {
-  // Latency extrapolates the last segment's slope past x = 2; a rebuild
-  // with the default clamp would flatten it to the last y.
-  const std::vector<double> xs = {1.0, 2.0};
-  const std::vector<double> lat_ys = {1e-6, 2e-6};
-  const std::vector<double> tb_ys = {1e-9, 1e-9};
-  const MessageCostModel base(
-      util::PiecewiseLinear(xs, lat_ys, util::Interpolation::kLinear,
-                            util::Extrapolation::kLinear),
-      util::PiecewiseLinear(xs, tb_ys, util::Interpolation::kLinear));
-  ASSERT_DOUBLE_EQ(base.latency(10.0), 10e-6);  // extrapolated slope
-  const MessageCostModel same = base.scaled(1.0, 1.0);
-  EXPECT_DOUBLE_EQ(same.latency(10.0), 10e-6);
-  const MessageCostModel doubled = base.scaled(2.0, 1.0);
-  EXPECT_DOUBLE_EQ(doubled.latency(10.0), 20e-6);
 }
 
 TEST(MessageCostModel, ScaledRejectsNonPositiveFactors) {

@@ -10,56 +10,22 @@
 namespace krak::obs {
 namespace {
 
-/// Restores the global instrumentation switch, so tests that flip it
-/// cannot leak a disabled state into the rest of the binary.
-class EnabledGuard {
- public:
-  EnabledGuard() : saved_(enabled()) {}
-  ~EnabledGuard() { set_enabled(saved_); }
-  EnabledGuard(const EnabledGuard&) = delete;
-  EnabledGuard& operator=(const EnabledGuard&) = delete;
-
- private:
-  bool saved_;
-};
-
 TEST(Counter, AccumulatesAndResets) {
-  EnabledGuard guard;
-  set_enabled(true);
   Counter counter;
   EXPECT_EQ(counter.value(), 0);
   counter.add();
   counter.add(41);
   EXPECT_EQ(counter.value(), 42);
-  counter.reset();
-  EXPECT_EQ(counter.value(), 0);
-}
-
-TEST(Counter, DisabledAddIsANoOp) {
-  EnabledGuard guard;
-  Counter counter;
-  set_enabled(false);
-  counter.add(7);
-  EXPECT_EQ(counter.value(), 0);
-  set_enabled(true);
-  counter.add(7);
-  EXPECT_EQ(counter.value(), 7);
 }
 
 TEST(Gauge, LastWriteWins) {
-  EnabledGuard guard;
-  set_enabled(true);
   Gauge gauge;
   gauge.set(1.5);
   gauge.set(-2.5);
   EXPECT_DOUBLE_EQ(gauge.value(), -2.5);
-  gauge.reset();
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
 }
 
 TEST(Timer, AccumulatesTotalAndCount) {
-  EnabledGuard guard;
-  set_enabled(true);
   Timer timer;
   timer.record(0.25);
   timer.record(0.5);
@@ -68,8 +34,6 @@ TEST(Timer, AccumulatesTotalAndCount) {
 }
 
 TEST(Timer, ConcurrentRecordsAllLand) {
-  EnabledGuard guard;
-  set_enabled(true);
   Timer timer;
   constexpr int kThreads = 8;
   constexpr int kRecordsPerThread = 1000;
@@ -87,25 +51,12 @@ TEST(Timer, ConcurrentRecordsAllLand) {
 }
 
 TEST(ScopedTimer, RecordsOneIntervalOnDestruction) {
-  EnabledGuard guard;
-  set_enabled(true);
   Timer timer;
   {
     ScopedTimer scope(timer);
   }
   EXPECT_EQ(timer.count(), 1);
   EXPECT_GE(timer.total_seconds(), 0.0);
-}
-
-TEST(ScopedTimer, DisabledScopeRecordsNothing) {
-  EnabledGuard guard;
-  Timer timer;
-  set_enabled(false);
-  {
-    ScopedTimer scope(timer);
-  }
-  EXPECT_EQ(timer.count(), 0);
-  EXPECT_DOUBLE_EQ(timer.total_seconds(), 0.0);
 }
 
 TEST(Registry, ReturnsStableReferences) {
@@ -126,8 +77,6 @@ TEST(Registry, KindCollisionThrows) {
 }
 
 TEST(Registry, SnapshotCarriesEveryKind) {
-  EnabledGuard guard;
-  set_enabled(true);
   Registry registry;
   registry.counter("a.count").add(5);
   registry.gauge("b.depth").set(3.5);
@@ -148,19 +97,6 @@ TEST(Registry, SnapshotCarriesEveryKind) {
   EXPECT_EQ(timer.kind, MetricValue::Kind::kTimer);
   EXPECT_EQ(timer.count, 1);
   EXPECT_DOUBLE_EQ(timer.value, 0.125);
-}
-
-TEST(Registry, ResetZeroesValuesButKeepsRegistrations) {
-  EnabledGuard guard;
-  set_enabled(true);
-  Registry registry;
-  Counter& counter = registry.counter("n");
-  counter.add(9);
-  registry.reset();
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_EQ(counter.value(), 0);
-  counter.add(1);
-  EXPECT_EQ(registry.snapshot().at("n").count, 1);
 }
 
 TEST(GlobalRegistry, IsASingleton) {

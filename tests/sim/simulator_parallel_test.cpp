@@ -338,6 +338,27 @@ TEST(SimulatorParallel, NicContentionIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(SimulatorParallel, NicStallCountIdenticalAcrossThreadCounts) {
+  // sim.nic.stalls counts sends that found their node's adapter busy.
+  // Both engines export it, and shard-local adapter state must stall
+  // exactly the sends the oracle stalls.
+  const std::int32_t ranks = 32;
+  const obs::Counter& stalls =
+      obs::global_registry().counter("sim.nic.stalls");
+  auto stalls_added = [&](std::int32_t threads) {
+    Simulator sim = make_nic_simulator(ranks, threads, /*pes_per_node=*/4);
+    install_ring_workload(sim, ranks, /*rounds=*/10);
+    const std::int64_t before = stalls.value();
+    (void)sim.run();
+    return stalls.value() - before;
+  };
+  const std::int64_t reference = stalls_added(1);
+  EXPECT_GT(reference, 0);
+  for (std::int32_t threads : {2, 8}) {
+    EXPECT_EQ(stalls_added(threads), reference) << "threads " << threads;
+  }
+}
+
 TEST(SimulatorParallel, NicOnPartialLastNodeIdentical) {
   // 10 ranks on 4-wide NIC nodes: the last node is half-occupied, the
   // unit count does not divide the shard count, and shards must still
@@ -639,8 +660,6 @@ TEST(SimulatorParallel, CollectiveStateWindowStaysBounded) {
   // can ever be partially entered), so a replay with hundreds of
   // collectives keeps an O(1) live window in both engines — pinned by
   // the sim.collective_states_high_water gauge.
-  const bool was_enabled = obs::enabled();
-  obs::set_enabled(true);
   const std::int32_t ranks = 8;
   for (std::int32_t threads : {1, 4}) {
     Simulator sim = make_simulator(ranks, threads);
@@ -660,7 +679,6 @@ TEST(SimulatorParallel, CollectiveStateWindowStaysBounded) {
     EXPECT_GE(high_water.value, 1.0) << "threads " << threads;
     EXPECT_LE(high_water.value, 2.0) << "threads " << threads;
   }
-  obs::set_enabled(was_enabled);
 }
 
 TEST(SimulatorParallel, CoordinatorTimingFieldsPopulated) {

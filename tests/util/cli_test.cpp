@@ -74,6 +74,16 @@ TEST(ArgParser, BadDoubleThrows) {
   EXPECT_THROW((void)args.get_double("noise", 0.0), InvalidArgument);
 }
 
+TEST(ArgParser, NonFiniteDoubleThrows) {
+  // stod accepts these spellings; a run length or a seconds bound of
+  // inf never ends, and nan compares false against every limit.
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    const ArgParser args = parse({"--time", value});
+    EXPECT_THROW((void)args.get_double("time", 0.0), InvalidArgument)
+        << value;
+  }
+}
+
 TEST(ArgParser, LastOccurrenceWins) {
   const ArgParser args = parse({"--pes", "4", "--pes", "16"});
   EXPECT_EQ(args.get_int("pes", 0), 16);

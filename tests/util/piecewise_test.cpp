@@ -37,19 +37,9 @@ TEST(PiecewiseLinear, InterpolatesLinearlyBetweenBreakpoints) {
 TEST(PiecewiseLinear, ClampExtrapolationHoldsEndValues) {
   const std::vector<double> xs = {1.0, 2.0};
   const std::vector<double> ys = {10.0, 20.0};
-  const PiecewiseLinear f(xs, ys, Interpolation::kLinear,
-                          Extrapolation::kClamp);
+  const PiecewiseLinear f(xs, ys);
   EXPECT_DOUBLE_EQ(f(0.0), 10.0);
   EXPECT_DOUBLE_EQ(f(3.0), 20.0);
-}
-
-TEST(PiecewiseLinear, LinearExtrapolationContinuesSlope) {
-  const std::vector<double> xs = {1.0, 2.0, 4.0};
-  const std::vector<double> ys = {10.0, 20.0, 20.0};
-  const PiecewiseLinear f(xs, ys, Interpolation::kLinear,
-                          Extrapolation::kLinear);
-  EXPECT_DOUBLE_EQ(f(0.0), 0.0);   // first segment slope 10
-  EXPECT_DOUBLE_EQ(f(8.0), 20.0);  // last segment slope 0
 }
 
 TEST(PiecewiseLinear, LogXInterpolationIsLinearInLogSpace) {
@@ -77,30 +67,23 @@ TEST(PiecewiseLinear, LogXRejectsNonPositiveBreakpoints) {
 TEST(PiecewiseLinear, ModeAccessorsReportConfiguration) {
   PiecewiseLinear f;
   EXPECT_EQ(f.interpolation(), Interpolation::kLinear);
-  EXPECT_EQ(f.extrapolation(), Extrapolation::kClamp);
   f.set_interpolation(Interpolation::kLogX);
-  f.set_extrapolation(Extrapolation::kLinear);
   EXPECT_EQ(f.interpolation(), Interpolation::kLogX);
-  EXPECT_EQ(f.extrapolation(), Extrapolation::kLinear);
 
   const std::vector<double> xs = {1.0, 2.0};
   const std::vector<double> ys = {1.0, 4.0};
-  const PiecewiseLinear g(xs, ys, Interpolation::kLogX,
-                          Extrapolation::kLinear);
+  const PiecewiseLinear g(xs, ys, Interpolation::kLogX);
   EXPECT_EQ(g.interpolation(), Interpolation::kLogX);
-  EXPECT_EQ(g.extrapolation(), Extrapolation::kLinear);
 }
 
 TEST(PiecewiseLinear, AccessorsRoundTripThroughConstructor) {
-  // Rebuilding from xs()/ys() plus the mode accessors reproduces the
+  // Rebuilding from xs()/ys() plus the mode accessor reproduces the
   // function everywhere — the contract MessageCostModel::scaled relies
   // on.
   const std::vector<double> xs = {1.0, 10.0, 100.0};
   const std::vector<double> ys = {5.0, 3.0, 2.0};
-  const PiecewiseLinear f(xs, ys, Interpolation::kLogX,
-                          Extrapolation::kLinear);
-  const PiecewiseLinear g(f.xs(), f.ys(), f.interpolation(),
-                          f.extrapolation());
+  const PiecewiseLinear f(xs, ys, Interpolation::kLogX);
+  const PiecewiseLinear g(f.xs(), f.ys(), f.interpolation());
   for (double x : {1.0, 3.0, 10.0, 42.0, 100.0, 1000.0}) {
     EXPECT_DOUBLE_EQ(g(x), f(x)) << "at " << x;
   }
