@@ -13,7 +13,6 @@
 
 #include "common.hpp"
 #include "hydro/measure.hpp"
-#include "util/csv.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -24,10 +23,6 @@ int main() {
 
   const std::vector<std::int64_t> sizes = {16,   64,    256,   1024,
                                            4096, 16384, 65536, 262144};
-  util::CsvWriter csv(krakbench::output_dir() + "/real_knee.csv");
-  csv.write_header({"material", "cells", "per_cell_total_s", "eos_s",
-                    "forces_s", "integrate_s"});
-
   for (mesh::Material material :
        {mesh::Material::kHEGas, mesh::Material::kFoam}) {
     std::cout << "Material: " << mesh::material_name(material) << "\n";
@@ -49,19 +44,8 @@ int main() {
                      ns(hydro::HydroPhase::kForces),
                      ns(hydro::HydroPhase::kIntegrate),
                      ns(hydro::HydroPhase::kEnergy)});
-      csv.write_row(std::vector<double>{
-          static_cast<double>(mesh::material_index(material)),
-          static_cast<double>(sample.cells),
-          sample.total_per_cell_seconds(),
-          sample.per_cell_seconds[static_cast<std::size_t>(
-              hydro::HydroPhase::kEos)],
-          sample.per_cell_seconds[static_cast<std::size_t>(
-              hydro::HydroPhase::kForces)],
-          sample.per_cell_seconds[static_cast<std::size_t>(
-              hydro::HydroPhase::kIntegrate)]});
     }
     std::cout << table << "\n";
   }
-  std::cout << "CSV: " << krakbench::output_dir() << "/real_knee.csv\n";
   return 0;
 }

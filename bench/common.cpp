@@ -1,21 +1,15 @@
 #include "common.hpp"
 
-#include <filesystem>
 #include <iostream>
 
 namespace krakbench {
-
-const std::vector<std::int32_t>& calibration_pe_counts() {
-  static const std::vector<std::int32_t> kCounts = {8, 64, 512, 4096};
-  return kCounts;
-}
 
 Environment::Environment()
     : machine(krak::network::make_es45_qsnet()),
       model(krak::core::calibrate_from_input(
                 engine,
                 krak::mesh::make_standard_deck(krak::mesh::DeckSize::kMedium),
-                calibration_pe_counts()),
+                {8, 64, 512, 4096}),
             machine) {}
 
 const Environment& environment() {
@@ -28,12 +22,6 @@ void print_header(const std::string& title, const std::string& paper_ref) {
   std::cout << "Reproduces: " << paper_ref << "\n";
   std::cout << "(Barker, Pakin, Kerbyson: \"A Performance Model of the Krak "
                "Hydrodynamics Application\", ICPP 2006)\n\n";
-}
-
-std::string output_dir() {
-  const std::string dir = "bench_out";
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 }  // namespace krakbench

@@ -24,18 +24,12 @@ struct Environment {
   Environment();
 };
 
-/// Lazily constructed shared environment (calibration takes a few
-/// seconds; bench binaries build it once).
+/// Lazily constructed shared environment (calibration takes about half a
+/// second; each bench binary builds it once).
 [[nodiscard]] const Environment& environment();
 
 /// Uniform banner naming the experiment and the paper artifact it
 /// regenerates.
 void print_header(const std::string& title, const std::string& paper_ref);
-
-/// Directory for CSV side-outputs (created on demand): ./bench_out.
-[[nodiscard]] std::string output_dir();
-
-/// PE counts used to calibrate the shared model (medium deck).
-[[nodiscard]] const std::vector<std::int32_t>& calibration_pe_counts();
 
 }  // namespace krakbench

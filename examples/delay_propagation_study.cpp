@@ -57,10 +57,7 @@ fault::FaultPlan scattered_delays(std::int32_t victims, std::int32_t ranks,
   return plan;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int run(const util::ArgParser& args) {
   const bool quick = args.has("quick");
   const double delay_s = args.get_double("delay", 0.01);
 
@@ -140,4 +137,10 @@ int main(int argc, char** argv) {
          "event costs a bulk-synchronous code one delay, not thousands, and\n"
          "why a single unlucky rank hurts exactly as much as a thousand.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krak::util::run_main(argc, argv, run);
 }

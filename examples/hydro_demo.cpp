@@ -41,10 +41,7 @@ void print_pressure_map(const hydro::HydroState& state) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int run(const util::ArgParser& args) {
   const auto nx = static_cast<std::int32_t>(args.get_int("nx", 80));
   const auto ny = static_cast<std::int32_t>(args.get_int("ny", 40));
   const double end_time = args.get_double("time", 3.0);
@@ -133,4 +130,10 @@ int main(int argc, char** argv) {
             << util::format_percent((measured - predicted) / measured)
             << " error, wall-clock noise included)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krak::util::run_main(argc, argv, run);
 }

@@ -28,9 +28,10 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const krak::util::ArgParser& args) {
   using namespace krak;
-  const util::ArgParser args(argc, argv);
 
   const std::string deck_name = args.get_string("deck", "medium");
   mesh::DeckSize size = mesh::DeckSize::kMedium;
@@ -111,4 +112,10 @@ int main(int argc, char** argv) {
   }
   std::cout << table;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krak::util::run_main(argc, argv, run);
 }

@@ -41,10 +41,7 @@ double homogeneous_fraction(const partition::PartitionStats& stats) {
          static_cast<double>(stats.parts());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int run(const util::ArgParser& args) {
   const simapp::ComputationCostEngine application;
   const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kMedium);
   const core::CostTable costs =
@@ -104,4 +101,10 @@ int main(int argc, char** argv) {
          "recommend quantifying next — precisely the kind of what-if the\n"
          "paper built the model for.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krak::util::run_main(argc, argv, run);
 }

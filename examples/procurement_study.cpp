@@ -17,9 +17,10 @@
 #include "simapp/costmodel.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const krak::util::ArgParser& args) {
   using namespace krak;
-  const util::ArgParser args(argc, argv);
 
   const simapp::ComputationCostEngine application;
   const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kLarge);
@@ -106,4 +107,10 @@ int main(int argc, char** argv) {
   std::cout << util::format_double(base_512 / net_512, 2) << "x speedup ("
             << util::format_ms(net_512, 1) << " per iteration)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krak::util::run_main(argc, argv, run);
 }

@@ -13,15 +13,16 @@
 #include "analyze/lint_cli.hpp"
 #include "core/calibration.hpp"
 #include "core/model.hpp"
+#include "core/validation.hpp"
 #include "mesh/deck.hpp"
 #include "network/machine.hpp"
-#include "simapp/simkrak.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const krak::util::ArgParser& args) {
   using namespace krak;
-  const util::ArgParser args(argc, argv);
 
   // 1. The input deck: a 204,800-cell cylinder of four materials.
   const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kMedium);
@@ -55,13 +56,22 @@ int main(int argc, char** argv) {
   std::cout << "\nGeneral-model prediction for " << kPes << " processors:\n"
             << prediction.to_string();
 
-  // 4. Cross-check against a simulated execution of the application.
-  const double measured = simapp::simulate_iteration_time(
-      deck, kPes, model.machine(), application);
+  // 4. Cross-check against a simulated execution of the application,
+  //    measured the way the validation tables measure it.
+  const double measured =
+      core::validate_general(deck, kPes, model,
+                             core::GeneralModelMode::kHomogeneous, application)
+          .measured;
   std::cout << "Simulated (\"measured\") iteration time: "
             << util::format_ms(measured, 3) << "\n";
   const double error = (measured - prediction.total()) / measured;
   std::cout << "Prediction error (paper convention): "
             << util::format_percent(error) << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krak::util::run_main(argc, argv, run);
 }

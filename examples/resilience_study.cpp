@@ -49,10 +49,7 @@ double identity_violation(const simapp::SimKrakResult& result) {
   return worst;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int run(const util::ArgParser& args) {
   const bool quick = args.has("quick");
   const double delay_s = args.get_double("delay", 0.05);
 
@@ -165,4 +162,10 @@ int main(int argc, char** argv) {
             << "   crash 1800 s into the run)                       = "
             << fault::expected_recovery_cost(30.0, 0.0, 1800.0) << " s\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krak::util::run_main(argc, argv, run);
 }

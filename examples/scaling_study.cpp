@@ -17,9 +17,10 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const krak::util::ArgParser& args) {
   using namespace krak;
-  const util::ArgParser args(argc, argv);
 
   const simapp::ComputationCostEngine application;
   const mesh::InputDeck calibration_deck =
@@ -93,4 +94,10 @@ int main(int argc, char** argv) {
                "per-processor computation — the same effect that caps the\n"
                "paper's small-problem runs near 128 processors (Table 5).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krak::util::run_main(argc, argv, run);
 }

@@ -20,9 +20,10 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const krak::util::ArgParser& args) {
   using namespace krak;
-  const util::ArgParser args(argc, argv);
   const std::string deck_name = args.get_string("deck", "medium");
   const double delta = args.get_double("delta", 0.10);
   const std::int64_t iterations = args.get_int("iterations", 10000);
@@ -94,4 +95,10 @@ int main(int argc, char** argv) {
                " lower-latency network\" — the quantitative answer the\n"
                "paper's introduction promises procurement teams.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krak::util::run_main(argc, argv, run);
 }

@@ -15,7 +15,6 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace krak::core {
@@ -105,31 +104,6 @@ bool is_deadline_failure(const std::exception& error) {
 }
 
 }  // namespace
-
-std::string CampaignSummary::to_string() const {
-  std::set<std::size_t> failed;
-  for (const CampaignFailure& failure : failures) {
-    failed.insert(failure.run_index);
-  }
-  util::TextTable table(
-      {"Problem", "PE Count", "Meas. (ms)", "Pred. (ms)", "Error"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ValidationPoint& point = points[i];
-    if (failed.count(i) != 0) continue;
-    table.add_row({point.problem, std::to_string(point.pes),
-                   util::format_double(point.measured * 1e3, 1),
-                   util::format_double(point.predicted * 1e3, 1),
-                   util::format_percent(point.error())});
-  }
-  std::ostringstream os;
-  os << table.to_string();
-  os << "worst |error| " << util::format_percent(worst_abs_error)
-     << ", mean |error| " << util::format_percent(mean_abs_error) << "\n";
-  for (const CampaignFailure& failure : failures) {
-    os << "FAILED " << failure.scenario << ": " << failure.error << "\n";
-  }
-  return os.str();
-}
 
 CampaignSummary run_validation_campaign(
     const KrakModel& model, const simapp::ComputationCostEngine& engine,

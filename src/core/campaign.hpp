@@ -136,14 +136,11 @@ struct CampaignSummary {
     double backoff_seconds = 0.0;         ///< total retry sleep
   };
   ResilienceStats resilience;
-
-  /// Render as the paper's validation-table layout.
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Execute every run — partition, simulate, predict — in parallel over
 /// a thread pool (each run is independent) and summarize. This is the
-/// engine behind the Table 5/6 reproduction benches, exposed as API so
+/// engine behind krak_repro's Tables 5/6 and Figure 5, exposed as API so
 /// downstream users can validate their own recalibrations the same way.
 /// `policy` adds the resilience layer — journaled resume, bounded
 /// retry with backoff, poison-scenario quarantine, and wall deadlines;

@@ -29,7 +29,8 @@ class Placement {
 /// cross the interconnect (Equation 4's Tmsg).
 ///
 /// The paper's model uses a single flat Tmsg; this extension quantifies
-/// what that flattening costs (see bench_ablation_hierarchy).
+/// what that flattening costs (the `ablation_hierarchy` key of
+/// krak_repro).
 class HierarchicalNetwork {
  public:
   HierarchicalNetwork(MessageCostModel intra_node, MessageCostModel inter_node,

@@ -220,8 +220,15 @@ class Parser {
   Json parse_value() {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        check(depth_ < kMaxDepth, error("nesting deeper than " +
+                                        std::to_string(kMaxDepth) + " levels"));
+        ++depth_;
+        Json nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return Json(parse_string());
       case 't':
         check(consume_literal("true"), error("invalid literal"));
@@ -325,8 +332,14 @@ class Parser {
     return Json(value);
   }
 
+  /// Bound on nested arrays and objects. The recursion stays far from
+  /// the stack limit on hostile input, and every document the repository
+  /// writes nests well under ten levels.
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

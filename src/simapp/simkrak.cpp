@@ -330,16 +330,4 @@ SimKrakResult SimKrak::run() const {
   return result;
 }
 
-double simulate_iteration_time(const mesh::InputDeck& deck, std::int32_t pes,
-                               const network::MachineConfig& machine,
-                               const ComputationCostEngine& costs,
-                               std::uint64_t seed) {
-  const partition::Partition part = partition::partition_deck(
-      deck, pes, partition::PartitionMethod::kMultilevel, seed);
-  SimKrakOptions options;
-  options.noise_seed = seed;
-  const SimKrak app(deck, part, machine, costs, options);
-  return app.run().time_per_iteration;
-}
-
 }  // namespace krak::simapp

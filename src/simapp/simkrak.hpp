@@ -28,7 +28,7 @@ struct SimKrakOptions {
   /// Model intra-node (shared-memory) messages separately from
   /// inter-node ones using the machine's node layout. The paper's model
   /// flattens this; enabling it quantifies the flattening error
-  /// (bench_ablation_hierarchy).
+  /// (the `ablation_hierarchy` key of krak_repro).
   bool hierarchical_network = false;
   /// Serialize each node's outbound payloads at its adapter's injection
   /// bandwidth (the ranks of one ES-45 node share a single QsNet
@@ -146,12 +146,5 @@ class SimKrak {
   SimKrakOptions options_;
   std::shared_ptr<const partition::PartitionStats> stats_;
 };
-
-/// Convenience wrapper: partition `deck` over `pes` processors with the
-/// multilevel partitioner and return the simulated per-iteration time.
-[[nodiscard]] double simulate_iteration_time(
-    const mesh::InputDeck& deck, std::int32_t pes,
-    const network::MachineConfig& machine, const ComputationCostEngine& costs,
-    std::uint64_t seed = 1);
 
 }  // namespace krak::simapp

@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
 #include <cmath>
+#include <filesystem>
+#include <iostream>
 #include <stdexcept>
 
 #include "util/error.hpp"
@@ -78,6 +80,18 @@ double ArgParser::get_double(const std::string& name, double fallback) const {
                           it->second + "'");
   } catch (const std::out_of_range&) {
     throw InvalidArgument("option --" + name + " value out of range");
+  }
+}
+
+int run_main(int argc, const char* const* argv,
+             const std::function<int(const ArgParser&)>& body) {
+  try {
+    return body(ArgParser(argc, argv));
+  } catch (const InvalidArgument& error) {
+    const std::string program =
+        argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "";
+    std::cerr << program << ": " << error.what() << '\n';
+    return 2;
   }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -41,5 +42,12 @@ class ArgParser {
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };
+
+/// Entry point shared by the example drivers: parse the command line and
+/// run `body`. A malformed option (InvalidArgument, thrown by ArgParser
+/// or by `body`) prints "<program>: <message>" to stderr and returns 2
+/// instead of ending in std::terminate.
+int run_main(int argc, const char* const* argv,
+             const std::function<int(const ArgParser&)>& body);
 
 }  // namespace krak::util

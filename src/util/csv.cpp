@@ -1,10 +1,5 @@
 #include "util/csv.hpp"
 
-#include <iomanip>
-#include <sstream>
-
-#include "util/error.hpp"
-
 namespace krak::util {
 
 std::string csv_escape(const std::string& field) {
@@ -18,48 +13,6 @@ std::string csv_escape(const std::string& field) {
   }
   out += '"';
   return out;
-}
-
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
-  if (!out_) {
-    throw KrakError("CsvWriter: cannot open " + path + " for writing");
-  }
-}
-
-void CsvWriter::write_header(const std::vector<std::string>& columns) {
-  check(!header_written_, "CsvWriter header already written");
-  check(rows_ == 0, "CsvWriter header must precede data rows");
-  check(!columns.empty(), "CsvWriter header must be non-empty");
-  columns_ = columns.size();
-  header_written_ = true;
-  write_line(columns);
-}
-
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  if (header_written_) {
-    check(cells.size() == columns_, "CsvWriter row width mismatch");
-  }
-  write_line(cells);
-  ++rows_;
-}
-
-void CsvWriter::write_row(const std::vector<double>& values) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) {
-    std::ostringstream os;
-    os << std::setprecision(17) << v;
-    cells.push_back(os.str());
-  }
-  write_row(cells);
-}
-
-void CsvWriter::write_line(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i != 0) out_ << ',';
-    out_ << csv_escape(cells[i]);
-  }
-  out_ << '\n';
 }
 
 }  // namespace krak::util

@@ -1,41 +1,11 @@
 #pragma once
 
-#include <fstream>
 #include <string>
-#include <vector>
 
 namespace krak::util {
 
-/// Minimal CSV writer for exporting benchmark series (Figure data).
-///
-/// Fields containing commas, quotes, or newlines are quoted per RFC 4180.
-class CsvWriter {
- public:
-  /// Open `path` for writing (truncates). Throws KrakError on failure.
-  explicit CsvWriter(const std::string& path);
-
-  /// Write the header row; must be called at most once, before any row.
-  void write_header(const std::vector<std::string>& columns);
-
-  /// Write a data row. Column count must match the header when one was
-  /// written.
-  void write_row(const std::vector<std::string>& cells);
-
-  /// Convenience: write a row of doubles with full precision.
-  void write_row(const std::vector<double>& values);
-
-  [[nodiscard]] std::size_t rows_written() const { return rows_; }
-
- private:
-  void write_line(const std::vector<std::string>& cells);
-
-  std::ofstream out_;
-  std::size_t columns_ = 0;
-  std::size_t rows_ = 0;
-  bool header_written_ = false;
-};
-
-/// Quote a single CSV field if needed.
+/// Quote a single CSV field if needed: fields containing commas, quotes,
+/// or newlines are quoted per RFC 4180.
 [[nodiscard]] std::string csv_escape(const std::string& field);
 
 }  // namespace krak::util

@@ -24,20 +24,17 @@ void TextTable::set_alignment(std::vector<Align> alignment) {
 void TextTable::add_row(std::vector<std::string> cells) {
   check(cells.size() == headers_.size(),
         "row cell count must match column count");
-  rows_.push_back(Row{std::move(cells), pending_rule_});
-  pending_rule_ = false;
+  rows_.push_back(std::move(cells));
 }
-
-void TextTable::add_rule() { pending_rule_ = true; }
 
 std::string TextTable::to_string() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
     widths[c] = headers_[c].size();
   }
-  for (const Row& row : rows_) {
-    for (std::size_t c = 0; c < row.cells.size(); ++c) {
-      widths[c] = std::max(widths[c], row.cells[c].size());
+  for (const std::vector<std::string>& row : rows_) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      widths[c] = std::max(widths[c], row[c].size());
     }
   }
 
@@ -68,10 +65,7 @@ std::string TextTable::to_string() const {
   emit_rule();
   emit_cells(headers_);
   emit_rule();
-  for (const Row& row : rows_) {
-    if (row.rule_before) emit_rule();
-    emit_cells(row.cells);
-  }
+  for (const std::vector<std::string>& row : rows_) emit_cells(row);
   emit_rule();
   return os.str();
 }

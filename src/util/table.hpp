@@ -10,10 +10,8 @@ namespace krak::util {
 /// Column alignment for TextTable.
 enum class Align { kLeft, kRight };
 
-/// Plain-text table renderer for benchmark output.
-///
-/// All bench binaries print their reproduced paper tables through this
-/// class so the output format is uniform and diffable across runs.
+/// Plain-text table renderer for the example and bench drivers' output,
+/// so the format is uniform and diffable across runs.
 class TextTable {
  public:
   /// Create a table with the given column headers.
@@ -25,27 +23,18 @@ class TextTable {
   /// Append a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
 
-  /// Insert a horizontal rule before the next added row.
-  void add_rule();
-
   /// Render with box-drawing ASCII (+, -, |).
   [[nodiscard]] std::string to_string() const;
 
   friend std::ostream& operator<<(std::ostream& os, const TextTable& table);
 
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool rule_before = false;
-  };
-
   std::vector<std::string> headers_;
   std::vector<Align> alignment_;
-  std::vector<Row> rows_;
-  bool pending_rule_ = false;
+  std::vector<std::vector<std::string>> rows_;
 };
 
-/// Format helpers shared by bench binaries.
+/// Format helpers shared by the example and bench drivers.
 [[nodiscard]] std::string format_double(double value, int precision = 3);
 [[nodiscard]] std::string format_ms(double seconds, int precision = 1);
 [[nodiscard]] std::string format_us(double seconds, int precision = 2);

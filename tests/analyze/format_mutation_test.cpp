@@ -7,7 +7,10 @@
 // plan lints clean exactly when it loads and InjectionEngine accepts
 // it. Neither side may throw anything else on any mutant. A krakcosts
 // table has no text linter: each mutant either loads or is refused with
-// KrakError, and a table that loads round-trips through the writer.
+// KrakError, and a table that loads round-trips through the writer. A
+// krak-bench-v1 report (the `krak_bench --validate` / `--compare`
+// reader) either validates or is refused with KrakError or schema
+// violations.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +34,8 @@
 #include "core/table_io.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "obs/bench_schema.hpp"
+#include "obs/json.hpp"
 #include "partition/partition.hpp"
 #include "simapp/costmodel.hpp"
 #include "util/error.hpp"
@@ -393,6 +398,30 @@ TEST_F(FormatMutation, CostTableLoadsOrIsRefusedAndRoundTrips) {
   }
   // Both outcomes occur, so the check is not vacuous.
   EXPECT_GT(loaded, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST_F(FormatMutation, BenchReportValidatesOrIsRefused) {
+  const std::string written = read_file(KRAK_BENCH_BASELINE);
+  ASSERT_TRUE(obs::validate_bench_report(obs::Json::parse(written)).empty());
+
+  std::size_t valid = 0;
+  std::size_t refused = 0;
+  for (const std::uint64_t rng_seed : {909u, 1010u}) {
+    util::Rng rng(rng_seed);
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string mutant = mutate(written, rng);
+      try {
+        const std::vector<std::string> violations =
+            obs::validate_bench_report(obs::Json::parse(mutant));
+        ++(violations.empty() ? valid : refused);
+      } catch (const util::KrakError&) {
+        ++refused;
+      }
+    }
+  }
+  // Both outcomes occur, so the check is not vacuous.
+  EXPECT_GT(valid, 0u);
   EXPECT_GT(refused, 0u);
 }
 

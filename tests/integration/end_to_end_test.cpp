@@ -7,8 +7,6 @@
 #include "core/validation.hpp"
 #include "mesh/deck.hpp"
 #include "network/machine.hpp"
-#include "partition/partition.hpp"
-#include "simapp/simkrak.hpp"
 
 namespace krak {
 namespace {
@@ -98,11 +96,14 @@ TEST_F(EndToEndTest, ModelTracksMachineUpgrade) {
 TEST_F(EndToEndTest, SimulatedSpeedupMatchesModelSpeedupDirection) {
   // Model-predicted strong-scaling speedup and SimKrak-measured speedup
   // agree within 15% on the medium problem between 64 and 256 PEs.
-  const network::MachineConfig machine = network::make_es45_qsnet();
-  const double measured64 =
-      simapp::simulate_iteration_time(*deck_, 64, machine, *engine_);
-  const double measured256 =
-      simapp::simulate_iteration_time(*deck_, 256, machine, *engine_);
+  const auto measure = [](std::int32_t pes) {
+    return core::validate_general(*deck_, pes, *model_,
+                                  core::GeneralModelMode::kHomogeneous,
+                                  *engine_)
+        .measured;
+  };
+  const double measured64 = measure(64);
+  const double measured256 = measure(256);
   const double predicted64 =
       model_->predict_general(204800, 64, core::GeneralModelMode::kHomogeneous)
           .total();

@@ -7,7 +7,6 @@
 #include "core/validation.hpp"
 #include "mesh/deck.hpp"
 #include "network/machine.hpp"
-#include "simapp/simkrak.hpp"
 
 namespace krak {
 namespace {
@@ -114,8 +113,10 @@ TEST_F(PaperShapesTest, Figure5HomogeneousOverpredictsAtSmallScale) {
   // At one processor the subgrid holds the global material mix, so the
   // all-HE-gas homogeneous assumption over-charges (its curve sits above
   // the measured one at the left edge of Figure 5).
-  const double measured = simapp::simulate_iteration_time(
-      *medium_, 1, network::make_es45_qsnet(), *engine_);
+  const double measured =
+      core::validate_general(*medium_, 1, *model_,
+                             core::GeneralModelMode::kHomogeneous, *engine_)
+          .measured;
   const double homo =
       model_->predict_general(204800, 1, core::GeneralModelMode::kHomogeneous)
           .total();
@@ -162,10 +163,14 @@ TEST_F(PaperShapesTest, StrongScalingSaturatesForSmallProblem) {
   // The paper's small problem stops scaling between 64 and 128 PEs
   // (Table 5: 88 ms -> 28 ms with collective overheads growing); ours
   // must show clearly sub-linear scaling at that size.
-  const network::MachineConfig machine = network::make_es45_qsnet();
-  const double at16 = simapp::simulate_iteration_time(*small_, 16, machine, *engine_);
-  const double at128 =
-      simapp::simulate_iteration_time(*small_, 128, machine, *engine_);
+  const auto measure = [](std::int32_t pes) {
+    return core::validate_general(*small_, pes, *model_,
+                                  core::GeneralModelMode::kHomogeneous,
+                                  *engine_)
+        .measured;
+  };
+  const double at16 = measure(16);
+  const double at128 = measure(128);
   const double speedup = at16 / at128;
   EXPECT_GT(speedup, 1.0);
   EXPECT_LT(speedup, 4.0);  // far below the ideal 8x

@@ -133,5 +133,26 @@ TEST(Json, ParseErrorNamesByteOffset) {
   }
 }
 
+TEST(Json, DeepNestingIsAParseErrorNotACrash) {
+  // Hostile nesting fails like any malformed document instead of
+  // exhausting the stack of the recursive-descent parser.
+  constexpr std::size_t kLevels = 200000;
+  std::string objects;
+  for (std::size_t i = 0; i < kLevels; ++i) objects += "{\"a\":";
+  for (const std::string& text : {std::string(kLevels, '['), objects}) {
+    try {
+      (void)Json::parse(text);
+      FAIL() << "expected KrakError";
+    } catch (const util::KrakError& error) {
+      EXPECT_NE(std::string(error.what()).find("JSON parse error at byte"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // Nesting far deeper than any report still parses.
+  EXPECT_TRUE(
+      Json::parse(std::string(100, '[') + std::string(100, ']')).is_array());
+}
+
 }  // namespace
 }  // namespace krak::obs

@@ -134,9 +134,15 @@ TEST(SimKrak, SingleProcessorHasNoPointToPointTraffic) {
 TEST(SimKrak, StrongScalingReducesIterationTime) {
   const Fixture f;
   const mesh::InputDeck medium = mesh::make_standard_deck(mesh::DeckSize::kMedium);
+  SimKrakOptions options;
+  options.noise_seed = 1;
   double previous = 1e9;
   for (std::int32_t pes : {8, 32, 128}) {
-    const double t = simulate_iteration_time(medium, pes, f.machine, f.engine);
+    const partition::Partition part = partition::partition_deck(
+        medium, pes, partition::PartitionMethod::kMultilevel, 1);
+    const double t = SimKrak(medium, part, f.machine, f.engine, options)
+                         .run()
+                         .time_per_iteration;
     EXPECT_LT(t, previous) << "pes " << pes;
     previous = t;
   }

@@ -2,33 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
-
-#include "util/error.hpp"
 
 namespace krak::util {
 namespace {
-
-/// RAII temp file path under the build tree.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "/" + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] std::string contents() const {
-    std::ifstream in(path_);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-  }
-
- private:
-  std::string path_;
-};
 
 TEST(CsvEscape, PlainFieldUnchanged) {
   EXPECT_EQ(csv_escape("hello"), "hello");
@@ -45,55 +22,6 @@ TEST(CsvEscape, QuotesAreDoubled) {
 
 TEST(CsvEscape, NewlineTriggersQuoting) {
   EXPECT_EQ(csv_escape("a\nb"), "\"a\nb\"");
-}
-
-TEST(CsvWriter, WritesHeaderAndRows) {
-  TempFile file("csv_basic.csv");
-  {
-    CsvWriter writer(file.path());
-    writer.write_header({"pes", "time"});
-    writer.write_row({std::vector<std::string>{"16", "0.027"}});
-    writer.write_row({std::vector<std::string>{"64", "0.088"}});
-    EXPECT_EQ(writer.rows_written(), 2u);
-  }
-  EXPECT_EQ(file.contents(), "pes,time\n16,0.027\n64,0.088\n");
-}
-
-TEST(CsvWriter, DoubleRowsUseFullPrecision) {
-  TempFile file("csv_doubles.csv");
-  {
-    CsvWriter writer(file.path());
-    writer.write_row(std::vector<double>{0.5, 1.0 / 3.0});
-  }
-  const std::string contents = file.contents();
-  EXPECT_NE(contents.find("0.5"), std::string::npos);
-  EXPECT_NE(contents.find("0.3333333333333"), std::string::npos);
-}
-
-TEST(CsvWriter, RowWidthEnforcedAfterHeader) {
-  TempFile file("csv_width.csv");
-  CsvWriter writer(file.path());
-  writer.write_header({"a", "b"});
-  EXPECT_THROW(writer.write_row({std::vector<std::string>{"only"}}),
-               InvalidArgument);
-}
-
-TEST(CsvWriter, SecondHeaderRejected) {
-  TempFile file("csv_hdr2.csv");
-  CsvWriter writer(file.path());
-  writer.write_header({"a"});
-  EXPECT_THROW(writer.write_header({"b"}), InvalidArgument);
-}
-
-TEST(CsvWriter, HeaderAfterRowsRejected) {
-  TempFile file("csv_hdr_late.csv");
-  CsvWriter writer(file.path());
-  writer.write_row({std::vector<std::string>{"1"}});
-  EXPECT_THROW(writer.write_header({"a"}), InvalidArgument);
-}
-
-TEST(CsvWriter, UnwritablePathThrows) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv"), KrakError);
 }
 
 }  // namespace

@@ -59,22 +59,6 @@ TEST(TextTable, RightAlignmentPadsLeft) {
   EXPECT_NE(out.find("|   x |"), std::string::npos);
 }
 
-TEST(TextTable, RuleInsertsSeparator) {
-  TextTable table({"A"});
-  table.add_row({"1"});
-  table.add_rule();
-  table.add_row({"2"});
-  const std::string out = table.to_string();
-  // header rule + top + bottom + mid-rule = 4 separator lines.
-  std::size_t rules = 0;
-  std::istringstream is(out);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line[0] == '+') ++rules;
-  }
-  EXPECT_EQ(rules, 4u);
-}
-
 TEST(TextTable, StreamOperatorMatchesToString) {
   TextTable table({"A"});
   table.add_row({"1"});

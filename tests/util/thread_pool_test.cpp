@@ -214,6 +214,14 @@ TEST(ThreadPool, ChunkedZeroCountIsNoop) {
 }
 
 TEST(ThreadPool, ChunkedPropagatesFirstExceptionAndStopsClaiming) {
+  // The first throw of a process initializes the unwinder, which can take
+  // longer than the second worker needs to run every remaining chunk.
+  // Pay that one-time cost here so the race below is between the pool's
+  // failure flag and chunk claiming only.
+  try {
+    throw InvalidArgument("unwinder warm-up");
+  } catch (const InvalidArgument&) {
+  }
   ThreadPool pool(2);
   std::atomic<int> executed{0};
   constexpr std::size_t kCount = 100000;
