@@ -1,12 +1,17 @@
-# A usage error must refuse with exit 2, print the expected message to
-# stderr (and, when EXPECT_OUT is set, the usage text to stdout), and
-# write nothing: a bare `krak_bench` run (--out is required, so no run
-# can silently overwrite a checked-in BENCH report in its working
-# directory) and any bad option value of krak_bench or an example alike.
+# A refused run must exit with EXPECT_EXIT (default 2, a usage error),
+# print the expected message to stderr (and, when EXPECT_OUT is set, the
+# usage line to stdout), and write nothing: a bare `krak_bench` run
+# (--out is required, so no run can silently overwrite a checked-in
+# BENCH report in its working directory), any unknown option or bad
+# value of a driver, and a run that fails before its work starts alike.
 #
 #   cmake -DPROGRAM=<binary> -DWORK_DIR=<empty dir>
 #         [-DARGS="<space-separated arguments>"] [-DEXPECT_OUT=<regex>]
-#         -DEXPECT_ERR=<regex> -P bare_run_test.cmake
+#         [-DEXPECT_EXIT=<status>] -DEXPECT_ERR=<regex>
+#         -P bare_run_test.cmake
+if("${EXPECT_EXIT}" STREQUAL "")
+  set(EXPECT_EXIT 2)
+endif()
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 get_filename_component(name "${PROGRAM}" NAME)
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -17,11 +22,11 @@ execute_process(
   RESULT_VARIABLE exit_code
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
-if(NOT exit_code EQUAL 2)
-  message(FATAL_ERROR "${name} ${ARGS} exited with '${exit_code}', expected 2\n${out}${err}")
+if(NOT exit_code EQUAL EXPECT_EXIT)
+  message(FATAL_ERROR "${name} ${ARGS} exited with '${exit_code}', expected ${EXPECT_EXIT}\n${out}${err}")
 endif()
 if((EXPECT_OUT AND NOT out MATCHES "${EXPECT_OUT}") OR NOT err MATCHES "${EXPECT_ERR}")
-  message(FATAL_ERROR "${name} ${ARGS} printed no usage error matching '${EXPECT_ERR}':\n${out}${err}")
+  message(FATAL_ERROR "${name} ${ARGS} printed no error matching '${EXPECT_ERR}' (and usage matching '${EXPECT_OUT}'):\n${out}${err}")
 endif()
 file(GLOB_RECURSE written "${WORK_DIR}/*")
 if(written)

@@ -7,15 +7,18 @@
 // while production Krak's per-phase fixed overheads dominate at small
 // sizes — demonstrating on genuine measurements why T() needs its
 // |Cells| argument. Results are wall-clock and thus machine-dependent;
-// this bench is narrative, not pass/fail.
+// this bench is narrative, not pass/fail. It takes no options.
 
 #include <iostream>
 
 #include "common.hpp"
 #include "hydro/measure.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run(const krak::util::ArgParser& /*args*/) {
   using namespace krak;
   krakbench::print_header(
       "Real-code per-cell cost curves (hydro mini-app, wall clock)",
@@ -48,4 +51,10 @@ int main() {
     std::cout << table << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krak::util::run_main(argc, argv, {}, run);
 }

@@ -7,56 +7,10 @@
 // and a snapshot of the global metric registry — everything a later PR
 // needs to compare performance against this one.
 //
-// Usage:
-//   krak_bench [--quick] --out FILE     generate a report; --out is
-//                                       required, so a bare run cannot
-//                                       overwrite a checked-in report
-//   krak_bench --threads N              thread-pool width for the
-//                                       campaigns (0 = hardware); the
-//                                       partitioner is serial, and the
-//                                       parallel-scaling replays pin
-//                                       their shard counts per scenario
-//   krak_bench --compare FILE           after generating, fail if any
-//                                       campaign's wall_seconds — or any
-//                                       parallel replay's
-//                                       parallel_wall_s — is more than
-//                                       1.5x the like-named entry in
-//                                       FILE, or if any campaign or
-//                                       parallel-replay name is
-//                                       unmatched in either direction
-//                                       (CI perf-smoke gate)
-//   krak_bench --partition-store DIR    persist partitions as krakpart
-//                                       files under DIR; a rerun with
-//                                       the same DIR skips every
-//                                       partition computation
-//   krak_bench --faults FILE            inject a krakfaults plan into
-//                                       every campaign measurement
-//   krak_bench --journal FILE           write-ahead campaign journal
-//                                       (krakjournal 1): every scenario
-//                                       state change is appended and
-//                                       synced before the campaign acts
-//                                       on it
-//   krak_bench --resume                 with --journal: replay scenarios
-//                                       the journal records as done
-//                                       (bit-identical measurements),
-//                                       skip quarantined ones, re-run
-//                                       only the remainder. Without
-//                                       --resume an existing non-empty
-//                                       journal is refused rather than
-//                                       silently reused
-//   krak_bench --max-attempts N         attempts per scenario before its
-//                                       failure is recorded (default 1)
-//   krak_bench --quarantine-after N     deterministic failures before a
-//                                       scenario is quarantined as
-//                                       poison (default 2)
-//   krak_bench --retry-backoff S        first retry delay in seconds,
-//                                       doubling per retry with
-//                                       deterministic jitter (default 0)
-//   krak_bench --scenario-deadline S    wall budget per attempt; expiry
-//                                       is a structured "deadline"
-//                                       failure, never a hang
-//   krak_bench --campaign-deadline S    wall budget per campaign
-//   krak_bench --validate FILE          schema-check an existing report
+// `krak_bench --help` lists the options, and docs/OBSERVABILITY.md
+// says what each does. --out FILE is required to generate a report, so
+// a bare run cannot overwrite a checked-in one; --validate FILE
+// schema-checks an existing report instead.
 //
 // --quick calibrates on the small deck only and shrinks the campaigns;
 // it exists for CI smoke coverage, not for cross-PR comparison. Every
@@ -70,8 +24,6 @@
 // "failures" section naming each failed scenario and its cause — and
 // the exit status is non-zero so CI notices.
 
-#include <charconv>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -94,6 +46,7 @@
 #include "obs/metrics.hpp"
 #include "partition/partition.hpp"
 #include "util/atomic_file.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
@@ -101,119 +54,28 @@ namespace {
 
 using namespace krak;
 
-struct Options {
-  bool quick = false;
-  std::string out;       // report to write; required unless validating
-  std::string validate;  // non-empty: validate this file and exit
-  std::string faults;    // non-empty: krakfaults plan for the campaigns
-  std::string compare;   // non-empty: baseline report for the perf gate
-  std::string partition_store;  // non-empty: persistent partition store dir
-  std::size_t threads = 0;  // campaign pool width; 0 = hardware
-  std::string journal;      // non-empty: write-ahead campaign journal
-  bool resume = false;      // replay an existing journal's state
-  std::uint32_t max_attempts = 1;
-  std::uint32_t quarantine_after = 2;
-  double retry_backoff = 0.0;      // seconds; 0 retries immediately
-  double scenario_deadline = 0.0;  // seconds; <= 0 unlimited
-  double campaign_deadline = 0.0;  // seconds; <= 0 unlimited
-};
-
-[[noreturn]] void usage(int exit_code) {
-  std::cout << "usage: krak_bench [--quick] --out FILE [--faults FILE]\n"
-               "                  [--threads N] [--compare BASELINE]\n"
-               "                  [--partition-store DIR]\n"
-               "                  [--journal FILE] [--resume]\n"
-               "                  [--max-attempts N] [--quarantine-after N]\n"
-               "                  [--retry-backoff S]\n"
-               "                  [--scenario-deadline S]\n"
-               "                  [--campaign-deadline S]\n"
-               "       krak_bench --validate FILE\n";
-  // krak-lint: allow(no-abort usage exit before any work or RAII state exists)
-  std::exit(exit_code);
+/// A count option in [1, 2^32 - 1]: CampaignPolicy's attempt budgets.
+std::uint32_t count_option(const util::ArgParser& args,
+                           const std::string& name, std::int64_t fallback) {
+  const std::int64_t value = args.get_int(name, fallback);
+  if (value < 1 || value > std::numeric_limits<std::uint32_t>::max()) {
+    throw util::InvalidArgument("option --" + name +
+                                " expects an integer in [1, 4294967295], got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
-/// Parse a count argument that must fit T or die with usage. Digits
-/// only: a sign or a value past T's range is refused, never wrapped.
-template <typename T>
-T parse_count(const std::string& flag, const std::string& value) {
-  T parsed = 0;
-  const char* end = value.data() + value.size();
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-  if (error != std::errc() || stop != end) {
-    std::cerr << "krak_bench: " << flag << " expects an integer in [0, "
-              << std::numeric_limits<T>::max() << "], got '" << value
-              << "'\n";
-    usage(2);
+/// A seconds option, 0 when absent: finite (get_double refuses nan and
+/// inf) and non-negative.
+double seconds_option(const util::ArgParser& args, const std::string& name) {
+  const double value = args.get_double(name, 0.0);
+  if (value < 0.0) {
+    throw util::InvalidArgument("option --" + name +
+                                " expects a non-negative number of seconds, "
+                                "got " + args.get_string(name, ""));
   }
-  return parsed;
-}
-
-/// Parse a finite non-negative seconds argument or die with usage.
-double parse_seconds(const std::string& flag, const std::string& value) {
-  std::size_t consumed = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != value.size() || !std::isfinite(parsed) || parsed < 0.0) {
-    std::cerr << "krak_bench: " << flag
-              << " expects a finite non-negative number of seconds, got '"
-              << value << "'\n";
-    usage(2);
-  }
-  return parsed;
-}
-
-Options parse_args(int argc, char** argv) {
-  Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      options.quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      options.out = argv[++i];
-    } else if (arg == "--validate" && i + 1 < argc) {
-      options.validate = argv[++i];
-    } else if (arg == "--faults" && i + 1 < argc) {
-      options.faults = argv[++i];
-    } else if (arg == "--compare" && i + 1 < argc) {
-      options.compare = argv[++i];
-    } else if (arg == "--partition-store" && i + 1 < argc) {
-      options.partition_store = argv[++i];
-    } else if (arg == "--journal" && i + 1 < argc) {
-      options.journal = argv[++i];
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--max-attempts" && i + 1 < argc) {
-      options.max_attempts = parse_count<std::uint32_t>(arg, argv[++i]);
-      if (options.max_attempts == 0) {
-        std::cerr << "krak_bench: --max-attempts must be >= 1\n";
-        usage(2);
-      }
-    } else if (arg == "--quarantine-after" && i + 1 < argc) {
-      options.quarantine_after = parse_count<std::uint32_t>(arg, argv[++i]);
-      if (options.quarantine_after == 0) {
-        std::cerr << "krak_bench: --quarantine-after must be >= 1\n";
-        usage(2);
-      }
-    } else if (arg == "--retry-backoff" && i + 1 < argc) {
-      options.retry_backoff = parse_seconds(arg, argv[++i]);
-    } else if (arg == "--scenario-deadline" && i + 1 < argc) {
-      options.scenario_deadline = parse_seconds(arg, argv[++i]);
-    } else if (arg == "--campaign-deadline" && i + 1 < argc) {
-      options.campaign_deadline = parse_seconds(arg, argv[++i]);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads = parse_count<std::size_t>(arg, argv[++i]);
-    } else if (arg == "--help" || arg == "-h") {
-      usage(0);
-    } else {
-      std::cerr << "krak_bench: unknown argument '" << arg << "'\n";
-      usage(2);
-    }
-  }
-  return options;
+  return value;
 }
 
 int validate_file(const std::string& path) {
@@ -423,31 +285,29 @@ obs::Json run_parallel_scaling(const mesh::InputDeck& deck,
   return replay;
 }
 
-obs::Json build_report(const Options& options) {
+/// Every campaign and replay of the report. `policy` is the resilience
+/// policy shared by every campaign (docs/RESILIENCE.md); the journal
+/// label is set per campaign so one journal file serves both tables
+/// without aliasing scenarios that share a configuration.
+obs::Json build_report(const util::ArgParser& args,
+                       core::CampaignPolicy policy, std::size_t threads) {
   std::vector<obs::Json> campaigns;
   std::vector<obs::Json> replays;
+  const bool quick = args.has("quick");
 
-  // Resilience policy shared by every campaign (docs/RESILIENCE.md);
-  // the journal label is set per campaign so one journal file serves
-  // both tables without aliasing scenarios that share a configuration.
-  core::CampaignPolicy policy;
-  policy.max_attempts = options.max_attempts;
-  policy.quarantine_after = options.quarantine_after;
-  policy.backoff_initial_seconds = options.retry_backoff;
-  policy.scenario_deadline_seconds = options.scenario_deadline;
-  policy.campaign_deadline_seconds = options.campaign_deadline;
+  const std::string journal_path = args.get_string("journal", "");
   std::unique_ptr<core::CampaignJournal> journal;
-  if (!options.journal.empty()) {
-    journal = std::make_unique<core::CampaignJournal>(options.journal);
+  if (!journal_path.empty()) {
+    journal = std::make_unique<core::CampaignJournal>(journal_path);
     const core::CampaignJournal::Recovery& recovery = journal->recovery();
-    if (!options.resume && recovery.records > 0) {
+    if (!args.has("resume") && recovery.records > 0) {
       throw util::KrakError(
-          "journal '" + options.journal + "' already holds " +
+          "journal '" + journal_path + "' already holds " +
           std::to_string(recovery.records) +
           " record(s); pass --resume to replay it, or point --journal at a"
           " fresh path");
     }
-    if (options.resume) {
+    if (args.has("resume")) {
       std::cout << "journal: recovered " << recovery.records
                 << " record(s), " << recovery.completed
                 << " scenario(s) done, " << recovery.quarantined
@@ -467,9 +327,8 @@ obs::Json build_report(const Options& options) {
   };
 
   core::ValidationConfig config;
-  if (!options.faults.empty()) {
-    config.faults = fault::load_fault_plan(options.faults);
-  }
+  const std::string faults = args.get_string("faults", "");
+  if (!faults.empty()) config.faults = fault::load_fault_plan(faults);
   // --threads widens only the campaign pool, so campaign values never
   // depend on it. Campaign simulations stay on the single-thread oracle
   // (ValidationConfig::sim_threads keeps its default): Table 5/6
@@ -479,7 +338,7 @@ obs::Json build_report(const Options& options) {
   // pinned per scenario so the BENCH artifacts stay comparable across
   // machines and across PRs.
 
-  if (options.quick) {
+  if (quick) {
     // Small-deck-only model: calibration at {8, 32, 128} takes a couple
     // of seconds instead of the medium deck's minutes.
     const mesh::InputDeck small =
@@ -502,12 +361,12 @@ obs::Json build_report(const Options& options) {
     campaigns.push_back(core::campaign_to_json(
         "table5_quick",
         core::run_validation_campaign(model, engine, mesh_specific, config,
-                                      options.threads,
+                                      threads,
                                       policy_for("table5_quick"))));
     campaigns.push_back(core::campaign_to_json(
         "table6_quick",
         core::run_validation_campaign(model, engine, general, config,
-                                      options.threads,
+                                      threads,
                                       policy_for("table6_quick"))));
     replays.push_back(core::replay_to_json(
         "small_8pe", run_replay(small, 8, machine, engine,
@@ -529,13 +388,13 @@ obs::Json build_report(const Options& options) {
         "table5_meshspecific",
         core::run_validation_campaign(env.model, env.engine,
                                       core::table5_runs(), config,
-                                      options.threads,
+                                      threads,
                                       policy_for("table5_meshspecific"))));
     campaigns.push_back(core::campaign_to_json(
         "table6_general",
         core::run_validation_campaign(env.model, env.engine,
                                       core::table6_runs(), config,
-                                      options.threads,
+                                      threads,
                                       policy_for("table6_general"))));
     replays.push_back(core::replay_to_json(
         "medium_64pe",
@@ -566,7 +425,7 @@ obs::Json build_report(const Options& options) {
     campaigns.push_back(core::campaign_to_json(
         "strong_scaling",
         core::run_validation_campaign(scaled_model, env.engine, scaling_runs,
-                                      scaling_config, options.threads,
+                                      scaling_config, threads,
                                       policy_for("strong_scaling"))));
 
     // The headline scenario of docs/PERFORMANCE.md's "The 100k-rank
@@ -590,7 +449,7 @@ obs::Json build_report(const Options& options) {
   }
 
   return core::make_bench_report(
-      options.quick ? "krak_bench_quick" : "krak_bench", options.quick,
+      quick ? "krak_bench_quick" : "krak_bench", quick,
       core::detect_bench_environment(), std::move(campaigns),
       std::move(replays), obs::global_registry().snapshot());
 }
@@ -635,27 +494,40 @@ void print_summary(const obs::Json& report) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options options = parse_args(argc, argv);
-  if (!options.validate.empty()) return validate_file(options.validate);
-  if (options.out.empty()) {
-    std::cerr << "krak_bench: --out FILE is required to generate a report\n";
-    usage(2);
+int run(const util::ArgParser& args) {
+  // Every value is checked before anything runs or is written.
+  core::CampaignPolicy policy;
+  policy.max_attempts = count_option(args, "max-attempts", 1);
+  policy.quarantine_after = count_option(args, "quarantine-after", 2);
+  policy.backoff_initial_seconds = seconds_option(args, "retry-backoff");
+  policy.scenario_deadline_seconds = seconds_option(args, "scenario-deadline");
+  policy.campaign_deadline_seconds = seconds_option(args, "campaign-deadline");
+  const std::int64_t threads = args.get_int("threads", 0);
+  if (threads < 0) {
+    throw util::InvalidArgument(
+        "option --threads expects a non-negative integer, got " +
+        std::to_string(threads));
   }
-  if (!options.partition_store.empty()) {
+
+  const std::string validate = args.get_string("validate", "");
+  if (!validate.empty()) return validate_file(validate);
+  const std::string out = args.get_string("out", "");
+  if (out.empty()) {
+    throw util::InvalidArgument("--out FILE is required to generate a report");
+  }
+  const std::string store = args.get_string("partition-store", "");
+  if (!store.empty()) {
     // Attach before anything partitions (calibration included), so a
     // warm store satisfies every configuration of the run.
     core::PartitionCache::global().set_store(
-        std::make_shared<core::PartitionStore>(options.partition_store));
+        std::make_shared<core::PartitionStore>(store));
   }
 
-  std::cout << "krak_bench: generating " << options.out
-            << (options.quick ? " (quick mode)" : "") << "\n";
+  std::cout << "krak_bench: generating " << out
+            << (args.has("quick") ? " (quick mode)" : "") << "\n";
   obs::Json report;
   try {
-    report = build_report(options);
+    report = build_report(args, policy, static_cast<std::size_t>(threads));
   } catch (const std::exception& error) {
     std::cerr << "krak_bench: " << error.what() << "\n";
     return 1;
@@ -676,19 +548,20 @@ int main(int argc, char** argv) {
   // the crash-recovery CI job — can never leave a truncated report
   // under the real name for a downstream gate to parse.
   try {
-    util::atomic_write_file(options.out, report.dump(2) + "\n");
+    util::atomic_write_file(out, report.dump(2) + "\n");
   } catch (const std::exception& error) {
-    std::cerr << "krak_bench: cannot write " << options.out << ": "
+    std::cerr << "krak_bench: cannot write " << out << ": "
               << error.what() << "\n";
     return 1;
   }
 
   print_summary(report);
   const std::size_t failures = count_failures(report);
-  std::cout << "krak_bench: wrote " << options.out << " ("
-            << obs::kBenchSchemaId << ")\n";
-  if (!options.compare.empty() &&
-      run_compare_gate(report, options.compare, /*factor=*/1.5) != 0) {
+  std::cout << "krak_bench: wrote " << out << " (" << obs::kBenchSchemaId
+            << ")\n";
+  const std::string compare = args.get_string("compare", "");
+  if (!compare.empty() &&
+      run_compare_gate(report, compare, /*factor=*/1.5) != 0) {
     return 1;
   }
   if (failures > 0) {
@@ -700,4 +573,17 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(
+      argc, argv,
+      {"--quick", "--out FILE", "--validate FILE", "--faults FILE",
+       "--threads N", "--compare BASELINE", "--partition-store DIR",
+       "--journal FILE", "--resume", "--max-attempts N",
+       "--quarantine-after N", "--retry-backoff S", "--scenario-deadline S",
+       "--campaign-deadline S"},
+      run);
 }

@@ -3,7 +3,8 @@
 // written to stdout as a single JSON document. obs::Json sorts keys and
 // prints shortest round-trip numbers, so equal text means equal bits.
 // Each gated check prints one line to stderr; the exit status is 1 if
-// any check fails. The program takes no options.
+// any check fails. The program takes no options (util::run_main refuses
+// any).
 //
 // The ctest krak_repro.MatchesGolden compares the document byte for byte
 // with bench/golden/paper_tables.json. After a deliberate change:
@@ -40,6 +41,7 @@
 #include "simapp/phases.hpp"
 #include "simapp/simkrak.hpp"
 #include "simapp/trace.hpp"
+#include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -749,9 +751,7 @@ Json weak_scaling(const Environment& env, Gate& gate) {
   return out;
 }
 
-}  // namespace
-
-int main() {
+int run(const util::ArgParser& /*args*/) {
   const Environment& env = krakbench::environment();
   Gate gate;
   Json doc = Json::object();
@@ -775,4 +775,10 @@ int main() {
 
   std::cout << doc.dump() << '\n';
   return gate.all_pass ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, {}, run);
 }

@@ -16,8 +16,7 @@
 // full network stack (hierarchical network + shared-NIC contention),
 // and the sharded parallel engine — the same configuration as the
 // BENCH_PR9 large_100k scenario, at a rank count an example can afford.
-//
-//   delay_propagation_study [--quick] [--delay SECONDS]
+// `delay_propagation_study --help` lists the options.
 
 #include <iostream>
 #include <vector>
@@ -142,5 +141,6 @@ int run(const util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return krak::util::run_main(argc, argv, run);
+  return krak::util::run_main(argc, argv, {"--quick", "--delay SECONDS"},
+                              run);
 }

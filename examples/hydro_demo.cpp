@@ -4,9 +4,7 @@
 // measurements: time the solver at several subgrid sizes, fit the
 // piecewise-linear per-cell cost table (Section 3.1's Method 1), and
 // check the fit's prediction at an unsampled size against a direct
-// measurement.
-//
-// Usage: hydro_demo [--nx 80] [--ny 40] [--time 3.0] [--threads 1]
+// measurement. `hydro_demo --help` lists the options.
 
 #include <iostream>
 
@@ -135,5 +133,9 @@ int run(const util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return krak::util::run_main(argc, argv, run);
+  return krak::util::run_main(
+      argc, argv,
+      krak::analyze::lint_gate_options(
+          {"--nx N", "--ny N", "--time T", "--threads N"}),
+      run);
 }

@@ -2,12 +2,7 @@
 // the utility a performance engineer keeps in PATH. Calibrates once
 // (or loads a saved table), prints a full prediction breakdown for any
 // configuration, and optionally saves/loads the calibration.
-//
-// Usage:
-//   model_explorer [--cells N | --deck small|medium|large]
-//                  [--pes P] [--mode homo|hetero|mesh]
-//                  [--save-costs FILE | --load-costs FILE]
-//                  [--machine es45|upgrade]
+// `model_explorer --help` lists the options.
 //
 // Examples:
 //   model_explorer --deck large --pes 512
@@ -26,6 +21,7 @@
 #include "partition/partition.hpp"
 #include "simapp/costmodel.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -33,14 +29,17 @@ namespace {
 int run(const krak::util::ArgParser& args) {
   using namespace krak;
 
-  const std::string deck_name = args.get_string("deck", "medium");
-  mesh::DeckSize size = mesh::DeckSize::kMedium;
-  if (deck_name == "small") size = mesh::DeckSize::kSmall;
-  if (deck_name == "large") size = mesh::DeckSize::kLarge;
+  const mesh::DeckSize size =
+      mesh::parse_deck_size(args.get_string("deck", "medium"));
   const std::int64_t cells =
       args.get_int("cells", mesh::standard_deck_cells(size));
   const auto pes = static_cast<std::int32_t>(args.get_int("pes", 256));
   const std::string mode_name = args.get_string("mode", "homo");
+  if (mode_name != "homo" && mode_name != "hetero" && mode_name != "mesh") {
+    throw util::InvalidArgument("unknown mode '" + mode_name + "'");
+  }
+  const network::MachineConfig machine =
+      network::make_machine(args.get_string("machine", "es45"));
 
   // Calibration: load from disk if asked, otherwise run Method 2 and
   // optionally persist it.
@@ -61,10 +60,6 @@ int run(const krak::util::ArgParser& args) {
     }
   }
 
-  const network::MachineConfig machine =
-      args.get_string("machine", "es45") == "upgrade"
-          ? network::make_hypothetical_upgrade()
-          : network::make_es45_qsnet();
   const core::KrakModel model(costs, machine);
 
   const mesh::InputDeck deck = mesh::make_standard_deck(size);
@@ -117,5 +112,11 @@ int run(const krak::util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return krak::util::run_main(argc, argv, run);
+  return krak::util::run_main(
+      argc, argv,
+      krak::analyze::lint_gate_options(
+          {"--deck small|medium|large", "--cells N", "--pes P",
+           "--mode homo|hetero|mesh", "--machine es45|upgrade",
+           "--load-costs FILE", "--save-costs FILE"}),
+      run);
 }

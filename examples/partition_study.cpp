@@ -106,5 +106,6 @@ int run(const util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return krak::util::run_main(argc, argv, run);
+  return krak::util::run_main(argc, argv, krak::analyze::lint_gate_options(),
+                              run);
 }

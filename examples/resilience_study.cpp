@@ -14,8 +14,7 @@
 //
 // holds to round-off in both runs. It also prints the analytic Daly
 // checkpoint/restart costs the fault model charges for rank crashes.
-//
-//   resilience_study [--quick] [--delay SECONDS] [--lint | --lint-only]
+// `resilience_study --help` lists the options.
 
 #include <cmath>
 #include <iostream>
@@ -167,5 +166,7 @@ int run(const util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return krak::util::run_main(argc, argv, run);
+  return krak::util::run_main(
+      argc, argv,
+      krak::analyze::lint_gate_options({"--quick", "--delay SECONDS"}), run);
 }

@@ -99,5 +99,6 @@ int run(const krak::util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return krak::util::run_main(argc, argv, run);
+  return krak::util::run_main(argc, argv, krak::analyze::lint_gate_options(),
+                              run);
 }

@@ -2,10 +2,7 @@
 // Uses the calibrated model's sensitivity analysis (latency, bandwidth,
 // compute) across the strong-scaling sweep, plus the configuration
 // optimizer to report the fastest and the most efficient PE counts.
-//
-// Usage:
-//   sensitivity_study [--deck small|medium|large] [--delta 0.1]
-//                     [--iterations 10000] [--efficiency 0.7]
+// `sensitivity_study --help` lists the options.
 
 #include <iostream>
 
@@ -25,13 +22,11 @@ namespace {
 int run(const krak::util::ArgParser& args) {
   using namespace krak;
   const std::string deck_name = args.get_string("deck", "medium");
+  const mesh::DeckSize size = mesh::parse_deck_size(deck_name);
   const double delta = args.get_double("delta", 0.10);
   const std::int64_t iterations = args.get_int("iterations", 10000);
   const double efficiency_target = args.get_double("efficiency", 0.70);
 
-  mesh::DeckSize size = mesh::DeckSize::kMedium;
-  if (deck_name == "small") size = mesh::DeckSize::kSmall;
-  if (deck_name == "large") size = mesh::DeckSize::kLarge;
   const std::int64_t cells = mesh::standard_deck_cells(size);
 
   const simapp::ComputationCostEngine application;
@@ -100,5 +95,10 @@ int run(const krak::util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return krak::util::run_main(argc, argv, run);
+  return krak::util::run_main(
+      argc, argv,
+      krak::analyze::lint_gate_options({"--deck small|medium|large",
+                                        "--delta FRACTION", "--iterations N",
+                                        "--efficiency FRACTION"}),
+      run);
 }

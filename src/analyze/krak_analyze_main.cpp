@@ -1,26 +1,19 @@
 // krak_analyze: static model-input linter (docs/ANALYSIS.md).
 //
 // Validates a deck + partition + machine + cost table bundle before any
-// simulation runs and prints a severity-ranked diagnostic report:
+// simulation runs, or one file (a fault-injection plan, a persistent
+// partition-store entry or a campaign journal), and prints a
+// severity-ranked diagnostic report. `corrupted` names a built-in
+// broken input for --deck, --faults, --partition-store and --journal.
+// `krak_analyze --help` lists the options.
 //
 //   krak_analyze --deck medium --pes 256 --method multilevel
-//   krak_analyze --deck corrupted            # built-in broken fixture
-//   krak_analyze --deck small --format csv
-//
-// File linting (fault-injection specs, persistent partition-store
-// entries, and campaign journals):
-//
 //   krak_analyze --faults plan.krakfaults --pes 64
-//   krak_analyze --faults corrupted
-//   krak_analyze --partition-store store/abc-64-multilevel-1.krakpart
-//   krak_analyze --partition-store corrupted # built-in broken entry
-//   krak_analyze --journal campaign.krakjournal
-//   krak_analyze --journal corrupted         # built-in broken journal
+//   krak_analyze --journal corrupted
 //
 // Exit status: 0 when no errors were found, 1 when the inputs are
 // inconsistent, 2 on usage errors.
 
-#include <exception>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -41,35 +34,6 @@
 namespace {
 
 using namespace krak;
-
-constexpr const char* kUsage =
-    "usage: krak_analyze [--deck small|medium|large|figure2|corrupted]\n"
-    "                    [--pes N] [--method strip|rcb|multilevel|material-aware]\n"
-    "                    [--machine es45|upgrade] [--format text|csv]\n"
-    "                    [--no-partition] [--no-costs]\n"
-    "       krak_analyze --faults FILE|corrupted [--pes N] [--format text|csv]\n"
-    "       krak_analyze --partition-store FILE|corrupted [--format text|csv]\n"
-    "       krak_analyze --journal FILE|corrupted [--format text|csv]\n";
-
-mesh::InputDeck make_deck(const std::string& name) {
-  if (name == "small") return mesh::make_standard_deck(mesh::DeckSize::kSmall);
-  if (name == "medium") {
-    return mesh::make_standard_deck(mesh::DeckSize::kMedium);
-  }
-  if (name == "large") return mesh::make_standard_deck(mesh::DeckSize::kLarge);
-  if (name == "figure2") return mesh::make_figure2_deck();
-  throw util::InvalidArgument("unknown deck '" + name + "'");
-}
-
-partition::PartitionMethod parse_method(const std::string& name) {
-  if (name == "strip") return partition::PartitionMethod::kStrip;
-  if (name == "rcb") return partition::PartitionMethod::kRcb;
-  if (name == "multilevel") return partition::PartitionMethod::kMultilevel;
-  if (name == "material-aware") {
-    return partition::PartitionMethod::kMaterialAware;
-  }
-  throw util::InvalidArgument("unknown partition method '" + name + "'");
-}
 
 /// Cost table sampled from the ground-truth engine at geometric subgrid
 /// sizes: the noise-free analogue of a calibration campaign, fast
@@ -92,8 +56,7 @@ core::CostTable make_sampled_costs() {
 int run(const util::ArgParser& args) {
   const std::string format = args.get_string("format", "text");
   if (format != "text" && format != "csv") {
-    std::cerr << kUsage;
-    return 2;
+    throw util::InvalidArgument("unknown --format '" + format + "'");
   }
 
   const std::string deck_name = args.get_string("deck", "medium");
@@ -127,12 +90,13 @@ int run(const util::ArgParser& args) {
   } else if (deck_name == "corrupted") {
     report = analyze::lint_fixture(analyze::make_corrupted_fixture());
   } else {
-    const mesh::InputDeck deck = make_deck(deck_name);
+    const mesh::InputDeck deck =
+        deck_name == "figure2"
+            ? mesh::make_figure2_deck()
+            : mesh::make_standard_deck(mesh::parse_deck_size(deck_name));
     const auto pes = static_cast<std::int32_t>(args.get_int("pes", 64));
     const network::MachineConfig machine =
-        args.get_string("machine", "es45") == "upgrade"
-            ? network::make_hypothetical_upgrade()
-            : network::make_es45_qsnet();
+        network::make_machine(args.get_string("machine", "es45"));
 
     analyze::LintInput input;
     input.deck = &deck;
@@ -142,7 +106,9 @@ int run(const util::ArgParser& args) {
     partition::Partition partition(1, {0});
     if (!args.has("no-partition")) {
       partition = partition::partition_deck(
-          deck, pes, parse_method(args.get_string("method", "multilevel")));
+          deck, pes,
+          partition::parse_partition_method(
+              args.get_string("method", "multilevel")));
       input.partition = &partition;
     }
     core::CostTable costs;
@@ -160,13 +126,12 @@ int run(const util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(util::ArgParser(argc, argv));
-  } catch (const util::InvalidArgument& error) {
-    std::cerr << "krak_analyze: " << error.what() << "\n" << kUsage;
-    return 2;
-  } catch (const std::exception& error) {
-    std::cerr << "krak_analyze: " << error.what() << "\n";
-    return 1;
-  }
+  return util::run_main(
+      argc, argv,
+      {"--deck small|medium|large|figure2|corrupted", "--pes N",
+       "--method strip|rcb|multilevel|material-aware",
+       "--machine es45|upgrade", "--no-partition", "--no-costs",
+       "--faults FILE|corrupted", "--partition-store FILE|corrupted",
+       "--journal FILE|corrupted", "--format text|csv"},
+      run);
 }

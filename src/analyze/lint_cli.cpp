@@ -16,14 +16,21 @@ LintGateOutcome run_lint_gate(const util::ArgParser& args,
   if (!lint_only && !args.has("lint")) return LintGateOutcome::kProceed;
 
   const std::string format = args.get_string("lint-format", "text");
-  KRAK_REQUIRE(format == "text" || format == "csv",
-               "--lint-format must be 'text' or 'csv'");
+  if (format != "text" && format != "csv") {
+    throw util::InvalidArgument("unknown --lint-format '" + format + "'");
+  }
 
   const DiagnosticReport report = lint_model(input);
   out << (format == "csv" ? report.to_csv() : report.to_text());
 
   if (report.has_errors()) return LintGateOutcome::kExitError;
   return lint_only ? LintGateOutcome::kExitClean : LintGateOutcome::kProceed;
+}
+
+std::vector<std::string> lint_gate_options(std::vector<std::string> options) {
+  options.insert(options.end(),
+                 {"--lint", "--lint-only", "--lint-format text|csv"});
+  return options;
 }
 
 }  // namespace krak::analyze

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
+#include <vector>
 
 #include "analyze/linter.hpp"
 #include "util/cli.hpp"
@@ -29,9 +31,15 @@ enum class LintGateOutcome {
 ///   --lint-format  `text` (default) or `csv`.
 ///
 /// Without either flag this is a no-op returning kProceed, so wiring the
-/// gate into a driver costs nothing on normal runs.
+/// gate into a driver costs nothing on normal runs. `args` must declare
+/// the gate's options (lint_gate_options).
 [[nodiscard]] LintGateOutcome run_lint_gate(const util::ArgParser& args,
                                             const LintInput& input,
                                             std::ostream& out);
+
+/// A driver's `options` followed by the gate's three, declared for
+/// util::run_main.
+[[nodiscard]] std::vector<std::string> lint_gate_options(
+    std::vector<std::string> options = {});
 
 }  // namespace krak::analyze

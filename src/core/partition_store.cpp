@@ -26,19 +26,6 @@ void append_value(std::string& out, std::uint64_t value) {
   out.append(buffer, result.ptr);
 }
 
-bool parse_method(std::string_view name, partition::PartitionMethod& method) {
-  for (const partition::PartitionMethod candidate :
-       {partition::PartitionMethod::kStrip, partition::PartitionMethod::kRcb,
-        partition::PartitionMethod::kMultilevel,
-        partition::PartitionMethod::kMaterialAware}) {
-    if (name == partition::partition_method_name(candidate)) {
-      method = candidate;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Parses the fixed header lines into `entry`. Stops at the first bad
 /// line, since everything after the header is sized by pes and cells.
 bool parse_header(LineReader& lines, PartitionEntry& entry) {
@@ -80,7 +67,9 @@ bool parse_header(LineReader& lines, PartitionEntry& entry) {
     return malformed("'pes <positive 32-bit integer>'");
   }
   if (!field("method")) return false;
-  if (!parse_method(value, entry.method)) {
+  try {
+    entry.method = partition::parse_partition_method(value);
+  } catch (const util::InvalidArgument&) {
     return malformed("'method strip|rcb|multilevel|material-aware'");
   }
   if (!field("seed")) return false;

@@ -5,17 +5,15 @@
 // nondeterminism sources, contract-macro hygiene, ThreadPool task
 // exception safety, header hygiene, obs probes on hot paths, and the
 // task-marker budget. Policy comes from per-directory .kraklint files.
+// The root defaults to the current directory; `krak_lint --help` lists
+// the options.
 //
-//   krak_lint                      # lint the current directory
-//   krak_lint --root /path/to/repo
-//   krak_lint --format json        # machine-readable report on stdout
-//   krak_lint --json FILE          # text on stdout, JSON to FILE
-//   krak_lint --list-rules
+//   krak_lint --root /path/to/repo --json report.json
 //
 // Exit status: 0 when the tree is clean, 1 on findings, 2 on usage or
-// I/O errors.
+// I/O errors, a root that is no directory or holds no source file
+// among them.
 
-#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -30,10 +28,6 @@ namespace {
 
 using namespace krak;
 
-constexpr const char* kUsage =
-    "usage: krak_lint [--root DIR] [--format text|json] [--json FILE]\n"
-    "                 [--list-rules]\n";
-
 int run(const util::ArgParser& args) {
   if (args.has("list-rules")) {
     for (const lint::RuleInfo& info : lint::rule_catalog()) {
@@ -44,12 +38,16 @@ int run(const util::ArgParser& args) {
 
   const std::string format = args.get_string("format", "text");
   if (format != "text" && format != "json") {
-    std::cerr << kUsage;
-    return 2;
+    throw util::InvalidArgument("unknown --format '" + format + "'");
   }
 
-  const std::string root = args.get_string("root", ".");
-  const lint::LintReport report = lint::lint_tree(root);
+  lint::LintReport report;
+  try {
+    report = lint::lint_tree(args.get_string("root", "."));
+  } catch (const util::KrakError& error) {
+    std::cerr << "krak_lint: " << error.what() << "\n";
+    return 2;
+  }
 
   if (args.has("json")) {
     const std::string path = args.get_string("json", "");
@@ -71,13 +69,8 @@ int run(const util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(util::ArgParser(argc, argv));
-  } catch (const util::KrakError& error) {
-    std::cerr << "krak_lint: " << error.what() << "\n";
-    return 2;
-  } catch (const std::exception& error) {
-    std::cerr << "krak_lint: unexpected error: " << error.what() << "\n";
-    return 2;
-  }
+  return util::run_main(argc, argv,
+                        {"--root DIR", "--format text|json", "--json FILE",
+                         "--list-rules"},
+                        run);
 }

@@ -99,6 +99,10 @@ LintReport lint_tree(const std::string& root, const TreeLintOptions& options) {
     if (!fs::is_directory(tree)) continue;
     walker.walk(tree, root_policy);
   }
+  // A wrong root must not pass the gate by linting nothing.
+  if (walker.report.files_scanned == 0) {
+    throw util::KrakError("lint root '" + root + "' holds no source file");
+  }
 
   if (root_policy.rule_enabled(rules::kTodoBudget) &&
       root_policy.todo_budget >= 0 &&

@@ -24,7 +24,8 @@ struct TreeLintOptions {
 /// policies directory by directory, lint every source file, and apply
 /// the tree-level todo-budget rule from the root policy. Findings
 /// arrive in scan order (subtree, then lexicographic path, then line).
-/// Throws util::KrakError on unreadable files or malformed policy
+/// Throws util::KrakError when the root is no directory or holds no
+/// source file to lint, and on unreadable files or malformed policy
 /// files.
 [[nodiscard]] LintReport lint_tree(const std::string& root,
                                    const TreeLintOptions& options = {});

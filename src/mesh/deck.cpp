@@ -19,6 +19,14 @@ std::string_view deck_size_name(DeckSize size) {
   return "unknown";
 }
 
+DeckSize parse_deck_size(std::string_view name) {
+  for (DeckSize size :
+       {DeckSize::kSmall, DeckSize::kMedium, DeckSize::kLarge}) {
+    if (name == deck_size_name(size)) return size;
+  }
+  throw util::InvalidArgument("unknown deck size '" + std::string(name) + "'");
+}
+
 InputDeck::InputDeck(std::string name, Grid grid,
                      std::vector<Material> materials, Point detonator)
     : name_(std::move(name)),

@@ -18,6 +18,9 @@ enum class DeckSize {
 
 [[nodiscard]] std::string_view deck_size_name(DeckSize size);
 
+/// The size deck_size_name spells `name`; InvalidArgument for any other.
+[[nodiscard]] DeckSize parse_deck_size(std::string_view name);
+
 /// An input deck: a grid plus one material per cell and a detonator
 /// location (Section 2.1). Immutable after construction.
 class InputDeck {

@@ -1,5 +1,7 @@
 #include "network/machine.hpp"
 
+#include "util/error.hpp"
+
 namespace krak::network {
 
 MachineConfig make_es45_qsnet() {
@@ -20,6 +22,12 @@ MachineConfig make_hypothetical_upgrade() {
   config.compute_speedup = 2.0;
   config.network = make_qsnet1_model().scaled(0.5, 0.5);
   return config;
+}
+
+MachineConfig make_machine(std::string_view name) {
+  if (name == "es45") return make_es45_qsnet();
+  if (name == "upgrade") return make_hypothetical_upgrade();
+  throw util::InvalidArgument("unknown machine '" + std::string(name) + "'");
 }
 
 }  // namespace krak::network

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "network/msgmodel.hpp"
 
@@ -34,5 +35,9 @@ struct MachineConfig {
 /// same topology, 2x compute speed, half network latency, double
 /// bandwidth.
 [[nodiscard]] MachineConfig make_hypothetical_upgrade();
+
+/// The machine a command line names: `es45` (make_es45_qsnet) or
+/// `upgrade` (make_hypothetical_upgrade); InvalidArgument for any other.
+[[nodiscard]] MachineConfig make_machine(std::string_view name);
 
 }  // namespace krak::network

@@ -147,6 +147,16 @@ std::string_view partition_method_name(PartitionMethod method) {
   return "unknown";
 }
 
+PartitionMethod parse_partition_method(std::string_view name) {
+  for (PartitionMethod method :
+       {PartitionMethod::kStrip, PartitionMethod::kRcb,
+        PartitionMethod::kMultilevel, PartitionMethod::kMaterialAware}) {
+    if (name == partition_method_name(method)) return method;
+  }
+  throw util::InvalidArgument("unknown partition method '" +
+                              std::string(name) + "'");
+}
+
 Partition partition_cost_aware(
     const mesh::InputDeck& deck, std::int32_t parts,
     std::span<const double, mesh::kMaterialCount> material_costs,

@@ -75,6 +75,10 @@ enum class PartitionMethod {
 
 [[nodiscard]] std::string_view partition_method_name(PartitionMethod method);
 
+/// The method partition_method_name spells `name`; InvalidArgument for
+/// any other.
+[[nodiscard]] PartitionMethod parse_partition_method(std::string_view name);
+
 /// Partition a deck's cells into `parts` subgrids.
 ///
 /// `seed` controls tie-breaking in the multilevel method; strip and RCB

@@ -8,21 +8,26 @@
 
 namespace krak::util {
 
-/// Minimal command-line option parser for the example and benchmark
-/// drivers: `--name value`, `--name=value`, and bare `--flag` forms.
+/// Command-line parser for the example, analyzer and benchmark drivers.
 ///
-/// Unknown options are collected rather than rejected so drivers can
-/// report them together; positional arguments are preserved in order.
+/// A driver declares every option it reads, each written as its usage
+/// line shows it: "--out FILE" takes a value (`--out FILE` or
+/// `--out=FILE`), "--quick" is a flag. `--help` is always accepted.
+/// Construction throws InvalidArgument for an undeclared option, a
+/// positional token, a flag given a value and a valued option given
+/// none, so no driver runs a configuration other than the one typed.
 class ArgParser {
  public:
-  ArgParser(int argc, const char* const* argv);
+  ArgParser(int argc, const char* const* argv,
+            const std::vector<std::string>& options);
 
-  /// True if `--name` appeared (with or without a value).
+  /// True if `--name` appeared.
   [[nodiscard]] bool has(const std::string& name) const;
 
   /// Value lookups with defaults. Throw InvalidArgument when the option
   /// is present but its value does not parse; get_double also refuses
-  /// `nan` and `inf`.
+  /// `nan` and `inf`. Reading an undeclared name is a driver bug and
+  /// throws InternalError.
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,
@@ -30,24 +35,27 @@ class ArgParser {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
 
-  [[nodiscard]] const std::vector<std::string>& positional() const {
-    return positional_;
-  }
-
-  /// Program name (argv[0], or empty when argc == 0).
-  [[nodiscard]] const std::string& program() const { return program_; }
-
  private:
-  std::string program_;
-  std::map<std::string, std::string> options_;
-  std::vector<std::string> positional_;
+  /// The option's value ("" for a flag), or nullptr when it is absent.
+  [[nodiscard]] const std::string* find(const std::string& name) const;
+
+  std::map<std::string, bool> takes_value_;  // declared name -> valued
+  std::map<std::string, std::string> values_;
 };
 
-/// Entry point shared by the example drivers: parse the command line and
-/// run `body`. A malformed option (InvalidArgument, thrown by ArgParser
-/// or by `body`) prints "<program>: <message>" to stderr and returns 2
-/// instead of ending in std::terminate.
+/// "usage: <program> [--out FILE] [--quick]" for the declared options.
+[[nodiscard]] std::string usage_line(const std::string& program,
+                                     const std::vector<std::string>& options);
+
+/// The entry point of every driver: parse the command line against
+/// `options` and run `body`, returning its exit status. `--help` prints
+/// the usage line to stdout and returns 0. InvalidArgument, from a
+/// refused command line or a bad value `body` finds, prints
+/// "<program>: <message>" to stderr and the usage line to stdout and
+/// returns 2. Any other exception prints "<program>: <message>" and
+/// returns 1, so no driver ends in std::terminate.
 int run_main(int argc, const char* const* argv,
+             const std::vector<std::string>& options,
              const std::function<int(const ArgParser&)>& body);
 
 }  // namespace krak::util

@@ -14,7 +14,8 @@ namespace {
 
 util::ArgParser make_args(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "driver");
-  return util::ArgParser(static_cast<int>(argv.size()), argv.data());
+  return util::ArgParser(static_cast<int>(argv.size()), argv.data(),
+                         lint_gate_options());
 }
 
 LintInput deck_only_input(const mesh::InputDeck& deck) {

@@ -111,5 +111,13 @@ TEST_F(TreeTest, MissingRootThrows) {
   EXPECT_THROW(lint_tree(root() + "/no-such-dir"), util::KrakError);
 }
 
+TEST_F(TreeTest, EmptyRootThrows) {
+  // A root with sources only outside the scanned subtrees, or none at
+  // all, would otherwise report "0 files, 0 findings" and pass.
+  write("src/notes.md", "not C++\n");
+  write("other/a.cpp", "int x = 0;\n");
+  EXPECT_THROW(lint_tree(root()), util::KrakError);
+}
+
 }  // namespace
 }  // namespace krak::lint

@@ -134,5 +134,13 @@ TEST(DeckSizeName, CoversAllSizes) {
   EXPECT_EQ(deck_size_name(DeckSize::kLarge), "large");
 }
 
+TEST(DeckSizeName, ParsesEachNameAndRefusesOthers) {
+  for (DeckSize size : {DeckSize::kSmall, DeckSize::kMedium, DeckSize::kLarge}) {
+    EXPECT_EQ(parse_deck_size(deck_size_name(size)), size);
+  }
+  // A typo used to fall back to the medium deck without a word.
+  EXPECT_THROW((void)parse_deck_size("hugee"), util::InvalidArgument);
+}
+
 }  // namespace
 }  // namespace krak::mesh

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/error.hpp"
+
 namespace krak::network {
 namespace {
 
@@ -29,6 +31,13 @@ TEST(Machine, UpgradeIsStrictlyFaster) {
               base.network.message_time(bytes));
   }
   EXPECT_EQ(upgrade.total_pes(), base.total_pes());
+}
+
+TEST(Machine, MakeMachineParsesCommandLineNames) {
+  EXPECT_EQ(make_machine("es45").name, make_es45_qsnet().name);
+  EXPECT_EQ(make_machine("upgrade").name, make_hypothetical_upgrade().name);
+  // An unknown name used to mean the ES-45 without a word.
+  EXPECT_THROW((void)make_machine("foo"), util::InvalidArgument);
 }
 
 }  // namespace

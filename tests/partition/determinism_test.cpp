@@ -43,11 +43,7 @@ std::uint64_t checksum_of(const partition::Partition& part) {
 
 mesh::InputDeck make_deck(const std::string& name) {
   if (name == "figure2") return mesh::make_figure2_deck();
-  if (name == "small") return mesh::make_standard_deck(mesh::DeckSize::kSmall);
-  if (name == "medium") {
-    return mesh::make_standard_deck(mesh::DeckSize::kMedium);
-  }
-  return mesh::make_standard_deck(mesh::DeckSize::kLarge);
+  return mesh::make_standard_deck(mesh::parse_deck_size(name));
 }
 
 // Every standard deck at its campaign PE counts (seed 1 is

@@ -92,5 +92,14 @@ TEST(MethodName, AllNamed) {
   EXPECT_EQ(partition_method_name(PartitionMethod::kMultilevel), "multilevel");
 }
 
+TEST(MethodName, ParsesEachNameAndRefusesOthers) {
+  for (PartitionMethod method :
+       {PartitionMethod::kStrip, PartitionMethod::kRcb,
+        PartitionMethod::kMultilevel, PartitionMethod::kMaterialAware}) {
+    EXPECT_EQ(parse_partition_method(partition_method_name(method)), method);
+  }
+  EXPECT_THROW((void)parse_partition_method("metis"), util::InvalidArgument);
+}
+
 }  // namespace
 }  // namespace krak::partition

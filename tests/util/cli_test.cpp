@@ -2,22 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace krak::util {
 namespace {
 
-ArgParser parse(std::initializer_list<const char*> args) {
+const std::vector<std::string> kOptions = {
+    "--pes N", "--deck NAME", "--noise X", "--offset N", "--scale X",
+    "--time T", "--verbose", "--fast"};
+
+std::vector<const char*> command_line(std::initializer_list<const char*> args) {
   std::vector<const char*> argv = {"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
-  return ArgParser(static_cast<int>(argv.size()), argv.data());
+  return argv;
+}
+
+ArgParser parse(std::initializer_list<const char*> args) {
+  const std::vector<const char*> argv = command_line(args);
+  return ArgParser(static_cast<int>(argv.size()), argv.data(), kOptions);
+}
+
+/// The InvalidArgument message parsing `args` throws, or "" if none.
+std::string refusal(std::initializer_list<const char*> args) {
+  try {
+    (void)parse(args);
+  } catch (const InvalidArgument& error) {
+    return error.what();
+  }
+  return "";
 }
 
 TEST(ArgParser, EmptyCommandLine) {
   const ArgParser args = parse({});
-  EXPECT_EQ(args.program(), "prog");
-  EXPECT_FALSE(args.has("anything"));
-  EXPECT_TRUE(args.positional().empty());
+  EXPECT_FALSE(args.has("verbose"));
   EXPECT_EQ(args.get_int("pes", 64), 64);
 }
 
@@ -46,15 +67,43 @@ TEST(ArgParser, FlagFollowedByOptionIsBare) {
   EXPECT_EQ(args.get_int("pes", 0), 8);
 }
 
-TEST(ArgParser, PositionalArgumentsPreserved) {
-  const ArgParser args = parse({"input.deck", "--pes", "2", "out.csv"});
-  ASSERT_EQ(args.positional().size(), 2u);
-  EXPECT_EQ(args.positional()[0], "input.deck");
-  EXPECT_EQ(args.positional()[1], "out.csv");
+TEST(ArgParser, UndeclaredOptionIsRefused) {
+  // The misspelling used to run the default 256 PEs without a word.
+  EXPECT_EQ(refusal({"--pess", "8"}), "unknown option --pess");
+  EXPECT_EQ(refusal({"--pess=8"}), "unknown option --pess");
+  EXPECT_EQ(refusal({"--"}), "unknown option --");
+}
+
+TEST(ArgParser, PositionalArgumentIsRefused) {
+  EXPECT_EQ(refusal({"input.deck", "--pes", "2"}),
+            "unexpected argument 'input.deck'");
+  EXPECT_EQ(refusal({"--verbose", "yes"}), "unexpected argument 'yes'");
+  EXPECT_EQ(refusal({"-h"}), "unexpected argument '-h'");
+}
+
+TEST(ArgParser, FlagGivenAValueIsRefused) {
+  EXPECT_EQ(refusal({"--verbose=yes"}), "option --verbose takes no value");
+}
+
+TEST(ArgParser, ValuedOptionWithoutValueIsRefused) {
+  EXPECT_EQ(refusal({"--pes"}), "option --pes expects a value");
+  EXPECT_EQ(refusal({"--pes", "--verbose"}), "option --pes expects a value");
+}
+
+TEST(ArgParser, ReadingAnUndeclaredOptionIsADriverBug) {
+  const ArgParser args = parse({});
+  EXPECT_THROW((void)args.has("pess"), InternalError);
+  EXPECT_THROW((void)args.get_int("pess", 0), InternalError);
+}
+
+TEST(ArgParser, UsageLineListsTheDeclarations) {
+  EXPECT_EQ(usage_line("prog", {"--out FILE", "--quick"}),
+            "usage: prog [--out FILE] [--quick]");
+  EXPECT_EQ(usage_line("prog", {}), "usage: prog");
 }
 
 TEST(ArgParser, NegativeNumbersParse) {
-  const ArgParser args = parse({"--offset=-5", "--scale=-1.5"});
+  const ArgParser args = parse({"--offset=-5", "--scale", "-1.5"});
   EXPECT_EQ(args.get_int("offset", 0), -5);
   EXPECT_DOUBLE_EQ(args.get_double("scale", 0.0), -1.5);
 }
@@ -75,8 +124,6 @@ TEST(ArgParser, BadDoubleThrows) {
 }
 
 TEST(ArgParser, NonFiniteDoubleThrows) {
-  // stod accepts these spellings; a run length or a seconds bound of
-  // inf never ends, and nan compares false against every limit.
   for (const char* value : {"nan", "inf", "-inf"}) {
     const ArgParser args = parse({"--time", value});
     EXPECT_THROW((void)args.get_double("time", 0.0), InvalidArgument)
@@ -87,6 +134,34 @@ TEST(ArgParser, NonFiniteDoubleThrows) {
 TEST(ArgParser, LastOccurrenceWins) {
   const ArgParser args = parse({"--pes", "4", "--pes", "16"});
   EXPECT_EQ(args.get_int("pes", 0), 16);
+}
+
+/// run_main's exit status for `args` when its body runs `body`.
+int exit_status(std::initializer_list<const char*> args,
+                const std::function<int()>& body) {
+  const std::vector<const char*> argv = command_line(args);
+  return run_main(static_cast<int>(argv.size()), argv.data(), kOptions,
+                  [&](const ArgParser&) { return body(); });
+}
+
+TEST(RunMain, MapsEachOutcomeToItsExitStatus) {
+  int runs = 0;
+  const auto count = [&runs] {
+    ++runs;
+    return 0;
+  };
+  EXPECT_EQ(exit_status({"--pes", "8"}, count), 0);
+  EXPECT_EQ(exit_status({"--help"}, count), 0);
+  EXPECT_EQ(exit_status({"--pess", "8"}, count), 2);
+  EXPECT_EQ(runs, 1) << "--help and a refused command line run no body";
+  EXPECT_EQ(exit_status({}, []() -> int {
+              throw InvalidArgument("option --pes expects an integer");
+            }),
+            2);
+  EXPECT_EQ(exit_status({}, []() -> int {
+              throw KrakError("cannot open x.krakcosts");
+            }),
+            1);
 }
 
 }  // namespace
