@@ -25,7 +25,6 @@
 #include "fault/plan.hpp"
 #include "mesh/deck.hpp"
 #include "network/machine.hpp"
-#include "obs/metrics.hpp"
 #include "partition/partition.hpp"
 #include "simapp/costmodel.hpp"
 #include "simapp/simkrak.hpp"
@@ -94,10 +93,6 @@ int run(const util::ArgParser& args) {
 
   util::TextTable table({"PEs", "Baseline (ms)", "Faulted (ms)",
                          "Propagated (ms)", "Absorbed (ms)", "Identity err"});
-  obs::Gauge& propagated_gauge =
-      obs::global_registry().gauge("fault.delay_propagated_s");
-  obs::Gauge& absorbed_gauge =
-      obs::global_registry().gauge("fault.delay_absorbed_s");
 
   const std::vector<std::int32_t> pe_sweep =
       quick ? std::vector<std::int32_t>{4, 8}
@@ -121,8 +116,6 @@ int run(const util::ArgParser& args) {
 
     const double propagated = faulted.total_time - baseline.total_time;
     const double absorbed = delay_s - propagated;
-    propagated_gauge.set(propagated);
-    absorbed_gauge.set(absorbed);
 
     const double identity_err =
         std::max(identity_violation(baseline), identity_violation(faulted));

@@ -184,10 +184,8 @@ void attach_parallel_scaling(obs::Json& replay, std::int32_t threads,
   parallel["threads"] = threads;
   parallel["serial_wall_s"] = serial_wall_s;
   parallel["parallel_wall_s"] = parallel_wall_s;
-  const double speedup =
+  parallel["speedup_vs_oracle"] =
       parallel_wall_s > 0.0 ? serial_wall_s / parallel_wall_s : 0.0;
-  parallel["speedup"] = speedup;
-  parallel["speedup_vs_oracle"] = speedup;
   // Clamped to 1: the coordinator wall is measured inside the run, the
   // replay wall outside it, so scheduler noise on a loaded host could
   // otherwise nudge the ratio past the [0,1] range the schema pins.

@@ -25,24 +25,24 @@ struct BenchEnvironment {
 /// CI) falling back to the configure-time KRAK_GIT_SHA_DEFAULT.
 [[nodiscard]] BenchEnvironment detect_bench_environment();
 
-/// One validation campaign as a krak-bench-v1 "campaigns" entry.
+/// One validation campaign as a krak-bench-v2 "campaigns" entry.
 [[nodiscard]] obs::Json campaign_to_json(const std::string& name,
                                          const CampaignSummary& summary);
 
-/// One simulator replay as a krak-bench-v1 "replays" entry, carrying the
+/// One simulator replay as a krak-bench-v2 "replays" entry, carrying the
 /// compute / p2p / collective decomposition and blocked-time split.
 [[nodiscard]] obs::Json replay_to_json(const std::string& name,
                                        const simapp::SimKrakResult& result);
 
-/// Attach the optional krak-bench-v1 "parallel" object to a replay
+/// Attach the optional krak-bench-v2 "parallel" object to a replay
 /// entry: the parallel-simulation scaling datapoint of the scenario —
 /// wall clock of the single-thread oracle vs. the conservative parallel
-/// engine at `threads` workers over the same (bit-identical) run.
-/// `coordinator_s` is the parallel run's serial coordinator wall
-/// (sim.parallel.coordinator_s); it yields coordinator_serial_fraction
-/// = coordinator_s / parallel_wall_s, the replay's Amdahl serial
-/// fraction. speedup_vs_oracle duplicates the legacy speedup field
-/// under the name the schema documents going forward.
+/// engine at `threads` workers over the same (bit-identical) run, and
+/// their ratio speedup_vs_oracle = serial_wall_s / parallel_wall_s (0
+/// when the parallel wall is 0). `coordinator_s` is the parallel run's
+/// serial coordinator wall (sim.parallel.coordinator_s); it yields
+/// coordinator_serial_fraction = coordinator_s / parallel_wall_s, the
+/// replay's Amdahl serial fraction.
 void attach_parallel_scaling(obs::Json& replay, std::int32_t threads,
                              double serial_wall_s, double parallel_wall_s,
                              double coordinator_s = 0.0);

@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "fault/plan.hpp"
-#include "obs/metrics.hpp"
 #include "util/cancellation.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -114,19 +113,6 @@ CampaignSummary run_validation_campaign(
   summary.points.resize(runs.size());
   summary.run_wall_seconds.assign(runs.size(), 0.0);
 
-  obs::Timer& run_timer = obs::global_registry().timer("campaign.run");
-  obs::Timer& campaign_timer = obs::global_registry().timer("campaign.total");
-  obs::Counter& failure_counter =
-      obs::global_registry().counter("campaign.failures");
-  obs::Counter& retry_counter =
-      obs::global_registry().counter("campaign.retries");
-  obs::Counter& quarantine_counter =
-      obs::global_registry().counter("campaign.quarantined");
-  obs::Counter& resumed_counter =
-      obs::global_registry().counter("campaign.resumed");
-  obs::Counter& deadline_counter =
-      obs::global_registry().counter("campaign.deadline_failures");
-
   // Campaign-wide cancellation: the policy's campaign deadline, chained
   // to any caller-provided token so either source can trip it. Without
   // either, no token is installed anywhere and every run takes the
@@ -174,11 +160,8 @@ CampaignSummary run_validation_campaign(
       // Journal replay: bit-identical to the original measurement (the
       // journal stores the doubles' IEEE bit patterns), no re-run.
       summary.points[i] = history.point;
-      {
-        const std::lock_guard<std::mutex> lock(summary_mutex);
-        ++summary.resilience.replayed;
-      }
-      resumed_counter.add();
+      const std::lock_guard<std::mutex> lock(summary_mutex);
+      ++summary.resilience.replayed;
     } else if (history.quarantined) {
       // Poison recorded by an earlier process: never re-run.
       failed = true;
@@ -186,11 +169,8 @@ CampaignSummary run_validation_campaign(
                                                  : history.last_error;
       failure.attempts = history.attempts;
       failure.quarantined = true;
-      {
-        const std::lock_guard<std::mutex> lock(summary_mutex);
-        ++summary.resilience.quarantined;
-      }
-      quarantine_counter.add();
+      const std::lock_guard<std::mutex> lock(summary_mutex);
+      ++summary.resilience.quarantined;
     } else if (history.deterministic_failures >= quarantine_after) {
       // The threshold was crossed but the quarantine record never
       // landed (crash between the two appends): finish the transition.
@@ -200,11 +180,8 @@ CampaignSummary run_validation_campaign(
       failure.quarantined = true;
       policy.journal->record_quarantined(fingerprint, history.attempts,
                                          history.last_error);
-      {
-        const std::lock_guard<std::mutex> lock(summary_mutex);
-        ++summary.resilience.quarantined;
-      }
-      quarantine_counter.add();
+      const std::lock_guard<std::mutex> lock(summary_mutex);
+      ++summary.resilience.quarantined;
     } else if (history.failures() >= max_attempts) {
       // Budget already exhausted by earlier processes: report the last
       // recorded cause instead of burning more attempts.
@@ -233,7 +210,6 @@ CampaignSummary run_validation_campaign(
           ++summary.resilience.attempts;
           if (!first_local_attempt) ++summary.resilience.retries;
         }
-        if (!first_local_attempt) retry_counter.add();
         first_local_attempt = false;
 
         util::CancellationToken scenario_token;
@@ -278,7 +254,6 @@ CampaignSummary run_validation_campaign(
             failure.sim_failure = sim_error->failure();
           }
           if (is_deadline_failure(error)) {
-            deadline_counter.add();
             const std::lock_guard<std::mutex> lock(summary_mutex);
             ++summary.resilience.deadline_failures;
           }
@@ -294,11 +269,8 @@ CampaignSummary run_validation_campaign(
               policy.journal->record_quarantined(fingerprint, attempt,
                                                  failure.error);
             }
-            {
-              const std::lock_guard<std::mutex> lock(summary_mutex);
-              ++summary.resilience.quarantined;
-            }
-            quarantine_counter.add();
+            const std::lock_guard<std::mutex> lock(summary_mutex);
+            ++summary.resilience.quarantined;
             break;
           }
           if (failures_seen >= max_attempts) break;
@@ -325,7 +297,6 @@ CampaignSummary run_validation_campaign(
       summary.failures.push_back(std::move(failure));
     }
     summary.run_wall_seconds[i] = run_watch.seconds();
-    run_timer.record(summary.run_wall_seconds[i]);
   };
 
   const util::Stopwatch campaign_watch;
@@ -338,12 +309,10 @@ CampaignSummary run_validation_campaign(
         for (std::size_t i = begin; i < end; ++i) run_one(i);
       });
   summary.wall_seconds = campaign_watch.seconds();
-  campaign_timer.record(summary.wall_seconds);
   std::sort(summary.failures.begin(), summary.failures.end(),
             [](const CampaignFailure& a, const CampaignFailure& b) {
               return a.run_index < b.run_index;
             });
-  failure_counter.add(static_cast<std::int64_t>(summary.failures.size()));
 
   double busy = 0.0;
   for (const double run_wall : summary.run_wall_seconds) busy += run_wall;

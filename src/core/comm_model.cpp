@@ -1,6 +1,7 @@
 #include "core/comm_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "simapp/phases.hpp"
@@ -58,34 +59,15 @@ double ghost_update_time(const network::MessageCostModel& network,
 
 PointToPointBreakdown subdomain_point_to_point(
     const network::MessageCostModel& network,
-    const partition::SubdomainInfo& sub, bool combine_aluminum,
-    bool include_ghost_augmentation) {
+    const partition::SubdomainInfo& sub) {
   PointToPointBreakdown breakdown;
   for (const partition::NeighborBoundary& boundary : sub.neighbors) {
-    std::vector<double> faces;
-    std::vector<double> multi_nodes;
-    if (combine_aluminum) {
-      faces.assign(boundary.faces_per_group.begin(),
-                   boundary.faces_per_group.end());
-      multi_nodes.assign(boundary.multi_material_nodes_per_group.begin(),
-                         boundary.multi_material_nodes_per_group.end());
-    } else {
-      // The un-combined variant treats the two aluminum layers as
-      // distinct materials; their shared-face and node counts are split
-      // evenly (the statistics only track the merged group).
-      const double aluminum = static_cast<double>(boundary.faces_per_group[1]);
-      const double al_nodes =
-          static_cast<double>(boundary.multi_material_nodes_per_group[1]);
-      faces = {static_cast<double>(boundary.faces_per_group[0]),
-               aluminum / 2.0, aluminum / 2.0,
-               static_cast<double>(boundary.faces_per_group[2])};
-      multi_nodes = {
-          static_cast<double>(boundary.multi_material_nodes_per_group[0]),
-          al_nodes / 2.0, al_nodes / 2.0,
-          static_cast<double>(boundary.multi_material_nodes_per_group[2])};
-    }
-    if (!include_ghost_augmentation) {
-      std::fill(multi_nodes.begin(), multi_nodes.end(), 0.0);
+    std::array<double, mesh::kExchangeGroupCount> faces{};
+    std::array<double, mesh::kExchangeGroupCount> multi_nodes{};
+    for (std::size_t g = 0; g < faces.size(); ++g) {
+      faces[g] = static_cast<double>(boundary.faces_per_group[g]);
+      multi_nodes[g] =
+          static_cast<double>(boundary.multi_material_nodes_per_group[g]);
     }
     breakdown.boundary_exchange +=
         boundary_exchange_time(network, faces, multi_nodes);
@@ -103,12 +85,10 @@ PointToPointBreakdown subdomain_point_to_point(
 
 PointToPointBreakdown max_point_to_point(
     const network::MessageCostModel& network,
-    const partition::PartitionStats& stats, bool combine_aluminum,
-    bool include_ghost_augmentation) {
+    const partition::PartitionStats& stats) {
   PointToPointBreakdown max_breakdown;
   for (const partition::SubdomainInfo& sub : stats.subdomains()) {
-    const PointToPointBreakdown b = subdomain_point_to_point(
-        network, sub, combine_aluminum, include_ghost_augmentation);
+    const PointToPointBreakdown b = subdomain_point_to_point(network, sub);
     max_breakdown.boundary_exchange =
         std::max(max_breakdown.boundary_exchange, b.boundary_exchange);
     max_breakdown.ghost_updates =

@@ -54,20 +54,18 @@ struct PointToPointBreakdown {
   }
 };
 
-/// Evaluate the mesh-specific point-to-point model for one subdomain.
-/// `combine_aluminum` mirrors the application's treatment of the two
-/// aluminum layers as a single material; disabling it is the paper's
-/// "does not account for combining like materials" variant.
+/// Evaluate the mesh-specific point-to-point model for one subdomain:
+/// one exchange step per boundary-exchange material group (the two
+/// aluminum layers are one group, as in the application), with the
+/// multi-material ghost-node augmentation of Section 4.1.
 [[nodiscard]] PointToPointBreakdown subdomain_point_to_point(
     const network::MessageCostModel& network,
-    const partition::SubdomainInfo& sub, bool combine_aluminum = true,
-    bool include_ghost_augmentation = true);
+    const partition::SubdomainInfo& sub);
 
 /// Max over processors of each point-to-point component (phases end at
 /// global synchronizations, so the slowest processor defines the cost).
 [[nodiscard]] PointToPointBreakdown max_point_to_point(
     const network::MessageCostModel& network,
-    const partition::PartitionStats& stats, bool combine_aluminum = true,
-    bool include_ghost_augmentation = true);
+    const partition::PartitionStats& stats);
 
 }  // namespace krak::core

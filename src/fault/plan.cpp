@@ -1,7 +1,9 @@
 #include "fault/plan.hpp"
 
+#include <array>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -32,6 +34,23 @@ bool parse_token(const std::string& token, T& value) {
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, value);
   return ec == std::errc{} && ptr == end;
+}
+
+/// `value` in the fewest significant digits, from 6 to 17, that parse
+/// back to the same double. A value that round-trips at the stream
+/// default of 6 keeps that text, and so the scenario fingerprints
+/// hashed from it; any other value keeps every bit.
+std::string number_token(double value) {
+  std::array<char, 32> buffer{};
+  for (int digits = 6;; ++digits) {
+    const int length = std::snprintf(buffer.data(), buffer.size(), "%.*g",
+                                     digits, value);
+    std::string token(buffer.data(), static_cast<std::size_t>(length));
+    double parsed = 0.0;
+    if (digits == 17 || (parse_token(token, parsed) && parsed == value)) {
+      return token;
+    }
+  }
 }
 
 /// The line of `directive` must hold nothing more.
@@ -124,34 +143,38 @@ void write_fault_plan(std::ostream& out, const FaultPlan& plan) {
   out << kMagic << " " << kVersion << "\n";
   out << "seed " << plan.seed << "\n";
   for (const ComputeSlowdown& s : plan.slowdowns) {
-    out << "slowdown rank=" << rank_token(s.rank) << " factor=" << s.factor
-        << "\n";
+    out << "slowdown rank=" << rank_token(s.rank)
+        << " factor=" << number_token(s.factor) << "\n";
   }
   for (const NoiseBurst& n : plan.noise) {
-    out << "noise rank=" << rank_token(n.rank) << " period=" << n.period_s
-        << " duration=" << n.duration_s << "\n";
+    out << "noise rank=" << rank_token(n.rank)
+        << " period=" << number_token(n.period_s)
+        << " duration=" << number_token(n.duration_s) << "\n";
   }
   for (const OneOffDelay& d : plan.delays) {
     out << "delay rank=" << rank_token(d.rank) << " phase=" << d.phase
-        << " iter=" << d.iteration << " seconds=" << d.seconds << "\n";
+        << " iter=" << d.iteration << " seconds=" << number_token(d.seconds)
+        << "\n";
   }
   for (const MessageFaultModel& m : plan.message_faults) {
     out << "messages rank=" << rank_token(m.rank)
-        << " drop=" << m.drop_probability << " delay=" << m.extra_delay_s
-        << " rto=" << m.retransmit_timeout_s << " retries=" << m.max_retries
-        << "\n";
+        << " drop=" << number_token(m.drop_probability)
+        << " delay=" << number_token(m.extra_delay_s)
+        << " rto=" << number_token(m.retransmit_timeout_s)
+        << " retries=" << m.max_retries << "\n";
   }
   for (const NicDegrade& d : plan.degrades) {
     out << "degrade rank=" << rank_token(d.rank)
-        << " bandwidth=" << d.bandwidth_factor << "\n";
+        << " bandwidth=" << number_token(d.bandwidth_factor) << "\n";
   }
   for (const RankCrash& c : plan.crashes) {
     out << "crash rank=" << rank_token(c.rank) << " phase=" << c.phase
-        << " iter=" << c.iteration << " restart=" << c.restart_s
-        << " interval=" << c.checkpoint_interval_s << "\n";
+        << " iter=" << c.iteration << " restart=" << number_token(c.restart_s)
+        << " interval=" << number_token(c.checkpoint_interval_s) << "\n";
   }
   if (plan.max_sim_seconds > 0.0) {
-    out << "watchdog max_seconds=" << plan.max_sim_seconds << "\n";
+    out << "watchdog max_seconds=" << number_token(plan.max_sim_seconds)
+        << "\n";
   }
   out << "end\n";
   if (!out) throw util::KrakError("write_fault_plan: stream failure");

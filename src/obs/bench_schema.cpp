@@ -114,7 +114,7 @@ void check_run(SchemaChecker& ck, const Json& run, const std::string& path) {
 }
 
 /// "failures" entry of a campaign: a scenario that produced a recorded
-/// error instead of a measurement (krak-bench-v1 graceful degradation).
+/// error instead of a measurement (graceful degradation).
 void check_campaign_failure(SchemaChecker& ck, const Json& failure,
                             const std::string& path) {
   if (!failure.is_object()) {
@@ -124,23 +124,17 @@ void check_campaign_failure(SchemaChecker& ck, const Json& failure,
   ck.require_number(failure, path, "run_index", 0.0, kHuge);
   ck.require_string(failure, path, "scenario");
   ck.require_string(failure, path, "error");
-  // Optional resilience fields (absent from pre-resilience reports):
-  // the retry budget charged, the failure class, and whether the
-  // scenario was quarantined as poison.
-  if (failure.find("attempts") != nullptr) {
-    // attempts 0: a quarantine skip recorded without re-running.
-    ck.require_number(failure, path, "attempts", 0.0, kHuge);
-  }
-  if (const Json* klass = failure.find("class")) {
-    if (!klass->is_string() || (klass->as_string() != "transient" &&
-                                klass->as_string() != "deterministic")) {
+  // The retry budget charged (0: a quarantine skip recorded without
+  // re-running), the failure class, and whether the scenario was
+  // quarantined as poison.
+  ck.require_number(failure, path, "attempts", 0.0, kHuge);
+  if (const std::string* klass = ck.require_string(failure, path, "class")) {
+    if (*klass != "transient" && *klass != "deterministic") {
       ck.fail(path + ".class",
               "must be \"transient\" or \"deterministic\"");
     }
   }
-  if (failure.find("quarantined") != nullptr) {
-    ck.require_bool(failure, path, "quarantined");
-  }
+  ck.require_bool(failure, path, "quarantined");
   // Optional structured simulator diagnosis.
   if (const Json* cause = failure.find("sim_failure")) {
     if (!cause->is_object()) {
@@ -171,25 +165,21 @@ void check_campaign(SchemaChecker& ck, const Json& campaign,
   ck.require_number(campaign, path, "thread_utilization", 0.0, 1.01);
   ck.require_number(campaign, path, "worst_abs_error", 0.0, kHuge);
   ck.require_number(campaign, path, "mean_abs_error", 0.0, kHuge);
-  // Optional resilience accounting (absent from pre-resilience
-  // reports): attempts, retries, journal replays, quarantines.
-  if (const Json* resilience = campaign.find("resilience")) {
-    if (!resilience->is_object()) {
-      ck.fail(path + ".resilience", "must be an object");
-    } else {
-      const std::string sub = path + ".resilience";
-      ck.require_number(*resilience, sub, "attempts", 0.0, kHuge);
-      ck.require_number(*resilience, sub, "retries", 0.0, kHuge);
-      ck.require_number(*resilience, sub, "replayed", 0.0, kHuge);
-      ck.require_number(*resilience, sub, "quarantined", 0.0, kHuge);
-      ck.require_number(*resilience, sub, "deadline_failures", 0.0, kHuge);
-      ck.require_number(*resilience, sub, "backoff_s", 0.0, kHuge);
-    }
+  // Resilience accounting: attempts, retries, journal replays,
+  // quarantines.
+  if (const Json* resilience =
+          ck.require_object(campaign, path, "resilience")) {
+    const std::string sub = path + ".resilience";
+    ck.require_number(*resilience, sub, "attempts", 0.0, kHuge);
+    ck.require_number(*resilience, sub, "retries", 0.0, kHuge);
+    ck.require_number(*resilience, sub, "replayed", 0.0, kHuge);
+    ck.require_number(*resilience, sub, "quarantined", 0.0, kHuge);
+    ck.require_number(*resilience, sub, "deadline_failures", 0.0, kHuge);
+    ck.require_number(*resilience, sub, "backoff_s", 0.0, kHuge);
   }
-  // "failures" is optional (absent from clean reports, so pre-existing
-  // reports stay valid); when present it must be well-formed, and a
-  // campaign where every scenario failed may legitimately have zero
-  // measured runs.
+  // "failures" is optional (absent from clean reports); when present it
+  // must be well-formed, and a campaign where every scenario failed may
+  // legitimately have zero measured runs.
   std::size_t failure_count = 0;
   if (const Json* failures = campaign.find("failures")) {
     if (!failures->is_array()) {
@@ -246,8 +236,7 @@ void check_replay(SchemaChecker& ck, const Json& replay,
   }
   // Optional parallel-simulation scaling datapoint: wall clock of the
   // single-thread oracle vs. the conservative parallel engine over the
-  // same scenario (absent from serial-only reports, so pre-existing
-  // reports stay valid).
+  // same scenario (absent from serial-only replays).
   if (const Json* parallel = replay.find("parallel")) {
     if (!parallel->is_object()) {
       ck.fail(path + ".parallel", "must be an object");
@@ -257,21 +246,17 @@ void check_replay(SchemaChecker& ck, const Json& replay,
     ck.require_number(*parallel, sub, "threads", 1.0, kHuge);
     ck.require_number(*parallel, sub, "serial_wall_s", 0.0, kHuge);
     ck.require_number(*parallel, sub, "parallel_wall_s", 0.0, kHuge);
-    ck.require_number(*parallel, sub, "speedup", 0.0, kHuge);
-    // Optional-if-present (PR 10; older reports predate them):
-    // speedup_vs_oracle is the documented name of the oracle-vs-engine
-    // wall ratio, coordinator_serial_fraction the replay's Amdahl
-    // serial fraction — a proper fraction by construction.
-    if (parallel->find("speedup_vs_oracle") != nullptr) {
-      ck.require_number(*parallel, sub, "speedup_vs_oracle", 0.0, kHuge);
-    }
+    ck.require_number(*parallel, sub, "speedup_vs_oracle", 0.0, kHuge);
+    // The replay's Amdahl serial fraction, a proper fraction by
+    // construction; optional because the checked-in quick baseline was
+    // recorded before the writer emitted it.
     if (parallel->find("coordinator_serial_fraction") != nullptr) {
       ck.require_number(*parallel, sub, "coordinator_serial_fraction", 0.0,
                         1.0);
     }
   }
   // Optional fault-injection accounting, emitted only when a fault plan
-  // was active (keeps pre-existing reports valid).
+  // was active.
   if (const Json* fault = replay.find("fault")) {
     if (!fault->is_object()) {
       ck.fail(path + ".fault", "must be an object");

@@ -41,7 +41,7 @@ class Counter {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Last-write-wins sample (queue depth, imbalance of the last partition).
+/// Last-write-wins sample (the last parallel run's coordinator wall).
 class Gauge {
  public:
   void set(double value) { value_.store(value, std::memory_order_relaxed); }

@@ -17,29 +17,13 @@ using util::check;
 
 namespace {
 
-/// Per-method timing and quality probes (docs/OBSERVABILITY.md). Cheap
-/// relative to partitioning itself: one registry lookup per call plus a
-/// cell-count scan for the balance gauges.
-void record_partition_metrics(PartitionMethod method,
-                              const Partition& partition, double seconds) {
+/// Per-method call and timing probes (docs/OBSERVABILITY.md).
+void record_partition_metrics(PartitionMethod method, double seconds) {
   obs::Registry& registry = obs::global_registry();
   const std::string prefix =
       "partition." + std::string(partition_method_name(method));
   registry.counter(prefix + ".calls").add(1);
   registry.timer(prefix + ".seconds").record(seconds);
-  const std::vector<std::int64_t> counts = partition.cell_counts();
-  std::int64_t max_cells = 0;
-  std::int32_t empty_parts = 0;
-  for (const std::int64_t count : counts) {
-    max_cells = std::max(max_cells, count);
-    if (count == 0) ++empty_parts;
-  }
-  const double mean_cells = static_cast<double>(partition.num_cells()) /
-                            static_cast<double>(partition.parts());
-  registry.gauge(prefix + ".imbalance")
-      .set(static_cast<double>(max_cells) / mean_cells);
-  registry.gauge(prefix + ".empty_parts")
-      .set(static_cast<double>(empty_parts));
 }
 
 /// The unweighted dual graph is fully determined by the grid
@@ -192,7 +176,7 @@ Partition partition_deck(const mesh::InputDeck& deck, std::int32_t parts,
   KRAK_REQUIRE(parts <= grid.num_cells(), "more parts than cells");
   const util::Stopwatch watch;
   const auto finish = [&](Partition partition) {
-    record_partition_metrics(method, partition, watch.seconds());
+    record_partition_metrics(method, watch.seconds());
     return partition;
   };
   switch (method) {

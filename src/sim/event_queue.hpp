@@ -120,8 +120,8 @@ class EventQueue {
   }
 
   /// High-water mark of pending events since construction — a proxy for
-  /// how much simulated concurrency was in flight (exported to the
-  /// observability layer as `sim.max_queue_depth`).
+  /// how much simulated concurrency was in flight (reported per replay
+  /// as `max_queue_depth`).
   [[nodiscard]] std::size_t max_size() const { return max_size_; }
 
   /// Events scheduled into already-allocated slab capacity (all but the

@@ -246,11 +246,12 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
   const std::int32_t n = ranks();
   result.events_processed = events_fired;
   std::int64_t nic_stalls = 0;
+  std::uint64_t pooled_events = 0;
   for (Shard& shard : shards) {
     nic_stalls += shard.nic_stalls;
     result.max_queue_depth =
         std::max(result.max_queue_depth, shard.queue.max_size());
-    result.pooled_events += shard.queue.pooled_events();
+    pooled_events += shard.queue.pooled_events();
     result.traffic.point_to_point_messages +=
         shard.traffic.point_to_point_messages;
     result.traffic.allreduces += shard.traffic.allreduces;
@@ -268,9 +269,10 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
   // The order-sensitive float accumulations reduce in rank order in BOTH
   // engines, so the totals are bit-identical regardless of how events
   // interleaved across shards during the run.
+  std::uint64_t mailbox_probes = 0;
   for (RankId r = 0; r < n; ++r) {
     const auto index = static_cast<std::size_t>(r);
-    result.mailbox_probes += states_[index].mailbox.probes();
+    mailbox_probes += states_[index].mailbox.probes();
     result.traffic.point_to_point_bytes += states_[index].sent_bytes;
     result.faults.fault_delay_seconds += result.breakdown[index].fault_delay;
     result.faults.recovery_seconds += result.breakdown[index].recovery;
@@ -327,30 +329,24 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
   static obs::Counter& probes = registry.counter("sim.mailbox.probes");
   static obs::Counter& messages = registry.counter("sim.p2p_messages");
   static obs::Counter& stalls = registry.counter("sim.nic.stalls");
-  static obs::Gauge& depth = registry.gauge("sim.max_queue_depth");
   static obs::Gauge& collective_high_water =
       registry.gauge("sim.collective_states_high_water");
   runs.add(1);
   events.add(static_cast<std::int64_t>(result.events_processed));
-  pooled.add(static_cast<std::int64_t>(result.pooled_events));
-  probes.add(static_cast<std::int64_t>(result.mailbox_probes));
+  pooled.add(static_cast<std::int64_t>(pooled_events));
+  probes.add(static_cast<std::int64_t>(mailbox_probes));
   messages.add(result.traffic.point_to_point_messages);
   stalls.add(nic_stalls);
-  depth.set(static_cast<double>(result.max_queue_depth));
   collective_high_water.set(static_cast<double>(collective_high_water_));
   if (fault_ != nullptr) {
     static obs::Counter& injections = registry.counter("fault.injections");
     static obs::Counter& retransmits = registry.counter("fault.retransmits");
     static obs::Counter& lost = registry.counter("fault.lost_messages");
     static obs::Counter& failures = registry.counter("fault.sim_failures");
-    static obs::Gauge& delay = registry.gauge("fault.delay_injected_s");
-    static obs::Gauge& recovery = registry.gauge("fault.recovery_s");
     injections.add(result.faults.injections);
     retransmits.add(result.faults.retransmits);
     lost.add(result.faults.messages_lost);
     failures.add(static_cast<std::int64_t>(result.failures.size()));
-    delay.set(result.faults.fault_delay_seconds);
-    recovery.set(result.faults.recovery_seconds);
   }
 }
 

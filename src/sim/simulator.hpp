@@ -305,22 +305,15 @@ struct SimResult {
   /// For a failed rank, finish_times[r] holds the clock where it stuck,
   /// and its breakdown still sums to that clock exactly.
   std::vector<SimFailure> failures;
-  /// Engine-mechanics fields below (events, depths, probe counts) are
-  /// NOT part of the cross-engine bit-identity contract: the parallel
-  /// engine splits the queue per shard, so high-water marks, pooling
-  /// and mailbox probe-chain shapes legitimately differ from the
-  /// serial oracle even though every simulated outcome above is
-  /// bit-identical.
+  /// Engine-mechanics fields below (events, queue depth, host walls)
+  /// are NOT part of the cross-engine bit-identity contract: the
+  /// parallel engine splits the queue per shard, so its high-water mark
+  /// legitimately differs from the serial oracle's even though every
+  /// simulated outcome above is bit-identical.
   std::size_t events_processed = 0;
   /// High-water mark of the event queue during the run (parallel: the
   /// largest per-shard high-water mark).
   std::size_t max_queue_depth = 0;
-  /// Events scheduled into already-allocated queue capacity (exported
-  /// as `sim.events.pooled`; see EventQueue::pooled_events).
-  std::uint64_t pooled_events = 0;
-  /// Mailbox hash-table slot inspections, summed over ranks (exported
-  /// as `sim.mailbox.probes`; see Mailbox::probes).
-  std::uint64_t mailbox_probes = 0;
   /// Host wall seconds the parallel engine's coordinator spent in its
   /// serial sections (epoch scalar reductions, collective merge and
   /// release decision, budget checks) — the Amdahl numerator of the

@@ -443,7 +443,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
   static obs::Counter& epoch_count = registry.counter("sim.parallel.epochs");
   static obs::Counter& crossings =
       registry.counter("sim.parallel.cross_shard_messages");
-  static obs::Gauge& shard_gauge = registry.gauge("sim.parallel.shards");
   static obs::Gauge& barrier_wait =
       registry.gauge("sim.parallel.barrier_wait_s");
   static obs::Counter& empty_epoch_count =
@@ -455,7 +454,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
   runs.add(1);
   epoch_count.add(static_cast<std::int64_t>(epochs));
   crossings.add(static_cast<std::int64_t>(cross_messages));
-  shard_gauge.set(static_cast<double>(shard_count));
   barrier_wait.set(barrier_wait_seconds);
   empty_epoch_count.add(static_cast<std::int64_t>(empty_epochs));
   coordinator_gauge.set(coordinator_seconds);

@@ -8,7 +8,7 @@
 // it. Neither side may throw anything else on any mutant. A krakcosts
 // table has no text linter: each mutant either loads or is refused with
 // KrakError, and a table that loads round-trips through the writer. A
-// krak-bench-v1 report (the `krak_bench --validate` / `--compare`
+// krak-bench-v2 report (the `krak_bench --validate` / `--compare`
 // reader) either validates or is refused with KrakError or schema
 // violations.
 

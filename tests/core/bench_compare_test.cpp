@@ -154,13 +154,15 @@ TEST(AttachParallelScaling, EmitsSchemaValidObject) {
   EXPECT_EQ(parallel->find("threads")->as_double(), 8.0);
   EXPECT_DOUBLE_EQ(parallel->find("serial_wall_s")->as_double(), 2.0);
   EXPECT_DOUBLE_EQ(parallel->find("parallel_wall_s")->as_double(), 0.5);
-  EXPECT_DOUBLE_EQ(parallel->find("speedup")->as_double(), 4.0);
+  EXPECT_DOUBLE_EQ(parallel->find("speedup_vs_oracle")->as_double(), 4.0);
+  EXPECT_EQ(parallel->find("speedup"), nullptr);
 }
 
 TEST(AttachParallelScaling, ZeroParallelWallYieldsZeroSpeedup) {
   obs::Json replay = obs::Json::object();
   attach_parallel_scaling(replay, 2, 1.0, 0.0);
-  EXPECT_DOUBLE_EQ(replay.find("parallel")->find("speedup")->as_double(), 0.0);
+  EXPECT_DOUBLE_EQ(
+      replay.find("parallel")->find("speedup_vs_oracle")->as_double(), 0.0);
 }
 
 TEST(AttachParallelScaling, EmitsAmdahlFields) {

@@ -267,5 +267,23 @@ TEST(CampaignFingerprint, PinnedValuesSurviveRebuilds) {
             0xd22500ff6e68b99bull);
 }
 
+TEST(CampaignFingerprint, SeparatesPlansThatAgreeToSixDigits) {
+  // Two delays that print alike at six significant digits are two
+  // plans: a journal written under one must not resume the other.
+  const ValidationConfig config;
+  fault::OneOffDelay delay;
+  delay.rank = 0;
+  delay.phase = 3;
+  delay.iteration = 1;
+  delay.seconds = 0.001;
+  CampaignRun a = table5_runs()[0];
+  a.faults.delays.push_back(delay);
+  CampaignRun b = table5_runs()[0];
+  delay.seconds = 0.0010000004;
+  b.faults.delays.push_back(delay);
+  EXPECT_NE(scenario_fingerprint("table5_meshspecific", a, config),
+            scenario_fingerprint("table5_meshspecific", b, config));
+}
+
 }  // namespace
 }  // namespace krak::core

@@ -111,27 +111,10 @@ TEST(SubdomainP2P, CountsMessagesOverNeighbors) {
   EXPECT_NEAR(breakdown.total(), 36.0, 1e-9);
 }
 
-TEST(SubdomainP2P, UncombinedAluminumAddsAStep) {
-  // Disabling the aluminum merge splits group 1 into two materials,
-  // adding six messages per neighbor whose boundary has aluminum faces.
-  const auto net = counting_network();
-  partition::SubdomainInfo sub;
-  sub.pe = 0;
-  partition::NeighborBoundary boundary;
-  boundary.neighbor = 1;
-  boundary.faces_per_group = {2, 4, 2};
-  boundary.total_faces = 8;
-  sub.neighbors = {boundary};
-  const double combined =
-      subdomain_point_to_point(net, sub, /*combine_aluminum=*/true)
-          .boundary_exchange;
-  const double split =
-      subdomain_point_to_point(net, sub, /*combine_aluminum=*/false)
-          .boundary_exchange;
-  EXPECT_NEAR(split - combined, 6.0, 1e-9);
-}
-
 TEST(SubdomainP2P, GhostAugmentationToggle) {
+  // Three multi-material ghost nodes on the boundary add 12 bytes each
+  // to the first two messages of the material's step, against the same
+  // boundary with none.
   const auto net = network::make_hockney_model(0.0, 1.0);
   partition::SubdomainInfo sub;
   sub.pe = 0;
@@ -139,14 +122,13 @@ TEST(SubdomainP2P, GhostAugmentationToggle) {
   boundary.neighbor = 1;
   boundary.faces_per_group = {4, 0, 0};
   boundary.total_faces = 4;
-  boundary.multi_material_ghost_nodes = 3;
-  boundary.multi_material_nodes_per_group = {3, 0, 0};
   sub.neighbors = {boundary};
-  const double with_aug =
-      subdomain_point_to_point(net, sub, true, /*include_ghost_augmentation=*/true)
-          .boundary_exchange;
   const double without_aug =
-      subdomain_point_to_point(net, sub, true, false).boundary_exchange;
+      subdomain_point_to_point(net, sub).boundary_exchange;
+  sub.neighbors[0].multi_material_ghost_nodes = 3;
+  sub.neighbors[0].multi_material_nodes_per_group = {3, 0, 0};
+  const double with_aug =
+      subdomain_point_to_point(net, sub).boundary_exchange;
   EXPECT_NEAR(with_aug - without_aug, 2.0 * 3.0 * 12.0, 1e-9);
 }
 

@@ -85,6 +85,41 @@ TEST(FaultPlan, RoundTripPreservesEveryDirective) {
   EXPECT_DOUBLE_EQ(parsed.max_sim_seconds, 10.0);
 }
 
+TEST(FaultPlan, RoundTripIsExactBeyondSixDigits) {
+  // 0.0010000004 prints as 0.001 at six significant digits; the written
+  // plan must still load back to the very same doubles.
+  FaultPlan original = make_full_plan();
+  original.delays[0].seconds = 0.0010000004;
+  original.slowdowns[0].factor = 1.0 / 3.0;
+  original.max_sim_seconds = 0.1 + 0.2;
+  const std::string path = ::testing::TempDir() + "/exact.krakfaults";
+  save_fault_plan(path, original);
+  const FaultPlan loaded = load_fault_plan(path);
+  ASSERT_EQ(loaded.delays.size(), 1u);
+  EXPECT_EQ(loaded.delays[0].seconds, 0.0010000004);
+  ASSERT_EQ(loaded.slowdowns.size(), 1u);
+  EXPECT_EQ(loaded.slowdowns[0].factor, 1.0 / 3.0);
+  EXPECT_EQ(loaded.max_sim_seconds, 0.1 + 0.2);
+}
+
+TEST(FaultPlan, SixDigitValuesKeepTheirText) {
+  // Values that survive six significant digits are written exactly as
+  // before, so the fingerprints of existing journals stay valid.
+  std::ostringstream out;
+  write_fault_plan(out, make_full_plan());
+  EXPECT_EQ(out.str(),
+            "krakfaults 1\n"
+            "seed 42\n"
+            "slowdown rank=2 factor=1.5\n"
+            "noise rank=* period=0.001 duration=2.5e-05\n"
+            "delay rank=0 phase=4 iter=1 seconds=0.002\n"
+            "messages rank=* drop=0.05 delay=1e-06 rto=0.0002 retries=5\n"
+            "degrade rank=3 bandwidth=0.25\n"
+            "crash rank=1 phase=9 iter=0 restart=0.05 interval=0.4\n"
+            "watchdog max_seconds=10\n"
+            "end\n");
+}
+
 TEST(FaultPlan, MessageDefaultsApplyWhenKeysOmitted) {
   std::istringstream in(
       "krakfaults 1\n"

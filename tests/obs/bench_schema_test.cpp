@@ -38,6 +38,13 @@ Json minimal_valid_report() {
   campaign["thread_utilization"] = 0.9;
   campaign["worst_abs_error"] = 0.1;
   campaign["mean_abs_error"] = 0.1;
+  Json& resilience = campaign["resilience"];
+  resilience["attempts"] = 1;
+  resilience["retries"] = 0;
+  resilience["replayed"] = 0;
+  resilience["quarantined"] = 0;
+  resilience["deadline_failures"] = 0;
+  resilience["backoff_s"] = 0.0;
   campaign["runs"].push_back(std::move(run));
   report["campaigns"].push_back(std::move(campaign));
 
@@ -74,7 +81,7 @@ Json minimal_valid_report() {
   timer["kind"] = "timer";
   timer["count"] = 2;
   timer["total_seconds"] = 0.5;
-  metrics["campaign.run"] = std::move(timer);
+  metrics["partition.fm.seconds"] = std::move(timer);
   return report;
 }
 
@@ -164,6 +171,9 @@ Json campaign_failure_entry() {
   failure["run_index"] = 1;
   failure["scenario"] = "small/16pe/general-homogeneous";
   failure["error"] = "simulation deadlock: rank 0 blocked at op 3";
+  failure["attempts"] = 1;
+  failure["class"] = "deterministic";
+  failure["quarantined"] = false;
   Json cause = Json::object();
   cause["kind"] = "lost-message";
   cause["rank"] = 0;
@@ -215,6 +225,65 @@ TEST(BenchSchema, NonObjectSimFailureIsReported) {
   EXPECT_TRUE(mentions(validate_bench_report(report), "sim_failure"));
 }
 
+/// `object` without its member `key`.
+Json without(const Json& object, const std::string& key) {
+  Json out = Json::object();
+  for (const auto& [name, value] : object.as_object()) {
+    if (name != key) out[name] = value;
+  }
+  return out;
+}
+
+/// The minimal report plus the optional sections that carry required
+/// keys of their own: one campaign failure and one parallel replay.
+Json report_with_every_section() {
+  Json report = minimal_valid_report();
+  first_element(report["campaigns"])["failures"].push_back(
+      campaign_failure_entry());
+  Json& parallel = first_element(report["replays"])["parallel"];
+  parallel["threads"] = 8;
+  parallel["serial_wall_s"] = 2.0;
+  parallel["parallel_wall_s"] = 0.5;
+  parallel["speedup_vs_oracle"] = 4.0;
+  return report;
+}
+
+Json& first_campaign(Json& report) {
+  return first_element(report["campaigns"]);
+}
+Json& first_failure(Json& report) {
+  return first_element(first_campaign(report)["failures"]);
+}
+Json& first_parallel(Json& report) {
+  return first_element(report["replays"])["parallel"];
+}
+
+TEST(BenchSchema, KeysTheWriterAlwaysEmitsAreRequired) {
+  struct RequiredKey {
+    const char* key;
+    Json& (*owner)(Json& report);
+    const char* path;
+  };
+  const RequiredKey cases[] = {
+      {"speedup_vs_oracle", first_parallel, "$.replays[0].parallel"},
+      {"resilience", first_campaign, "$.campaigns[0]"},
+      {"attempts", first_failure, "$.campaigns[0].failures[0]"},
+      {"class", first_failure, "$.campaigns[0].failures[0]"},
+      {"quarantined", first_failure, "$.campaigns[0].failures[0]"},
+  };
+  ASSERT_TRUE(validate_bench_report(report_with_every_section()).empty());
+  for (const RequiredKey& required : cases) {
+    Json report = report_with_every_section();
+    Json& owner = required.owner(report);
+    owner = without(owner, required.key);
+    EXPECT_TRUE(mentions(validate_bench_report(report),
+                         std::string(required.path) +
+                             ": missing required key \"" + required.key +
+                             "\""))
+        << required.key;
+  }
+}
+
 TEST(BenchSchema, ReplayFaultSectionValidates) {
   Json report = minimal_valid_report();
   Json& fault = first_element(report["replays"])["fault"];
@@ -236,7 +305,7 @@ TEST(BenchSchema, ParallelScalingSectionValidates) {
   parallel["threads"] = 8;
   parallel["serial_wall_s"] = 2.0;
   parallel["parallel_wall_s"] = 0.5;
-  parallel["speedup"] = 4.0;
+  parallel["speedup_vs_oracle"] = 4.0;
   const std::vector<std::string> violations =
       validate_bench_report(report);
   EXPECT_TRUE(violations.empty())
@@ -249,7 +318,6 @@ TEST(BenchSchema, ParallelScalingAmdahlFieldsValidate) {
   parallel["threads"] = 8;
   parallel["serial_wall_s"] = 2.0;
   parallel["parallel_wall_s"] = 0.5;
-  parallel["speedup"] = 4.0;
   parallel["speedup_vs_oracle"] = 4.0;
   parallel["coordinator_serial_fraction"] = 0.07;
   const std::vector<std::string> violations =
@@ -264,7 +332,7 @@ TEST(BenchSchema, CoordinatorSerialFractionAboveOneIsOutOfRange) {
   parallel["threads"] = 8;
   parallel["serial_wall_s"] = 2.0;
   parallel["parallel_wall_s"] = 0.5;
-  parallel["speedup"] = 4.0;
+  parallel["speedup_vs_oracle"] = 4.0;
   // A fraction of the parallel wall can never exceed 1.
   parallel["coordinator_serial_fraction"] = 1.5;
   EXPECT_TRUE(
@@ -277,7 +345,7 @@ TEST(BenchSchema, ParallelScalingZeroThreadsIsOutOfRange) {
   parallel["threads"] = 0;  // the oracle is threads = 1, never 0
   parallel["serial_wall_s"] = 2.0;
   parallel["parallel_wall_s"] = 0.5;
-  parallel["speedup"] = 4.0;
+  parallel["speedup_vs_oracle"] = 4.0;
   EXPECT_TRUE(mentions(validate_bench_report(report), "threads"));
 }
 
@@ -286,7 +354,7 @@ TEST(BenchSchema, ParallelScalingMissingWallIsReported) {
   Json& parallel = first_element(report["replays"])["parallel"];
   parallel["threads"] = 2;
   parallel["serial_wall_s"] = 2.0;
-  parallel["speedup"] = 1.0;  // parallel_wall_s omitted
+  parallel["speedup_vs_oracle"] = 1.0;  // parallel_wall_s omitted
   EXPECT_TRUE(mentions(validate_bench_report(report), "parallel_wall_s"));
 }
 

@@ -8,8 +8,8 @@ namespace {
 Snapshot example_snapshot() {
   Snapshot snapshot;
   snapshot["sim.events"] = {MetricValue::Kind::kCounter, 120, 0.0};
-  snapshot["sim.max_queue_depth"] = {MetricValue::Kind::kGauge, 0, 7.0};
-  snapshot["campaign.run"] = {MetricValue::Kind::kTimer, 4, 0.5};
+  snapshot["sim.parallel.coordinator_s"] = {MetricValue::Kind::kGauge, 0, 7.0};
+  snapshot["partition.fm.seconds"] = {MetricValue::Kind::kTimer, 4, 0.5};
   return snapshot;
 }
 
@@ -18,7 +18,7 @@ Snapshot example_snapshot() {
 /// platforms. A change here is a report-format change and needs a note
 /// in docs/OBSERVABILITY.md.
 constexpr const char* kGolden = R"({
-  "campaign.run": {
+  "partition.fm.seconds": {
     "count": 4,
     "kind": "timer",
     "total_seconds": 0.5
@@ -27,7 +27,7 @@ constexpr const char* kGolden = R"({
     "count": 120,
     "kind": "counter"
   },
-  "sim.max_queue_depth": {
+  "sim.parallel.coordinator_s": {
     "kind": "gauge",
     "value": 7
   }
