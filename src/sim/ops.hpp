@@ -4,6 +4,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace krak::sim {
 
 using RankId = std::int32_t;
@@ -35,67 +37,74 @@ enum class OpKind : std::uint8_t {
 
 [[nodiscard]] std::string_view op_kind_name(OpKind kind);
 
-/// One operation of a rank's static schedule.
-struct Op {
-  OpKind kind = OpKind::kCompute;
-  double duration = 0.0;  ///< kCompute only
-  RankId peer = -1;       ///< kIsend / kRecv
-  double bytes = 0.0;     ///< message / collective payload
-  std::int32_t tag = 0;   ///< kIsend / kRecv matching
-  std::int32_t slot = 0;  ///< kRecord only
+/// One operation of a rank's static schedule, packed into 16 bytes: a
+/// 100k-rank replay holds tens of millions of ops before its first
+/// event fires (docs/PERFORMANCE.md, "Schedule construction"). No kind
+/// reads every field, so the kinds share them: `value_` is a compute
+/// op's seconds or a message's or collective's payload bytes, and
+/// `peer_` is a kRecord op's slot. The factories are the only
+/// constructors, so every op's tag fits its 16 bits.
+class Op {
+ public:
+  /// The largest tag an op holds: 32767, the least MPI_TAG_UB the MPI
+  /// standard guarantees.
+  static constexpr std::int32_t kMaxTag = 32767;
 
   [[nodiscard]] static Op compute(double seconds) {
-    Op op;
-    op.kind = OpKind::kCompute;
-    op.duration = seconds;
-    return op;
+    return {OpKind::kCompute, seconds, -1, 0};
   }
+  /// Throws InvalidArgument for a tag outside [0, kMaxTag].
   [[nodiscard]] static Op isend(RankId to, double bytes, std::int32_t tag) {
-    Op op;
-    op.kind = OpKind::kIsend;
-    op.peer = to;
-    op.bytes = bytes;
-    op.tag = tag;
-    return op;
+    return {OpKind::kIsend, bytes, to, checked_tag(tag)};
   }
   [[nodiscard]] static Op wait_all_sends() {
-    Op op;
-    op.kind = OpKind::kWaitAllSends;
-    return op;
+    return {OpKind::kWaitAllSends, 0.0, -1, 0};
   }
+  /// Throws InvalidArgument for a tag outside [0, kMaxTag].
   [[nodiscard]] static Op recv(RankId from, double bytes, std::int32_t tag) {
-    Op op;
-    op.kind = OpKind::kRecv;
-    op.peer = from;
-    op.bytes = bytes;
-    op.tag = tag;
-    return op;
+    return {OpKind::kRecv, bytes, from, checked_tag(tag)};
   }
   [[nodiscard]] static Op allreduce(double bytes) {
-    Op op;
-    op.kind = OpKind::kAllreduce;
-    op.bytes = bytes;
-    return op;
+    return {OpKind::kAllreduce, bytes, -1, 0};
   }
   [[nodiscard]] static Op broadcast(double bytes) {
-    Op op;
-    op.kind = OpKind::kBroadcast;
-    op.bytes = bytes;
-    return op;
+    return {OpKind::kBroadcast, bytes, -1, 0};
   }
   [[nodiscard]] static Op gather(double bytes) {
-    Op op;
-    op.kind = OpKind::kGather;
-    op.bytes = bytes;
-    return op;
+    return {OpKind::kGather, bytes, -1, 0};
   }
   [[nodiscard]] static Op record(std::int32_t slot) {
-    Op op;
-    op.kind = OpKind::kRecord;
-    op.slot = slot;
-    return op;
+    return {OpKind::kRecord, 0.0, slot, 0};
   }
+
+  [[nodiscard]] OpKind kind() const { return kind_; }
+  /// kCompute only.
+  [[nodiscard]] double duration() const { return value_; }
+  /// Message or collective payload.
+  [[nodiscard]] double bytes() const { return value_; }
+  /// kIsend / kRecv only.
+  [[nodiscard]] RankId peer() const { return peer_; }
+  /// kIsend / kRecv matching.
+  [[nodiscard]] std::int32_t tag() const { return tag_; }
+  /// kRecord only.
+  [[nodiscard]] std::int32_t slot() const { return peer_; }
+
+ private:
+  Op(OpKind kind, double value, std::int32_t peer, std::int16_t tag)
+      : value_(value), peer_(peer), tag_(tag), kind_(kind) {}
+
+  [[nodiscard]] static std::int16_t checked_tag(std::int32_t tag) {
+    KRAK_REQUIRE(tag >= 0 && tag <= kMaxTag,
+                 "message tag must be in [0, 32767]");
+    return static_cast<std::int16_t>(tag);
+  }
+
+  double value_;
+  std::int32_t peer_;
+  std::int16_t tag_;
+  OpKind kind_;
 };
+static_assert(sizeof(Op) == 16, "schedule ops must stay 16 bytes");
 
 using Schedule = std::vector<Op>;
 

@@ -15,6 +15,21 @@ using util::require_internal;
 /// Events between cooperative cancellation checks in the serial engine.
 constexpr std::size_t kCancellationCheckInterval = 4096;
 
+namespace {
+
+/// Names `op` as the op a failure stopped at. Only a message has a peer
+/// and a tag to report; a kRecord op's slot shares the peer field.
+void name_op(SimFailure& failure, const Op& op) {
+  failure.has_op = true;
+  failure.op = op.kind();
+  if (op.kind() == OpKind::kIsend || op.kind() == OpKind::kRecv) {
+    failure.peer = op.peer();
+    failure.tag = op.tag();
+  }
+}
+
+}  // namespace
+
 std::string_view op_kind_name(OpKind kind) {
   switch (kind) {
     case OpKind::kCompute: return "compute";
@@ -100,17 +115,17 @@ Simulator::Simulator(std::int32_t ranks, network::MessageCostModel network,
 void Simulator::set_schedule(RankId rank, Schedule schedule) {
   check(rank >= 0 && rank < ranks(), "rank id out of range");
   for (const Op& op : schedule) {
-    if (op.kind == OpKind::kIsend || op.kind == OpKind::kRecv) {
-      check(op.peer >= 0 && op.peer < ranks(), "op peer out of range");
-      check(op.peer != rank, "self-messages are not supported");
+    if (op.kind() == OpKind::kIsend || op.kind() == OpKind::kRecv) {
+      check(op.peer() >= 0 && op.peer() < ranks(), "op peer out of range");
+      check(op.peer() != rank, "self-messages are not supported");
     }
-    if (op.kind == OpKind::kCompute) {
-      check(op.duration >= 0.0, "compute duration must be non-negative");
+    if (op.kind() == OpKind::kCompute) {
+      check(op.duration() >= 0.0, "compute duration must be non-negative");
     }
-    if (op.kind == OpKind::kIsend || op.kind == OpKind::kRecv ||
-        op.kind == OpKind::kAllreduce || op.kind == OpKind::kBroadcast ||
-        op.kind == OpKind::kGather) {
-      check(op.bytes >= 0.0, "message size must be non-negative");
+    if (op.kind() == OpKind::kIsend || op.kind() == OpKind::kRecv ||
+        op.kind() == OpKind::kAllreduce || op.kind() == OpKind::kBroadcast ||
+        op.kind() == OpKind::kGather) {
+      check(op.bytes() >= 0.0, "message size must be non-negative");
     }
   }
   schedules_[static_cast<std::size_t>(rank)] = std::move(schedule);
@@ -361,17 +376,14 @@ SimFailure Simulator::diagnose_stuck_rank(RankId rank) const {
   const Schedule& schedule = schedules_[static_cast<std::size_t>(rank)];
   if (failure.op_index < schedule.size()) {
     const Op& op = schedule[failure.op_index];
-    failure.has_op = true;
-    failure.op = op.kind;
-    failure.peer = op.peer;
-    failure.tag = op.tag;
-    if (op.kind == OpKind::kRecv) {
-      const auto it = lost_.find({op.peer, rank, op.tag});
+    name_op(failure, op);
+    if (op.kind() == OpKind::kRecv) {
+      const auto it = lost_.find({op.peer(), rank, op.tag()});
       if (it != lost_.end() && it->second > 0) {
         failure.kind = SimFailure::Kind::kLostMessage;
         std::ostringstream os;
         os << "waiting for a message lost by the fault plan (" << it->second
-           << " loss(es) from peer " << op.peer << ", tag " << op.tag
+           << " loss(es) from peer " << op.peer() << ", tag " << op.tag()
            << ", retransmit budget exhausted)";
         failure.detail = os.str();
       }
@@ -441,12 +453,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
     failure.kind = SimFailure::Kind::kTimeLimit;
     failure.rank = rank;
     failure.op_index = state.pc;
-    if (state.pc < schedule.size()) {
-      failure.has_op = true;
-      failure.op = schedule[state.pc].kind;
-      failure.peer = schedule[state.pc].peer;
-      failure.tag = schedule[state.pc].tag;
-    }
+    if (state.pc < schedule.size()) name_op(failure, schedule[state.pc]);
     std::ostringstream os;
     os << "(clock " << state.clock << " s > bound " << watchdog_.max_sim_seconds
        << " s)";
@@ -465,7 +472,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       return;
     }
     const Op& op = schedule[state.pc];
-    switch (op.kind) {
+    switch (op.kind()) {
       case OpKind::kCompute: {
         if (fault_ != nullptr) {
           const double recovery =
@@ -476,7 +483,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
             ++shard.faults.injections;
           }
           const double extra =
-              fault_->compute_delay(rank, state.compute_index, op.duration);
+              fault_->compute_delay(rank, state.compute_index, op.duration());
           if (extra > 0.0) {
             state.clock += extra;
             breakdown.fault_delay += extra;
@@ -484,8 +491,8 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
           }
           ++state.compute_index;
         }
-        state.clock += op.duration;
-        breakdown.compute += op.duration;
+        state.clock += op.duration();
+        breakdown.compute += op.duration();
         ++state.pc;
         break;
       }
@@ -508,19 +515,20 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
             inject_at = nic_free_[node];
             ++shard.nic_stalls;
           }
-          injected_by = inject_at + op.bytes / nic_.injection_bandwidth;
+          injected_by = inject_at + op.bytes() / nic_.injection_bandwidth;
           nic_free_[node] = injected_by;
         }
         // The hierarchical pair network, when installed, costs one
         // predictable branch per message here (bench/sim_hot_loop).
         double wire_time =
             hierarchy_ != nullptr
-                ? hierarchy_->message_time(rank, op.peer, op.bytes)
-                : network_.message_time(op.bytes);
+                ? hierarchy_->message_time(rank, op.peer(), op.bytes())
+                : network_.message_time(op.bytes());
         const std::int64_t send_ordinal = state.send_index++;
         FaultInjector::MessageFate fate;
         if (fault_ != nullptr) {
-          fate = fault_->message_fate(rank, op.peer, op.bytes, send_ordinal);
+          fate =
+              fault_->message_fate(rank, op.peer(), op.bytes(), send_ordinal);
           wire_time *= fate.bandwidth_factor;
           if (fate.extra_delay > 0.0 || fate.lost ||
               fate.bandwidth_factor != 1.0) {
@@ -536,13 +544,14 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
         // NIC (one start-up latency), not when it arrives remotely.
         const double handoff =
             hierarchy_ != nullptr
-                ? hierarchy_->latency(rank, op.peer, op.bytes)
-                : network_.latency(op.bytes);
-        state.send_completions.push_back(inject_at + handoff);
+                ? hierarchy_->latency(rank, op.peer(), op.bytes())
+                : network_.latency(op.bytes());
+        state.last_send_completion =
+            std::max(state.last_send_completion, inject_at + handoff);
         ++shard.traffic.point_to_point_messages;
-        state.sent_bytes += op.bytes;
-        const RankId to = op.peer;
-        const std::int32_t tag = op.tag;
+        state.sent_bytes += op.bytes();
+        const RankId to = op.peer();
+        const std::int32_t tag = op.tag();
         if (fate.lost) {
           // Retries exhausted: the payload never arrives. The sender's
           // local completion is unaffected (asynchronous send); the
@@ -575,17 +584,14 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       }
       case OpKind::kWaitAllSends: {
         const double before = state.clock;
-        for (double completion : state.send_completions) {
-          state.clock = std::max(state.clock, completion);
-        }
+        state.clock = std::max(state.clock, state.last_send_completion);
         breakdown.send_wait += state.clock - before;
-        state.send_completions.clear();
         ++state.pc;
         break;
       }
       case OpKind::kRecv: {
         double arrival = 0.0;
-        if (!state.mailbox.try_pop(op.peer, op.tag, &arrival)) {
+        if (!state.mailbox.try_pop(op.peer(), op.tag(), &arrival)) {
           state.blocked = true;
           state.reason = BlockReason::kRecvWait;
           state.blocked_op = state.pc;
@@ -606,7 +612,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
         break;
       }
       case OpKind::kRecord: {
-        result.records[static_cast<std::size_t>(rank)].append(op.slot,
+        result.records[static_cast<std::size_t>(rank)].append(op.slot(),
                                                               state.clock);
         ++state.pc;
         break;
@@ -642,7 +648,7 @@ void Simulator::enter_collective(Shard& shard, RankId rank, const Op& op) {
     // entries from every shard in canonical (index, rank) order and
     // releases completed collectives from the coordinator.
     shard.collective_entries.push_back(
-        {index, rank, op.kind, op.bytes, state.clock});
+        {index, rank, op.kind(), op.bytes(), state.clock});
     return;
   }
 
@@ -656,10 +662,10 @@ void Simulator::enter_collective(Shard& shard, RankId rank, const Op& op) {
   }
   CollectiveState& coll = collective_states_[rel];
   if (coll.entered == 0) {
-    coll.kind = op.kind;
-    coll.bytes = op.bytes;
+    coll.kind = op.kind();
+    coll.bytes = op.bytes();
   } else {
-    check(coll.kind == op.kind && coll.bytes == op.bytes,
+    check(coll.kind == op.kind() && coll.bytes == op.bytes(),
           "mismatched collective sequence across ranks");
   }
   ++coll.entered;

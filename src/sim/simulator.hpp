@@ -320,15 +320,6 @@ struct SimResult {
   /// epoch barrier, exported as `sim.parallel.coordinator_s`. Zero
   /// under the serial oracle.
   double coordinator_seconds = 0.0;
-  /// Host wall seconds shards spent sorting their outbound runs and
-  /// folding collective entries inside the worker phase, summed over
-  /// shards (exported as `sim.parallel.sort_s`).
-  double sort_seconds = 0.0;
-  /// Host wall seconds shards spent k-way-merging inbound runs into
-  /// their queues and applying collective releases to their own ranks
-  /// at barriers, summed over shards (exported as
-  /// `sim.parallel.inject_s`).
-  double inject_seconds = 0.0;
 
   [[nodiscard]] bool failed() const { return !failures.empty(); }
 };
@@ -409,7 +400,12 @@ class Simulator {
     /// The watchdog's time bound fired on this rank; it executes no
     /// further ops but is not counted as deadlocked at drain.
     bool timed_out = false;
-    std::vector<double> send_completions;
+    /// Latest local completion of any send this rank posted (0 before
+    /// the first; clocks never go negative). kWaitAllSends raises the
+    /// clock to it: a max is exact and order-free, so this equals a scan
+    /// of the pending completions, and the ones an earlier wait covered
+    /// are already behind the clock.
+    double last_send_completion = 0.0;
     Mailbox mailbox;
     std::size_t next_collective = 0;
     /// Ordinal of the next kCompute / kIsend op (fault-injection keys;
@@ -521,13 +517,6 @@ class Simulator {
     /// Messages the barrier's apply phase merged into this shard's
     /// queue (summed into sim.parallel.cross_shard_messages).
     std::size_t injected = 0;
-    /// Wall seconds this shard's worker spent sorting outbound runs and
-    /// folding collective entries (observability only).
-    double sort_seconds = 0.0;
-    /// Wall seconds this shard spent in the barrier's apply phase —
-    /// k-way-merging inbound runs and applying collective releases to
-    /// its own ranks (observability only).
-    double inject_seconds = 0.0;
 
     [[nodiscard]] bool owns(RankId rank) const {
       return rank >= begin && rank < end;

@@ -186,7 +186,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     // sort this shard's outbound runs into canonical order and fold its
     // collective entries into order-independent per-index aggregates,
     // then publish the scalars the coordinator reduces.
-    const util::Stopwatch sort_watch;
     for (std::vector<Shard::OutboundMessage>& run : shard.outboxes) {
       if (run.size() > 1) {
         std::sort(run.begin(), run.end(),
@@ -221,7 +220,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     shard.coupled =
         shard.outbound_count > 0 || !shard.collective_aggregates.empty();
     shard.next_time = shard.queue.next_time();
-    shard.sort_seconds += sort_watch.seconds();
     shard.busy_seconds = shard_watch.seconds();
   };
 
@@ -236,7 +234,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
   // and with them every tie-break, replay the oracle's.
   const auto apply_barrier = [&](std::size_t d) {
     Shard& dest = shards[d];
-    const util::Stopwatch apply_watch;
     dest.merge_runs.clear();
     for (Shard& source : shards) {
       const std::vector<Shard::OutboundMessage>& run =
@@ -291,7 +288,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
       }
     }
     dest.next_time = dest.queue.next_time();
-    dest.inject_seconds += apply_watch.seconds();
   };
 
   while (!budget_exhausted) {
@@ -428,15 +424,7 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     coordinator_seconds += post_watch.seconds();
   }
 
-  double sort_seconds = 0.0;
-  double inject_seconds = 0.0;
-  for (const Shard& shard : shards) {
-    sort_seconds += shard.sort_seconds;
-    inject_seconds += shard.inject_seconds;
-  }
   result.coordinator_seconds = coordinator_seconds;
-  result.sort_seconds = sort_seconds;
-  result.inject_seconds = inject_seconds;
 
   obs::Registry& registry = obs::global_registry();
   static obs::Counter& runs = registry.counter("sim.parallel.runs");
@@ -449,16 +437,12 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
       registry.counter("sim.parallel.empty_epochs");
   static obs::Gauge& coordinator_gauge =
       registry.gauge("sim.parallel.coordinator_s");
-  static obs::Gauge& sort_gauge = registry.gauge("sim.parallel.sort_s");
-  static obs::Gauge& inject_gauge = registry.gauge("sim.parallel.inject_s");
   runs.add(1);
   epoch_count.add(static_cast<std::int64_t>(epochs));
   crossings.add(static_cast<std::int64_t>(cross_messages));
   barrier_wait.set(barrier_wait_seconds);
   empty_epoch_count.add(static_cast<std::int64_t>(empty_epochs));
   coordinator_gauge.set(coordinator_seconds);
-  sort_gauge.set(sort_seconds);
-  inject_gauge.set(inject_seconds);
   finalize_run(result, shards, budget_exhausted, total_fired);
   return result;
 }

@@ -15,10 +15,14 @@ namespace {
 /// Steps 0..kExchangeGroupCount-1 are the per-material steps; step
 /// kExchangeGroupCount is the final all-materials step; ghost updates
 /// use step 0.
-std::int32_t make_tag(std::int32_t phase, std::int32_t step,
-                      std::int32_t message) {
+constexpr std::int32_t make_tag(std::int32_t phase, std::int32_t step,
+                                std::int32_t message) {
   return phase * 1000 + step * 100 + message;
 }
+static_assert(make_tag(kPhaseCount,
+                       static_cast<std::int32_t>(mesh::kExchangeGroupCount),
+                       kBoundaryMessagesPerStep - 1) <= sim::Op::kMaxTag,
+              "every SimKrak tag must fit a schedule op");
 
 /// Deterministic per-rank noise stream.
 std::uint64_t rank_seed(std::uint64_t base, partition::PeId pe) {
@@ -256,13 +260,20 @@ SimKrakResult SimKrak::run() const {
   }
   if (options_.cancel != nullptr) simulator.set_cancellation(options_.cancel);
   {
-    // Timed apart from the simulation it feeds (docs/OBSERVABILITY.md).
+    // Timed apart from the simulation it feeds, and counted in ops
+    // (docs/OBSERVABILITY.md).
     static obs::Timer& build_timer =
         obs::global_registry().timer("simapp.schedule_build.seconds");
+    static obs::Counter& op_counter =
+        obs::global_registry().counter("simapp.schedule.ops");
     const obs::ScopedTimer timed(build_timer);
+    std::int64_t ops = 0;
     for (partition::PeId pe = 0; pe < ranks; ++pe) {
-      simulator.set_schedule(pe, build_schedule(pe));
+      sim::Schedule schedule = build_schedule(pe);
+      ops += static_cast<std::int64_t>(schedule.size());
+      simulator.set_schedule(pe, std::move(schedule));
     }
+    op_counter.add(ops);
   }
   sim::SimResult sim_result = simulator.run();
 

@@ -682,23 +682,18 @@ TEST(SimulatorParallel, CollectiveStateWindowStaysBounded) {
 }
 
 TEST(SimulatorParallel, CoordinatorTimingFieldsPopulated) {
-  // The Amdahl decomposition of the epoch barrier: the parallel engine
-  // reports its serial-coordinator, worker-sort, and barrier-apply
-  // walls; the oracle has no coordinator and reports zeros.
+  // The Amdahl numerator of the epoch barrier: the parallel engine
+  // reports its serial-coordinator wall; the oracle has no coordinator
+  // and reports zero.
   const std::int32_t ranks = 16;
   Simulator sim = make_simulator(ranks, 4);
   install_ring_workload(sim, ranks, /*rounds=*/8);
   const SimResult parallel = sim.run();
   EXPECT_GT(parallel.coordinator_seconds, 0.0);
-  EXPECT_GE(parallel.sort_seconds, 0.0);
-  // The ring couples shards every round, so the apply phase always ran.
-  EXPECT_GT(parallel.inject_seconds, 0.0);
   Simulator oracle = make_simulator(ranks, 1);
   install_ring_workload(oracle, ranks, /*rounds=*/8);
   const SimResult serial = oracle.run();
   EXPECT_EQ(serial.coordinator_seconds, 0.0);
-  EXPECT_EQ(serial.sort_seconds, 0.0);
-  EXPECT_EQ(serial.inject_seconds, 0.0);
 }
 
 }  // namespace

@@ -63,8 +63,8 @@ TEST_P(RingTest, MakespanAtLeastCriticalRankWork) {
     util::Rng rank_rng = rng.split();
     Schedule schedule = ring_schedule(r, ranks, rank_rng);
     for (const Op& op : schedule) {
-      if (op.kind == OpKind::kCompute) {
-        work[static_cast<std::size_t>(r)] += op.duration;
+      if (op.kind() == OpKind::kCompute) {
+        work[static_cast<std::size_t>(r)] += op.duration();
       }
     }
     sim.set_schedule(r, std::move(schedule));

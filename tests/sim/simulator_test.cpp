@@ -86,6 +86,44 @@ TEST(Simulator, WaitAllSendsCoversNicHandoff) {
   EXPECT_GE(result.finish_times[1], result.finish_times[0]);
 }
 
+TEST(Simulator, WaitAllSendsWaitsForTheLatestCompletion) {
+  // A send completes locally at the start of its injection plus its
+  // start-up latency. NIC contention staggers the injections of three
+  // sends of different sizes, and a latency growing 10 ns per byte
+  // makes the middle, largest send complete last.
+  util::PiecewiseLinear latency;
+  latency.add_point(0.0, 1e-6);
+  latency.add_point(1e4, 101e-6);
+  util::PiecewiseLinear byte_cost;
+  byte_cost.add_point(1.0, 1e-9);
+  SimConfig config;
+  config.send_overhead = 0.0;
+  config.recv_overhead = 0.0;
+  Simulator sim(4, network::MessageCostModel(latency, byte_cost), config);
+  NicConfig nic;
+  nic.enabled = true;
+  nic.pes_per_node = 4;
+  nic.injection_bandwidth = 1e9;  // 1 us per 1000 bytes
+  sim.set_nic(nic);
+  sim.set_schedule(0, {Op::isend(1, 1000.0, 1), Op::isend(2, 3000.0, 1),
+                       Op::isend(3, 2000.0, 1), Op::compute(10e-6),
+                       Op::wait_all_sends(), Op::record(0),
+                       Op::wait_all_sends(), Op::record(1)});
+  sim.set_schedule(1, {Op::recv(0, 1000.0, 1)});
+  sim.set_schedule(2, {Op::recv(0, 3000.0, 1)});
+  sim.set_schedule(3, {Op::recv(0, 2000.0, 1)});
+  const SimResult result = sim.run();
+  // Injections start at 0, 1 and 4 us; the sends complete at 11, 32
+  // and 25 us.
+  const double latest = 1e-6 + latency(3000.0);
+  EXPECT_EQ(result.records[0].at(0), latest);
+  EXPECT_EQ(result.breakdown[0].send_wait, latest - 10e-6);
+  // With nothing pending, the second wait moves neither the clock nor
+  // the wait.
+  EXPECT_EQ(result.records[0].at(1), latest);
+  EXPECT_EQ(result.finish_times[0], latest);
+}
+
 TEST(Simulator, MessagesMatchByTag) {
   Simulator sim = make_simulator(2);
   // Two messages with different tags received in reverse order.
@@ -248,6 +286,20 @@ TEST(Simulator, ScheduleValidationRejectsBadOps) {
   EXPECT_THROW(sim.set_schedule(0, {Op::compute(-1.0)}),
                util::InvalidArgument);
   EXPECT_THROW(sim.set_schedule(9, {}), util::InvalidArgument);
+}
+
+TEST(Simulator, TagsAnOpCannotHoldAreRefused) {
+  // An op holds its tag in 16 bits: [0, 32767], the least MPI_TAG_UB
+  // the MPI standard guarantees.
+  EXPECT_THROW(static_cast<void>(Op::isend(1, 8.0, 40000)),
+               util::InvalidArgument);
+  EXPECT_THROW(static_cast<void>(Op::recv(0, 8.0, -1)),
+               util::InvalidArgument);
+  // Both ends of the range still match.
+  Simulator sim = make_simulator(2);
+  sim.set_schedule(0, {Op::isend(1, 8.0, 32767), Op::isend(1, 8.0, 0)});
+  sim.set_schedule(1, {Op::recv(0, 8.0, 0), Op::recv(0, 8.0, 32767)});
+  EXPECT_EQ(sim.run().traffic.point_to_point_messages, 2);
 }
 
 TEST(Simulator, RecordCapturesPhaseBoundaries) {
