@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -37,13 +39,12 @@ enum class OpKind : std::uint8_t {
 
 [[nodiscard]] std::string_view op_kind_name(OpKind kind);
 
-/// One operation of a rank's static schedule, packed into 16 bytes: a
-/// 100k-rank replay holds tens of millions of ops before its first
-/// event fires (docs/PERFORMANCE.md, "Schedule construction"). No kind
-/// reads every field, so the kinds share them: `value_` is a compute
-/// op's seconds or a message's or collective's payload bytes, and
-/// `peer_` is a kRecord op's slot. The factories are the only
-/// constructors, so every op's tag fits its 16 bits.
+/// One operation a rank executes, packed into 16 bytes
+/// (docs/PERFORMANCE.md, "Schedule construction"). No kind reads every
+/// field, so the kinds share them: `value_` is a compute op's seconds
+/// or a message's or collective's payload bytes, and `peer_` is a
+/// kRecord op's slot. The factories are the only constructors, so
+/// every op's tag fits its 16 bits.
 class Op {
  public:
   /// The largest tag an op holds: 32767, the least MPI_TAG_UB the MPI
@@ -107,5 +108,51 @@ class Op {
 static_assert(sizeof(Op) == 16, "schedule ops must stay 16 bytes");
 
 using Schedule = std::vector<Op>;
+
+/// Every rank's ops, read one at a time as the engines step the ranks.
+///
+/// The engines ask for op `pc` of a rank in execution order: the op
+/// they last asked for again (a rank woken on the op it blocked at) or
+/// the next one. An implementation may keep a per-rank cursor to make
+/// that amortised O(1). Any other `pc` (a diagnosis naming the op a
+/// rank stopped at) must still return the same op, at whatever cost.
+/// Calls for one rank never overlap: the engines make them from the
+/// thread stepping the rank's shard, or after every worker finished.
+/// Calls for ranks of different shards run concurrently, so state a
+/// call writes must belong to its rank.
+class Program {
+ public:
+  virtual ~Program() = default;
+  /// Ranks the program covers.
+  [[nodiscard]] virtual std::int32_t ranks() const = 0;
+  /// Ops rank `rank` executes.
+  [[nodiscard]] virtual std::size_t size(RankId rank) const = 0;
+  /// Op `pc` of rank `rank`, for `pc < size(rank)`.
+  [[nodiscard]] virtual Op op(RankId rank, std::size_t pc) = 0;
+};
+
+/// The program of stored schedules, one vector of ops per rank, that
+/// Simulator::set_schedule fills.
+class ScheduleProgram final : public Program {
+ public:
+  explicit ScheduleProgram(std::int32_t ranks)
+      : schedules_(static_cast<std::size_t>(ranks)) {}
+
+  [[nodiscard]] std::int32_t ranks() const override {
+    return static_cast<std::int32_t>(schedules_.size());
+  }
+  [[nodiscard]] std::size_t size(RankId rank) const override {
+    return schedules_[static_cast<std::size_t>(rank)].size();
+  }
+  [[nodiscard]] Op op(RankId rank, std::size_t pc) override {
+    return schedules_[static_cast<std::size_t>(rank)][pc];
+  }
+  void set(RankId rank, Schedule schedule) {
+    schedules_[static_cast<std::size_t>(rank)] = std::move(schedule);
+  }
+
+ private:
+  std::vector<Schedule> schedules_;
+};
 
 }  // namespace krak::sim

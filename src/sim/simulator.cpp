@@ -108,27 +108,45 @@ Simulator::Simulator(std::int32_t ranks, network::MessageCostModel network,
     : network_(network),
       collectives_(network),
       config_(config),
-      schedules_(static_cast<std::size_t>(ranks)) {
+      schedules_(ranks) {
   check(ranks > 0, "Simulator requires at least one rank");
+}
+
+void Simulator::check_op(RankId rank, const Op& op) const {
+  // One predictable branch per rule: every op a rank executes passes
+  // through here.
+  switch (op.kind()) {
+    case OpKind::kIsend:
+    case OpKind::kRecv:
+      KRAK_REQUIRE(op.peer() >= 0 && op.peer() < ranks(),
+                   "op peer out of range");
+      KRAK_REQUIRE(op.peer() != rank, "self-messages are not supported");
+      [[fallthrough]];
+    case OpKind::kAllreduce:
+    case OpKind::kBroadcast:
+    case OpKind::kGather:
+      KRAK_REQUIRE(op.bytes() >= 0.0, "message size must be non-negative");
+      break;
+    case OpKind::kCompute:
+      KRAK_REQUIRE(op.duration() >= 0.0,
+                   "compute duration must be non-negative");
+      break;
+    case OpKind::kWaitAllSends:
+    case OpKind::kRecord:
+      break;
+  }
 }
 
 void Simulator::set_schedule(RankId rank, Schedule schedule) {
   check(rank >= 0 && rank < ranks(), "rank id out of range");
-  for (const Op& op : schedule) {
-    if (op.kind() == OpKind::kIsend || op.kind() == OpKind::kRecv) {
-      check(op.peer() >= 0 && op.peer() < ranks(), "op peer out of range");
-      check(op.peer() != rank, "self-messages are not supported");
-    }
-    if (op.kind() == OpKind::kCompute) {
-      check(op.duration() >= 0.0, "compute duration must be non-negative");
-    }
-    if (op.kind() == OpKind::kIsend || op.kind() == OpKind::kRecv ||
-        op.kind() == OpKind::kAllreduce || op.kind() == OpKind::kBroadcast ||
-        op.kind() == OpKind::kGather) {
-      check(op.bytes() >= 0.0, "message size must be non-negative");
-    }
-  }
-  schedules_[static_cast<std::size_t>(rank)] = std::move(schedule);
+  for (const Op& op : schedule) check_op(rank, op);
+  schedules_.set(rank, std::move(schedule));
+}
+
+void Simulator::set_program(Program* program) {
+  check(program == nullptr || program->ranks() == ranks(),
+        "program must cover every rank");
+  program_ = program;
 }
 
 void Simulator::set_nic(NicConfig nic) {
@@ -365,7 +383,7 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
   }
 }
 
-SimFailure Simulator::diagnose_stuck_rank(RankId rank) const {
+SimFailure Simulator::diagnose_stuck_rank(RankId rank) {
   const RankState& state = states_[static_cast<std::size_t>(rank)];
   SimFailure failure;
   failure.rank = rank;
@@ -373,9 +391,9 @@ SimFailure Simulator::diagnose_stuck_rank(RankId rank) const {
   // advances pc past the collective before parking the rank, so pc
   // would misname the op (or point past the schedule's end).
   failure.op_index = state.blocked ? state.blocked_op : state.pc;
-  const Schedule& schedule = schedules_[static_cast<std::size_t>(rank)];
-  if (failure.op_index < schedule.size()) {
-    const Op& op = schedule[failure.op_index];
+  Program& program = this->program();
+  if (failure.op_index < program.size(rank)) {
+    const Op op = program.op(rank, failure.op_index);
     name_op(failure, op);
     if (op.kind() == OpKind::kRecv) {
       const auto it = lost_.find({op.peer(), rank, op.tag()});
@@ -404,10 +422,8 @@ void Simulator::dispatch(Shard& shard, const SimEvent& event,
     }
     case EventKind::kMessageArrival: {
       RankState& receiver = states_[static_cast<std::size_t>(event.rank)];
-      // The payload's true arrival rides in the event (equal to the fire
-      // time except for cross-shard payloads injected after the
-      // destination queue's clock passed it — the receiver's timing math
-      // must always see the true arrival).
+      // The payload's true arrival rides in the event, equal to its fire
+      // time: the receiver's timing math reads it from there.
       receiver.mailbox.push(event.peer, event.tag, event.value);
       // Only a recv-blocked rank can make progress on delivery; a rank
       // waiting inside a collective must stay parked until the
@@ -444,7 +460,8 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
   if (state.finished || state.timed_out) return;
   state.blocked = false;
   state.reason = BlockReason::kNone;
-  const Schedule& schedule = schedules_[static_cast<std::size_t>(rank)];
+  Program& program = this->program();
+  const std::size_t op_count = program.size(rank);
   RankTimeBreakdown& breakdown =
       result.breakdown[static_cast<std::size_t>(rank)];
 
@@ -453,7 +470,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
     failure.kind = SimFailure::Kind::kTimeLimit;
     failure.rank = rank;
     failure.op_index = state.pc;
-    if (state.pc < schedule.size()) name_op(failure, schedule[state.pc]);
+    if (state.pc < op_count) name_op(failure, program.op(rank, state.pc));
     std::ostringstream os;
     os << "(clock " << state.clock << " s > bound " << watchdog_.max_sim_seconds
        << " s)";
@@ -462,7 +479,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
     state.timed_out = true;
   };
 
-  while (state.pc < schedule.size() && !state.blocked) {
+  while (state.pc < op_count && !state.blocked) {
     if (watchdog_.max_sim_seconds > 0.0 &&
         state.clock > watchdog_.max_sim_seconds) {
       // The rank ran past the simulated-time bound: stop executing its
@@ -471,7 +488,8 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       trip_time_limit();
       return;
     }
-    const Op& op = schedule[state.pc];
+    const Op op = program.op(rank, state.pc);
+    check_op(rank, op);
     switch (op.kind()) {
       case OpKind::kCompute: {
         if (fault_ != nullptr) {
@@ -619,7 +637,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       }
     }
   }
-  if (state.pc >= schedule.size() && !state.blocked) {
+  if (state.pc >= op_count && !state.blocked) {
     if (watchdog_.max_sim_seconds > 0.0 &&
         state.clock > watchdog_.max_sim_seconds) {
       // The loop-head check only sees the clock before each op, so a

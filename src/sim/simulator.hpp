@@ -286,7 +286,7 @@ struct RankTimeBreakdown {
   }
 };
 
-/// Result of running all rank schedules to completion.
+/// Result of running every rank's program to completion.
 struct SimResult {
   /// Time at which the last rank finished (the simulated runtime).
   double makespan = 0.0;
@@ -326,24 +326,30 @@ struct SimResult {
 
 /// Discrete-event simulator of message-passing ranks.
 ///
-/// Each rank executes a static Schedule of compute, point-to-point, and
-/// collective operations. Point-to-point messages incur the machine's
-/// Tmsg(S) (Equation 4) on the wire but only an injection overhead on
-/// the sender's CPU, so sends to multiple neighbors overlap — the key
-/// semantic the analytic model deliberately ignores (Equations 5-7
-/// "do not account for overlapping of messages"). Collectives are
-/// synchronizing tree operations costed by CollectiveModel.
+/// Each rank executes its ops of a Program — compute, point-to-point
+/// and collective operations — read one at a time as the rank steps.
+/// Point-to-point messages incur the machine's Tmsg(S) (Equation 4) on
+/// the wire but only an injection overhead on the sender's CPU, so
+/// sends to multiple neighbors overlap — the key semantic the analytic
+/// model deliberately ignores (Equations 5-7 "do not account for
+/// overlapping of messages"). Collectives are synchronizing tree
+/// operations costed by CollectiveModel.
 class Simulator {
  public:
   Simulator(std::int32_t ranks, network::MessageCostModel network,
             SimConfig config = {});
 
-  [[nodiscard]] std::int32_t ranks() const {
-    return static_cast<std::int32_t>(schedules_.size());
-  }
+  [[nodiscard]] std::int32_t ranks() const { return schedules_.ranks(); }
 
   /// Install the schedule for one rank (replaces any existing one).
+  /// Throws InvalidArgument for a message to the rank itself or to no
+  /// rank, or a negative duration or payload.
   void set_schedule(RankId rank, Schedule schedule);
+
+  /// Run `program` instead of the schedules set_schedule installed, or
+  /// the schedules again with nullptr. Not owned; must outlive run().
+  /// Every op is checked as it is read, as set_schedule checks it.
+  void set_program(Program* program);
 
   /// Configure the shared-NIC injection model (see NicConfig).
   void set_nic(NicConfig nic);
@@ -374,7 +380,7 @@ class Simulator {
   /// Kind::kDeadline, so a blown wall budget can never wedge a sweep.
   void set_cancellation(const util::CancellationToken* token);
 
-  /// Run all schedules to completion and return the timing result.
+  /// Run every rank's ops to completion and return the timing result.
   /// Throws KrakError on deadlock (a rank blocks forever) or on
   /// mismatched collective sequences — unless the watchdog runs with
   /// structured_failures, in which case hangs are returned as
@@ -523,12 +529,22 @@ class Simulator {
     }
   };
 
+  /// The program every rank executes: set_program's, else the
+  /// schedules.
+  [[nodiscard]] Program& program() {
+    return program_ != nullptr ? *program_ : schedules_;
+  }
+  /// Throws InvalidArgument unless `rank` may execute `op`: a message
+  /// names another rank in range, and no duration or payload is
+  /// negative. The Op factories already refuse a tag outside
+  /// [0, Op::kMaxTag].
+  void check_op(RankId rank, const Op& op) const;
   void step_rank(Shard& shard, RankId rank, SimResult& result);
   void dispatch(Shard& shard, const SimEvent& event, SimResult& result);
   void enter_collective(Shard& shard, RankId rank, const Op& op);
   /// Diagnose the unfinished rank `rank` at drain time (deadlock or
   /// lost-message starvation).
-  [[nodiscard]] SimFailure diagnose_stuck_rank(RankId rank) const;
+  [[nodiscard]] SimFailure diagnose_stuck_rank(RankId rank);
 
   /// Shared prologue/epilogue of both engines: reset run state, then
   /// merge per-shard tallies, diagnose stuck ranks, reduce the
@@ -572,7 +588,8 @@ class Simulator {
   /// each node's slot is read and written by exactly one worker.
   std::vector<double> nic_free_;
   SimConfig config_;
-  std::vector<Schedule> schedules_;
+  ScheduleProgram schedules_;
+  Program* program_ = nullptr;
   std::vector<RankState> states_;
   /// In-flight collective windows, indexed by `collective index -
   /// collective_base_`. Released collectives are reclaimed eagerly:

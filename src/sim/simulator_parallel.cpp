@@ -144,6 +144,8 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
   std::uint64_t epochs = 0;
   std::uint64_t empty_epochs = 0;
   std::uint64_t cross_messages = 0;
+  // Worker-seconds the pool sat idle in the window phases
+  // (sim.parallel.barrier_wait_s).
   double barrier_wait_seconds = 0.0;
   // The Amdahl numerator: wall seconds of the sections only the
   // coordinator thread executes (exported as sim.parallel.coordinator_s
@@ -316,11 +318,13 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
               run_shard_window(i, horizon, degenerate, budget_left);
             }
           });
-      const double epoch_seconds = epoch_watch.seconds();
-      for (const Shard& shard : shards) {
-        barrier_wait_seconds +=
-            std::max(0.0, epoch_seconds - shard.busy_seconds);
-      }
+      // The workers' whole window time less the shards' busy time: a
+      // shard queued behind another on the same worker is not waiting.
+      double busy_seconds = 0.0;
+      for (const Shard& shard : shards) busy_seconds += shard.busy_seconds;
+      barrier_wait_seconds +=
+          std::max(0.0, static_cast<double>(workers) * epoch_watch.seconds() -
+                            busy_seconds);
     } else {
       // Single worker: no barrier exists, so no wait is recorded.
       for (std::size_t i = 0; i < shards.size(); ++i) {

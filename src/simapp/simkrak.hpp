@@ -115,29 +115,19 @@ class SimKrak {
   /// Run the simulation and aggregate timing results.
   [[nodiscard]] SimKrakResult run() const;
 
-  /// The per-PE subgrid statistics the schedules were built from.
+  /// The ops every rank executes, derived on demand from stats() and
+  /// one noisy compute time per phase drawn from the rank's own stream
+  /// (docs/PERFORMANCE.md, "Schedule construction"). run() simulates a
+  /// fresh one. It reads this object's cost engine, which must outlive
+  /// it.
+  [[nodiscard]] std::unique_ptr<sim::Program> program() const;
+
+  /// The per-PE subgrid statistics the ops are derived from.
   [[nodiscard]] const partition::PartitionStats& stats() const {
     return *stats_;
   }
 
  private:
-  /// Every iteration's ops for one rank, drawing each phase's compute
-  /// noise in order from the rank's own stream (docs/PERFORMANCE.md,
-  /// "Schedule construction").
-  [[nodiscard]] sim::Schedule build_schedule(partition::PeId pe) const;
-  void append_boundary_exchange(sim::Schedule& schedule,
-                                const partition::SubdomainInfo& sub) const;
-  void append_ghost_update(sim::Schedule& schedule,
-                           const partition::SubdomainInfo& sub,
-                           double bytes_per_node, std::int32_t phase) const;
-  [[nodiscard]] static std::size_t boundary_exchange_op_count(
-      const partition::SubdomainInfo& sub);
-  [[nodiscard]] static std::size_t ghost_update_op_count(
-      const partition::SubdomainInfo& sub);
-  /// Exact number of ops one iteration appends for this subdomain.
-  [[nodiscard]] static std::size_t iteration_op_count(
-      const partition::SubdomainInfo& sub);
-
   // Stored by value: callers routinely pass freshly built partitions as
   // temporaries, and a dangling reference here outlives the expression.
   partition::Partition partition_;

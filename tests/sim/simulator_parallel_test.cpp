@@ -5,12 +5,15 @@
 // single-thread oracle's exactly, across thread counts {1, 2, 8}. Also
 // the PR 7 watchdog regression: a run that drains its event queue while
 // its final ops push a rank past max_sim_seconds must still trip the
-// bound instead of reporting success.
+// bound instead of reporting success, and the engine's timing gauges:
+// the coordinator wall and the idle worker-seconds at its barriers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -20,6 +23,7 @@
 #include "network/topology.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace krak::sim {
 namespace {
@@ -694,6 +698,31 @@ TEST(SimulatorParallel, CoordinatorTimingFieldsPopulated) {
   install_ring_workload(oracle, ranks, /*rounds=*/8);
   const SimResult serial = oracle.run();
   EXPECT_EQ(serial.coordinator_seconds, 0.0);
+}
+
+TEST(SimulatorParallel, BarrierWaitIsBoundedByWorkerTime) {
+  // sim.parallel.barrier_wait_s counts the worker-seconds the pool sat
+  // idle in the epoch windows, so it cannot exceed the workers' whole
+  // time in the run. With more shards than workers, shards queue on
+  // each worker, and a queued shard is not waiting at the barrier.
+  const std::int32_t ranks = 256;
+  const std::int32_t shards = 64;
+  Simulator sim = make_simulator(ranks, shards);
+  install_ring_workload(sim, ranks, /*rounds=*/16);
+  const util::Stopwatch watch;
+  const SimResult result = sim.run();
+  const double wall = watch.seconds();
+  ASSERT_FALSE(result.failed());
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(shards),
+               std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  const double barrier_wait = obs::global_registry()
+                                  .snapshot()
+                                  .at("sim.parallel.barrier_wait_s")
+                                  .value;
+  EXPECT_GE(barrier_wait, 0.0);
+  EXPECT_LE(barrier_wait, static_cast<double>(workers) * wall)
+      << workers << " workers, run wall " << wall << " s";
 }
 
 }  // namespace

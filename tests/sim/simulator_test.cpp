@@ -288,6 +288,47 @@ TEST(Simulator, ScheduleValidationRejectsBadOps) {
   EXPECT_THROW(sim.set_schedule(9, {}), util::InvalidArgument);
 }
 
+/// Rank 0 runs one op; every other rank runs none.
+class OneOpProgram final : public Program {
+ public:
+  OneOpProgram(std::int32_t ranks, Op op) : ranks_(ranks), op_(op) {}
+  [[nodiscard]] std::int32_t ranks() const override { return ranks_; }
+  [[nodiscard]] std::size_t size(RankId rank) const override {
+    return rank == 0 ? 1 : 0;
+  }
+  [[nodiscard]] Op op(RankId /*rank*/, std::size_t /*pc*/) override {
+    return op_;
+  }
+
+ private:
+  std::int32_t ranks_;
+  Op op_;
+};
+
+TEST(Simulator, ProgramOpsAreCheckedAsTheyAreRead) {
+  // A program's ops pass the checks set_schedule applies, with the same
+  // InvalidArgument, as the engine reads each one.
+  for (const Op& bad :
+       {Op::isend(0, 1.0, 1), Op::recv(5, 1.0, 1), Op::isend(1, -1.0, 1),
+        Op::compute(-1.0), Op::allreduce(-8.0)}) {
+    Simulator sim = make_simulator(2);
+    OneOpProgram program(2, bad);
+    sim.set_program(&program);
+    EXPECT_THROW((void)sim.run(), util::InvalidArgument)
+        << op_kind_name(bad.kind());
+  }
+  Simulator sim = make_simulator(2);
+  OneOpProgram program(2, Op::compute(2.0));
+  sim.set_program(&program);
+  EXPECT_DOUBLE_EQ(sim.run().makespan, 2.0);
+  // nullptr goes back to the schedules set_schedule installed.
+  sim.set_schedule(1, {Op::compute(3.0)});
+  sim.set_program(nullptr);
+  EXPECT_DOUBLE_EQ(sim.run().makespan, 3.0);
+  OneOpProgram too_small(1, Op::compute(1.0));
+  EXPECT_THROW(sim.set_program(&too_small), util::InvalidArgument);
+}
+
 TEST(Simulator, TagsAnOpCannotHoldAreRefused) {
   // An op holds its tag in 16 bits: [0, 32767], the least MPI_TAG_UB
   // the MPI standard guarantees.

@@ -1,10 +1,12 @@
-// Pinned outputs of SimKrak's schedule builder. Each case's full result
-// — makespan, phase times, events, traffic, fault delay, failures and
-// every rank's breakdown — is folded into one digest (result_digest.hpp)
-// and compared with the value recorded when SimKrak still had two
-// schedule builders (a per-iteration template replay and this direct
-// build) that agreed bit for bit on every case. Any change here is a
-// silent change to every measured campaign value and must be deliberate.
+// Pinned outputs of SimKrak. Each case's full result — makespan, phase
+// times, events, traffic, fault delay, failures and every rank's
+// breakdown — is folded into one digest (result_digest.hpp) and compared
+// with the value recorded when SimKrak still had two schedule builders
+// (a per-iteration template replay and a direct build) that agreed bit
+// for bit on every case. Every case runs on the serial engine and on
+// the parallel one at 8 threads, which must match the same digest. Any
+// change here is a silent change to every measured campaign value and
+// must be deliberate.
 
 #include <gtest/gtest.h>
 
@@ -44,9 +46,14 @@ void expect_digests(const SimKrakOptions& options,
                     std::initializer_list<DigestCase> cases) {
   const Fixture f;
   for (const DigestCase& c : cases) {
-    const std::uint64_t digest = result_digest(f.run(c.pes, options));
-    EXPECT_EQ(digest, c.digest)
-        << c.pes << " PEs: digest 0x" << std::hex << digest;
+    for (const std::int32_t threads : {1, 8}) {
+      SimKrakOptions threaded = options;
+      threaded.sim_threads = threads;
+      const std::uint64_t digest = result_digest(f.run(c.pes, threaded));
+      EXPECT_EQ(digest, c.digest) << c.pes << " PEs, " << threads
+                                  << " threads: digest 0x" << std::hex
+                                  << digest;
+    }
   }
 }
 
