@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the simulator's hot path
-// (docs/PERFORMANCE.md): the slab-backed event queue, the
+// (docs/PERFORMANCE.md): the ladder event queue, the
 // open-addressing mailbox, and the end-to-end event loop.
 // CI's perf-smoke job runs this with --benchmark_min_time=0.05 as a
 // does-it-still-run canary; run it bare for stable numbers.
@@ -13,20 +13,19 @@
 #include "sim/event_queue.hpp"
 #include "sim/mailbox.hpp"
 #include "simapp/simkrak.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using namespace krak;
 
-// Heap churn at a realistic queue depth: a sliding window of pending
-// events where every fire schedules a successor, exercising the
-// sift-up/sift-down paths and the pooled slab with zero allocation in
-// steady state.
+// Churn at a steady queue depth: a sliding window of pending events
+// where every fire schedules a successor, so pushes land in the rung's
+// later buckets and the top tier as the queue drains.
 void BM_EventQueueChurn(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::EventQueue queue;
-    queue.reserve(depth + 1);
     for (std::size_t i = 0; i < depth; ++i) {
       queue.schedule(static_cast<double>(i),
                      sim::SimEvent::step(static_cast<std::int32_t>(i)));
@@ -45,6 +44,45 @@ void BM_EventQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurn)->Arg(1 << 10)->Arg(1 << 14)
     ->Unit(benchmark::kMicrosecond);
+
+// The replay's shape: range(0) steps released at one time, each posting
+// kArrivals message arrivals spread over a window, then popped to
+// empty, four times over. Each burst goes through a rung build, and
+// the queue peaks at range(0) * kArrivals pending events (843,648 per
+// shard in the 100k-rank replay).
+void BM_EventQueueBurst(benchmark::State& state) {
+  constexpr std::int32_t kArrivals = 64;
+  constexpr int kReleases = 4;
+  const auto steps = static_cast<std::int32_t>(state.range(0));
+  util::Rng rng(static_cast<std::uint64_t>(steps));
+  std::vector<double> delays(static_cast<std::size_t>(steps) * kArrivals);
+  for (double& delay : delays) delay = rng.next_double(1e-6, 1e-3);
+  for (auto _ : state) {
+    sim::EventQueue queue;
+    std::size_t fired = 0;
+    for (int release = 0; release < kReleases; ++release) {
+      const double at = queue.now() + 1e-3;
+      for (std::int32_t r = 0; r < steps; ++r) {
+        queue.schedule(at, sim::SimEvent::step(r));
+      }
+      fired += queue.run([&](const sim::SimEvent& e) {
+        if (e.kind != sim::EventKind::kStepRank) return;
+        const double* delay =
+            delays.data() + static_cast<std::size_t>(e.rank) * kArrivals;
+        for (std::int32_t k = 0; k < kArrivals; ++k) {
+          const double arrival = queue.now() + delay[k];
+          queue.schedule(arrival,
+                         sim::SimEvent::arrival(e.rank, k, 0, arrival));
+        }
+      }).fired;
+    }
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kReleases * state.range(0) * (kArrivals + 1));
+}
+BENCHMARK(BM_EventQueueBurst)->Arg(1 << 10)->Arg(12800)
+    ->Unit(benchmark::kMillisecond);
 
 // The Krak exchange pattern against the mailbox: a fixed set of
 // (peer, tag) keys hit every iteration, half the pops finding their

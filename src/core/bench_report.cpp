@@ -10,6 +10,12 @@
 #include "obs/report.hpp"
 #include "util/error.hpp"
 
+// The build stamps the commit into krak_git_sha.hpp
+// (cmake/GitStamp.cmake); a build of these sources without that step,
+// such as perfbench's, reports "unknown".
+#if __has_include("krak_git_sha.hpp")
+#include "krak_git_sha.hpp"
+#endif
 #ifndef KRAK_GIT_SHA_DEFAULT
 #define KRAK_GIT_SHA_DEFAULT "unknown"
 #endif

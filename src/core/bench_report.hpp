@@ -22,7 +22,8 @@ struct BenchEnvironment {
 
 /// Fill from compiler macros, std::thread::hardware_concurrency, and —
 /// for the git SHA — the KRAK_GIT_SHA environment variable (exported by
-/// CI) falling back to the configure-time KRAK_GIT_SHA_DEFAULT.
+/// CI) falling back to the SHA the build stamped, with "-dirty" when a
+/// tracked file differed from that commit (cmake/GitStamp.cmake).
 [[nodiscard]] BenchEnvironment detect_bench_environment();
 
 /// One validation campaign as a krak-bench-v2 "campaigns" entry.

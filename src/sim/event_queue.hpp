@@ -9,8 +9,8 @@ namespace krak::sim {
 
 /// What a scheduled simulator event does when it fires. Events carry
 /// indices into per-rank state instead of captured lambdas, so
-/// scheduling one writes a small POD into the queue's slab — no heap
-/// allocation, no type erasure, no virtual dispatch (docs/PERFORMANCE.md).
+/// scheduling one writes a small POD into one of the queue's arrays — no
+/// type erasure, no virtual dispatch (docs/PERFORMANCE.md).
 enum class EventKind : std::uint8_t {
   /// Resume executing ops of `rank` (initial kick-off and generic wake).
   kStepRank,
@@ -76,19 +76,23 @@ struct EventRunStats {
 /// Events at equal timestamps fire in insertion order (a monotone
 /// sequence number breaks ties), which keeps simulations deterministic:
 /// the (time, seq) comparator is a strict total order, so the pop
-/// sequence is independent of the heap's internal layout. Entries are
-/// 32-byte PODs in a single contiguous slab (a 4-ary implicit heap over
-/// a reserved vector — half the sift depth of a binary heap, and a
-/// node's children share cache lines): scheduling is a bounds check plus
-/// a sift-up, and the slab's capacity is reused across the whole run.
-/// The number of events scheduled without growing the slab is exported
-/// to the observability layer as `sim.events.pooled`.
+/// sequence is independent of how the queue stores its entries.
+///
+/// The queue is a ladder (Tang, Goh & Thng, ACM TOMACS 15(3), 2005) of
+/// three tiers of 32-byte POD entries (docs/PERFORMANCE.md, "The event
+/// engine"):
+///  - the **bottom**, a 4-ary implicit heap holding only the current
+///    time bucket — a few dozen entries, so every pop stays in cache;
+///  - the **rung**, time buckets of equal width held in one contiguous
+///    array, built when the bottom empties by counting-sorting the top
+///    tier in place;
+///  - the **top**, an unsorted array of the events later than the
+///    rung's largest time.
+/// One monotone function maps a time to its bucket, so every event in
+/// an earlier tier is strictly earlier than every event in a later one,
+/// and the bottom heap's (time, seq) order is the whole queue's.
 class EventQueue {
  public:
-  /// Pre-size the slab so a run of `expected_events` pending events
-  /// never reallocates.
-  void reserve(std::size_t expected_events) { heap_.reserve(expected_events); }
-
   /// Schedule `event` at absolute time `time` (seconds); `time` must
   /// not precede the current time.
   void schedule(double time, SimEvent event);
@@ -99,7 +103,7 @@ class EventQueue {
   /// release ranks in shards whose queues already fired events later in
   /// the window, so the release step legitimately lands below now().
   /// Popping such an entry regresses now() to its time; from there the
-  /// heap keeps firing in nondecreasing time order, so every event
+  /// queue keeps firing in nondecreasing time order, so every event
   /// scheduled by subsequent handlers still satisfies schedule()'s
   /// monotonicity contract.
   void inject(double time, SimEvent event);
@@ -108,25 +112,24 @@ class EventQueue {
   /// event (0 before any event fires).
   [[nodiscard]] double now() const { return now_; }
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Timestamp of the earliest pending event; +infinity when empty.
   /// The parallel engine's epoch coordinator uses this to pick the next
-  /// global time window without popping anything.
-  [[nodiscard]] double next_time() const {
-    return heap_.empty() ? std::numeric_limits<double>::infinity()
-                         : heap_.front().time;
+  /// global time window without popping anything. Not const: it may
+  /// load the next bucket into the bottom tier, which moves no event
+  /// out of order.
+  [[nodiscard]] double next_time() {
+    if (size_ == 0) return std::numeric_limits<double>::infinity();
+    settle();
+    return bottom_.front().time;
   }
 
   /// High-water mark of pending events since construction — a proxy for
   /// how much simulated concurrency was in flight (reported per replay
   /// as `max_queue_depth`).
   [[nodiscard]] std::size_t max_size() const { return max_size_; }
-
-  /// Events scheduled into already-allocated slab capacity (all but the
-  /// ones that forced the slab to grow).
-  [[nodiscard]] std::uint64_t pooled_events() const { return pooled_; }
 
   /// Fire events in time order until none remain or `max_events` have
   /// fired, dispatching each to `handler(const SimEvent&)`. The handler
@@ -136,11 +139,12 @@ class EventQueue {
   EventRunStats run(Handler&& handler,
                     std::size_t max_events = kDefaultMaxEvents) {
     EventRunStats stats;
-    while (!heap_.empty()) {
+    while (size_ != 0) {
       if (stats.fired >= max_events) {
         stats.budget_exhausted = true;
         break;
       }
+      settle();
       const Entry top = pop_min();
       now_ = top.time;
       handler(top.to_event());
@@ -159,8 +163,9 @@ class EventQueue {
   EventRunStats run_window(double limit, bool inclusive,
                            std::size_t max_events, Handler&& handler) {
     EventRunStats stats;
-    while (!heap_.empty()) {
-      const double time = heap_.front().time;
+    while (size_ != 0) {
+      settle();
+      const double time = bottom_.front().time;
       if (inclusive ? time > limit : time >= limit) break;
       if (stats.fired >= max_events) {
         stats.budget_exhausted = true;
@@ -178,14 +183,19 @@ class EventQueue {
   static constexpr std::size_t kDefaultMaxEvents = 1'000'000'000;
 
  private:
-  /// Children per heap node (a node's children are contiguous).
+  /// Children per bottom-heap node (a node's children are contiguous).
   static constexpr std::size_t kArity = 4;
+  /// Events per rung bucket the build aims for: the bottom heap's
+  /// working set. A constant, not a setting: on BM_EventQueueBurst 256
+  /// measures about the same and 16 about 10% slower.
+  static constexpr std::size_t kBucketEvents = 48;
+  /// End of a bucket's side-store chain.
+  static constexpr std::uint32_t kNoLink = 0xffffffffu;
 
   /// 32-byte flattened (time, seq, event) record. The event kind rides
   /// in the sequence word's low 2 bits: the shift preserves insertion
   /// order exactly, so comparing `seq_kind` compares `seq` — and the
-  /// slab stays a clean two entries per cache line, which matters when
-  /// the 100k-rank replays push the heap past a million entries.
+  /// tiers stay a clean two entries per cache line.
   struct Entry {
     double time;
     double value;
@@ -210,16 +220,50 @@ class EventQueue {
       return event;
     }
   };
-  static_assert(sizeof(Entry) == 32, "heap entries must stay 32 bytes");
+  static_assert(sizeof(Entry) == 32, "queue entries must stay 32 bytes");
 
+  /// Make the bottom tier non-empty; the queue must not be empty.
+  void settle() {
+    if (bottom_.empty()) load_next_bucket();
+  }
+  void load_next_bucket();
+  void build_rung();
+  void sift_down(std::size_t parent);
+  /// The rung bucket of `time`, for rung_start_ <= time <= rung_max_:
+  /// monotone in time and clamped to the last bucket.
+  [[nodiscard]] std::size_t bucket_of(double time) const {
+    const double offset = (time - rung_start_) * rung_scale_;
+    const std::size_t last = bucket_end_.size() - 1;
+    return offset < static_cast<double>(last) ? static_cast<std::size_t>(offset)
+                                              : last;
+  }
   Entry pop_min();
   void push_entry(double time, SimEvent event);
 
-  std::vector<Entry> heap_;
+  /// The current bucket (and any event earlier than the rung's start).
+  std::vector<Entry> bottom_;
+  /// Bucketed events: bucket b is rung_[bucket_end_[b-1], bucket_end_[b])
+  /// (from 0 for b = 0). Buckets below `loaded_` have moved to the bottom.
+  std::vector<Entry> rung_;
+  std::vector<std::uint32_t> bucket_end_;
+  std::size_t loaded_ = 0;
+  double rung_start_ = 0.0;
+  double rung_max_ = -std::numeric_limits<double>::infinity();
+  double rung_scale_ = 0.0;
+  /// Events pushed into a bucket after the rung was built, chained per
+  /// bucket (side_head_[b] -> side_next_[i] -> ... -> kNoLink).
+  std::vector<Entry> side_;
+  std::vector<std::uint32_t> side_next_;
+  std::vector<std::uint32_t> side_head_;
+  /// Events later than rung_max_, unsorted, with their time bounds.
+  std::vector<Entry> top_;
+  double top_min_ = std::numeric_limits<double>::infinity();
+  double top_max_ = -std::numeric_limits<double>::infinity();
+
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  std::size_t size_ = 0;
   std::size_t max_size_ = 0;
-  std::uint64_t pooled_ = 0;
 };
 
 }  // namespace krak::sim

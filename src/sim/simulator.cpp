@@ -28,6 +28,13 @@ void name_op(SimFailure& failure, const Op& op) {
   }
 }
 
+/// `ranks`, once checked: the schedule table is sized from it in the
+/// constructor's member initialiser, before the body could check it.
+std::int32_t checked_ranks(std::int32_t ranks) {
+  check(ranks > 0, "Simulator requires at least one rank");
+  return ranks;
+}
+
 }  // namespace
 
 std::string_view op_kind_name(OpKind kind) {
@@ -108,9 +115,7 @@ Simulator::Simulator(std::int32_t ranks, network::MessageCostModel network,
     : network_(network),
       collectives_(network),
       config_(config),
-      schedules_(ranks) {
-  check(ranks > 0, "Simulator requires at least one rank");
-}
+      schedules_(checked_ranks(ranks)) {}
 
 void Simulator::check_op(RankId rank, const Op& op) const {
   // One predictable branch per rule: every op a rank executes passes
@@ -241,9 +246,6 @@ SimResult Simulator::run_serial() {
   Shard& shard = shards.front();
   shard.begin = 0;
   shard.end = n;
-  // Pre-size the slab: one kick-off event per rank plus in-flight
-  // headroom; growth beyond this is counted against sim.events.pooled.
-  shard.queue.reserve(static_cast<std::size_t>(n) * 2 + 64);
   for (RankId r = 0; r < n; ++r) {
     shard.queue.schedule(0.0, SimEvent::step(r));
   }
@@ -279,12 +281,10 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
   const std::int32_t n = ranks();
   result.events_processed = events_fired;
   std::int64_t nic_stalls = 0;
-  std::uint64_t pooled_events = 0;
   for (Shard& shard : shards) {
     nic_stalls += shard.nic_stalls;
     result.max_queue_depth =
         std::max(result.max_queue_depth, shard.queue.max_size());
-    pooled_events += shard.queue.pooled_events();
     result.traffic.point_to_point_messages +=
         shard.traffic.point_to_point_messages;
     result.traffic.allreduces += shard.traffic.allreduces;
@@ -358,7 +358,6 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
   obs::Registry& registry = obs::global_registry();
   static obs::Counter& runs = registry.counter("sim.runs");
   static obs::Counter& events = registry.counter("sim.events");
-  static obs::Counter& pooled = registry.counter("sim.events.pooled");
   static obs::Counter& probes = registry.counter("sim.mailbox.probes");
   static obs::Counter& messages = registry.counter("sim.p2p_messages");
   static obs::Counter& stalls = registry.counter("sim.nic.stalls");
@@ -366,7 +365,6 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
       registry.gauge("sim.collective_states_high_water");
   runs.add(1);
   events.add(static_cast<std::int64_t>(result.events_processed));
-  pooled.add(static_cast<std::int64_t>(pooled_events));
   probes.add(static_cast<std::int64_t>(mailbox_probes));
   messages.add(result.traffic.point_to_point_messages);
   stalls.add(nic_stalls);

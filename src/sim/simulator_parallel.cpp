@@ -90,8 +90,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     shard.begin = std::min(n, next_unit * unit);
     next_unit += units / shard_count + (s < units % shard_count ? 1 : 0);
     shard.end = std::min(n, next_unit * unit);
-    shard.queue.reserve(
-        static_cast<std::size_t>(shard.end - shard.begin) * 2 + 64);
     // Pooled across every epoch of the run: clear() keeps capacity, so
     // steady-state barriers allocate nothing.
     shard.outboxes.resize(static_cast<std::size_t>(shard_count));

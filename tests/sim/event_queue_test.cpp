@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace krak::sim {
 namespace {
@@ -86,6 +91,10 @@ TEST(EventQueue, SchedulingInThePastThrows) {
     EXPECT_THROW(queue.schedule(4.0, SimEvent::step(1)),
                  util::InvalidArgument);
   });
+  // inject may go below now(), but a NaN time has no place in the order.
+  EXPECT_THROW(queue.inject(std::nan(""), SimEvent::step(2)),
+               util::InvalidArgument);
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueue, SchedulingAtCurrentTimeAllowed) {
@@ -124,16 +133,6 @@ TEST(EventQueue, EmptyRunReturnsZero) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueue, ReservedCapacityCountsPooledEvents) {
-  EventQueue queue;
-  queue.reserve(8);
-  for (std::int32_t i = 0; i < 8; ++i) {
-    queue.schedule(static_cast<double>(i), SimEvent::step(i));
-  }
-  EXPECT_EQ(queue.pooled_events(), 8u);
-  EXPECT_EQ(queue.max_size(), 8u);
-}
-
 TEST(EventQueue, PayloadRoundTrips) {
   EventQueue queue;
   queue.schedule(1.0, SimEvent::arrival(/*rank=*/3, /*peer=*/7, /*tag=*/42,
@@ -150,6 +149,187 @@ TEST(EventQueue, PayloadRoundTrips) {
   EXPECT_EQ(seen[1].kind, EventKind::kCollectiveRelease);
   EXPECT_EQ(seen[1].rank, 5);
   EXPECT_DOUBLE_EQ(seen[1].value, 0.125);
+}
+
+// Differential tests: the ladder's pop order against a reference order.
+
+/// One fired event as the differential tests compare it.
+struct Fired {
+  double time = 0.0;
+  std::int32_t id = 0;
+  bool operator==(const Fired&) const = default;
+};
+
+/// Orders by time alone: std::stable_sort with it keeps equal times in
+/// scheduling order, which is the (time, seq) order the queue promises.
+bool earlier(const Fired& a, const Fired& b) { return a.time < b.time; }
+
+/// A delay drawn from the shapes a replay produces: equal-time runs,
+/// near arrivals, arrivals a built rung's later buckets take, and (with
+/// `outliers`) rare far-future ones, which stretch a rung's span so that
+/// most of its events share the first bucket.
+double draw_delay(util::Rng& rng, bool outliers) {
+  const std::uint64_t shape = rng.next_below(16);
+  if (shape < 4) return 0.0;
+  if (shape < 10) return rng.next_double(0.0, 1.0);
+  if (shape < 15 || !outliers) return rng.next_double(1.0, 64.0);
+  return rng.next_double(1e6, 1e9);
+}
+
+TEST(EventQueue, MonotoneScheduleFiresAsStableSortOfTheLog) {
+  // Every event is scheduled at or after now(), so the whole fired
+  // sequence must equal the schedule log stable-sorted by time. Handlers
+  // schedule into the rung being drained; runs stop on a budget
+  // mid-bucket and resume; windows stop at inclusive and exclusive
+  // horizons.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const bool outliers = seed % 2 == 1;
+    EventQueue queue;
+    std::vector<Fired> log;
+    std::vector<Fired> fired;
+    std::size_t max_pending = 0;
+    const auto schedule = [&](double time) {
+      const auto id = static_cast<std::int32_t>(log.size());
+      queue.schedule(time, SimEvent::step(id));
+      log.push_back({time, id});
+      max_pending = std::max(max_pending, log.size() - fired.size());
+    };
+    const auto handler = [&](const SimEvent& event) {
+      fired.push_back({queue.now(), event.rank});
+      if (log.size() >= 6000) return;
+      for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+        schedule(queue.now() + draw_delay(rng, outliers));
+      }
+    };
+    // Kick-off: one equal-time run, then a spread burst.
+    for (int i = 0; i < 300; ++i) schedule(0.0);
+    for (int i = 0; i < 1500; ++i) schedule(draw_delay(rng, outliers));
+    while (!queue.empty()) {
+      if (rng.next_below(3) == 0) {
+        const std::size_t budget = 1 + rng.next_below(97);
+        const std::size_t before = fired.size();
+        const EventRunStats stats = queue.run(handler, budget);
+        EXPECT_EQ(stats.fired, fired.size() - before);
+        EXPECT_EQ(stats.budget_exhausted, !queue.empty());
+      } else {
+        const double start = queue.next_time();
+        const bool inclusive = rng.next_below(2) == 0;
+        const double limit = rng.next_below(4) == 0
+                                 ? start
+                                 : start + draw_delay(rng, outliers);
+        queue.run_window(limit, inclusive, EventQueue::kDefaultMaxEvents,
+                         handler);
+        if (!queue.empty()) {
+          const double next = queue.next_time();
+          EXPECT_TRUE(inclusive ? next > limit : next >= limit);
+        }
+      }
+      for (std::uint64_t k = rng.next_below(40); k > 0 && log.size() < 6000;
+           --k) {
+        schedule(queue.now() + draw_delay(rng, outliers));
+      }
+    }
+    std::vector<Fired> expected = log;
+    std::stable_sort(expected.begin(), expected.end(), earlier);
+    ASSERT_EQ(fired.size(), expected.size());
+    EXPECT_TRUE(fired == expected);
+    EXPECT_EQ(queue.max_size(), max_pending);
+  }
+}
+
+/// The reference queue: the pending log kept as std::stable_sort by time
+/// would order it. An insert goes after every pending event at the same
+/// or an earlier time, so equal times keep their scheduling order, and a
+/// pop takes the front.
+class ReferenceQueue {
+ public:
+  void push(double time, std::int32_t id) {
+    const Fired event{time, id};
+    pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), event,
+                                     earlier),
+                    event);
+    max_size_ = std::max(max_size_, pending_.size());
+  }
+  Fired pop() {
+    const Fired front = pending_.front();
+    pending_.pop_front();
+    return front;
+  }
+  [[nodiscard]] bool empty() const { return pending_.empty(); }
+  [[nodiscard]] std::size_t size() const { return pending_.size(); }
+  [[nodiscard]] double front_time() const { return pending_.front().time; }
+  [[nodiscard]] std::size_t max_size() const { return max_size_; }
+
+ private:
+  std::deque<Fired> pending_;
+  std::size_t max_size_ = 0;
+};
+
+TEST(EventQueue, EpochLoopWithInjectsMatchesReferenceOrder) {
+  // The parallel engine's pattern: a window up to a horizon (inclusive
+  // when the lookahead is zero), then injected release steps that can
+  // land below now() and arrivals at or past the horizon, some runs
+  // cut short by the event budget and resumed in the next epoch.
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const bool outliers = seed % 3 == 0;
+    EventQueue queue;
+    ReferenceQueue reference;
+    std::int32_t next_id = 0;
+    std::size_t mismatches = 0;
+    const auto add = [&](double time, bool below_now) {
+      if (below_now) {
+        queue.inject(time, SimEvent::step(next_id));
+      } else {
+        queue.schedule(time, SimEvent::step(next_id));
+      }
+      reference.push(time, next_id++);
+    };
+    const auto handler = [&](const SimEvent& event) {
+      const Fired expected = reference.pop();
+      if (!(Fired{queue.now(), event.rank} == expected)) ++mismatches;
+      if (next_id >= 8000) return;
+      for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+        add(queue.now() + draw_delay(rng, outliers), false);
+      }
+    };
+    for (int i = 0; i < 500; ++i) add(0.0, false);
+    const double lookahead = seed % 2 == 0 ? 0.0 : 0.5;
+    while (!reference.empty()) {
+      const double start = queue.next_time();
+      ASSERT_EQ(start, reference.front_time());
+      const bool degenerate = lookahead <= 0.0;
+      const double horizon = start + lookahead;
+      const std::size_t budget =
+          rng.next_below(5) == 0 ? 1 + rng.next_below(60)
+                                 : EventQueue::kDefaultMaxEvents;
+      const EventRunStats stats =
+          queue.run_window(horizon, degenerate, budget, handler);
+      const bool reference_left =
+          !reference.empty() && (degenerate ? reference.front_time() <= horizon
+                                            : reference.front_time() < horizon);
+      EXPECT_EQ(stats.budget_exhausted, reference_left);
+      // Barrier: a burst of release steps at one completion time in
+      // [start, now()], then arrivals at or past the horizon.
+      if (next_id < 8000 && rng.next_below(3) == 0) {
+        const double completion = rng.next_double(start, queue.now());
+        for (std::uint64_t k = 1 + rng.next_below(200); k > 0; --k) {
+          add(completion, true);
+        }
+      }
+      for (std::uint64_t k = rng.next_below(30); k > 0 && next_id < 8000;
+           --k) {
+        add(std::max(horizon, queue.now()) + draw_delay(rng, outliers), false);
+      }
+      ASSERT_EQ(queue.size(), reference.size());
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.max_size(), reference.max_size());
+  }
 }
 
 }  // namespace

@@ -18,6 +18,15 @@ Simulator make_simulator(std::int32_t ranks) {
   return Simulator(ranks, network::make_hockney_model(1e-6, 1e9), config);
 }
 
+TEST(Simulator, NonPositiveRankCountIsInvalidArgument) {
+  // The rank count is checked before anything is sized from it.
+  for (const std::int32_t ranks : {0, -1, -4096}) {
+    EXPECT_THROW(static_cast<void>(make_simulator(ranks)),
+                 util::InvalidArgument)
+        << ranks;
+  }
+}
+
 TEST(Simulator, ComputeAdvancesClock) {
   Simulator sim = make_simulator(1);
   sim.set_schedule(0, {Op::compute(2.0), Op::compute(0.5)});
