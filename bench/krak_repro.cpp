@@ -689,8 +689,8 @@ Json msg_distribution(const Environment& env) {
   Json out = Json::object();
   for (const std::int32_t pes : {16, 64, 128, 256, 512, 1024}) {
     const simapp::MessageInventory inventory =
-        simapp::compute_message_inventory(
-            partition::PartitionStats(deck, multilevel(deck, pes)));
+        simapp::compute_message_inventory(simapp::SimKrak(
+            deck, multilevel(deck, pes), env.machine, env.engine, {}));
     const double mean_bytes = inventory.mean_message_bytes();
     Json row = Json::object();
     row["pes"] = pes;

@@ -3,8 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "util/error.hpp"
 
@@ -107,8 +105,6 @@ class Op {
 };
 static_assert(sizeof(Op) == 16, "schedule ops must stay 16 bytes");
 
-using Schedule = std::vector<Op>;
-
 /// Every rank's ops, read one at a time as the engines step the ranks.
 ///
 /// The engines ask for op `pc` of a rank in execution order: the op
@@ -129,30 +125,6 @@ class Program {
   [[nodiscard]] virtual std::size_t size(RankId rank) const = 0;
   /// Op `pc` of rank `rank`, for `pc < size(rank)`.
   [[nodiscard]] virtual Op op(RankId rank, std::size_t pc) = 0;
-};
-
-/// The program of stored schedules, one vector of ops per rank, that
-/// Simulator::set_schedule fills.
-class ScheduleProgram final : public Program {
- public:
-  explicit ScheduleProgram(std::int32_t ranks)
-      : schedules_(static_cast<std::size_t>(ranks)) {}
-
-  [[nodiscard]] std::int32_t ranks() const override {
-    return static_cast<std::int32_t>(schedules_.size());
-  }
-  [[nodiscard]] std::size_t size(RankId rank) const override {
-    return schedules_[static_cast<std::size_t>(rank)].size();
-  }
-  [[nodiscard]] Op op(RankId rank, std::size_t pc) override {
-    return schedules_[static_cast<std::size_t>(rank)][pc];
-  }
-  void set(RankId rank, Schedule schedule) {
-    schedules_[static_cast<std::size_t>(rank)] = std::move(schedule);
-  }
-
- private:
-  std::vector<Schedule> schedules_;
 };
 
 }  // namespace krak::sim

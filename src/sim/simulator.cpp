@@ -28,13 +28,6 @@ void name_op(SimFailure& failure, const Op& op) {
   }
 }
 
-/// `ranks`, once checked: the schedule table is sized from it in the
-/// constructor's member initialiser, before the body could check it.
-std::int32_t checked_ranks(std::int32_t ranks) {
-  check(ranks > 0, "Simulator requires at least one rank");
-  return ranks;
-}
-
 }  // namespace
 
 std::string_view op_kind_name(OpKind kind) {
@@ -110,12 +103,15 @@ std::string SimFailure::to_string() const {
   return os.str();
 }
 
-Simulator::Simulator(std::int32_t ranks, network::MessageCostModel network,
+Simulator::Simulator(Program& program, network::MessageCostModel network,
                      SimConfig config)
     : network_(network),
       collectives_(network),
       config_(config),
-      schedules_(checked_ranks(ranks)) {}
+      program_(program),
+      ranks_(program.ranks()) {
+  check(ranks_ > 0, "Simulator requires at least one rank");
+}
 
 void Simulator::check_op(RankId rank, const Op& op) const {
   // One predictable branch per rule: every op a rank executes passes
@@ -140,18 +136,6 @@ void Simulator::check_op(RankId rank, const Op& op) const {
     case OpKind::kRecord:
       break;
   }
-}
-
-void Simulator::set_schedule(RankId rank, Schedule schedule) {
-  check(rank >= 0 && rank < ranks(), "rank id out of range");
-  for (const Op& op : schedule) check_op(rank, op);
-  schedules_.set(rank, std::move(schedule));
-}
-
-void Simulator::set_program(Program* program) {
-  check(program == nullptr || program->ranks() == ranks(),
-        "program must cover every rank");
-  program_ = program;
 }
 
 void Simulator::set_nic(NicConfig nic) {
@@ -389,9 +373,8 @@ SimFailure Simulator::diagnose_stuck_rank(RankId rank) {
   // advances pc past the collective before parking the rank, so pc
   // would misname the op (or point past the schedule's end).
   failure.op_index = state.blocked ? state.blocked_op : state.pc;
-  Program& program = this->program();
-  if (failure.op_index < program.size(rank)) {
-    const Op op = program.op(rank, failure.op_index);
+  if (failure.op_index < program_.size(rank)) {
+    const Op op = program_.op(rank, failure.op_index);
     name_op(failure, op);
     if (op.kind() == OpKind::kRecv) {
       const auto it = lost_.find({op.peer(), rank, op.tag()});
@@ -458,8 +441,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
   if (state.finished || state.timed_out) return;
   state.blocked = false;
   state.reason = BlockReason::kNone;
-  Program& program = this->program();
-  const std::size_t op_count = program.size(rank);
+  const std::size_t op_count = program_.size(rank);
   RankTimeBreakdown& breakdown =
       result.breakdown[static_cast<std::size_t>(rank)];
 
@@ -468,7 +450,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
     failure.kind = SimFailure::Kind::kTimeLimit;
     failure.rank = rank;
     failure.op_index = state.pc;
-    if (state.pc < op_count) name_op(failure, program.op(rank, state.pc));
+    if (state.pc < op_count) name_op(failure, program_.op(rank, state.pc));
     std::ostringstream os;
     os << "(clock " << state.clock << " s > bound " << watchdog_.max_sim_seconds
        << " s)";
@@ -486,7 +468,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       trip_time_limit();
       return;
     }
-    const Op op = program.op(rank, state.pc);
+    const Op op = program_.op(rank, state.pc);
     check_op(rank, op);
     switch (op.kind()) {
       case OpKind::kCompute: {

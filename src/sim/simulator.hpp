@@ -328,6 +328,8 @@ struct SimResult {
 ///
 /// Each rank executes its ops of a Program — compute, point-to-point
 /// and collective operations — read one at a time as the rank steps.
+/// The program is given at construction and is not owned: it must
+/// outlive the simulator.
 /// Point-to-point messages incur the machine's Tmsg(S) (Equation 4) on
 /// the wire but only an injection overhead on the sender's CPU, so
 /// sends to multiple neighbors overlap — the key semantic the analytic
@@ -336,20 +338,13 @@ struct SimResult {
 /// operations costed by CollectiveModel.
 class Simulator {
  public:
-  Simulator(std::int32_t ranks, network::MessageCostModel network,
+  /// Runs `program` on its ranks() ranks; throws InvalidArgument unless
+  /// there is at least one. Every op is checked as it is read (see
+  /// check_op).
+  Simulator(Program& program, network::MessageCostModel network,
             SimConfig config = {});
 
-  [[nodiscard]] std::int32_t ranks() const { return schedules_.ranks(); }
-
-  /// Install the schedule for one rank (replaces any existing one).
-  /// Throws InvalidArgument for a message to the rank itself or to no
-  /// rank, or a negative duration or payload.
-  void set_schedule(RankId rank, Schedule schedule);
-
-  /// Run `program` instead of the schedules set_schedule installed, or
-  /// the schedules again with nullptr. Not owned; must outlive run().
-  /// Every op is checked as it is read, as set_schedule checks it.
-  void set_program(Program* program);
+  [[nodiscard]] std::int32_t ranks() const { return ranks_; }
 
   /// Configure the shared-NIC injection model (see NicConfig).
   void set_nic(NicConfig nic);
@@ -529,11 +524,6 @@ class Simulator {
     }
   };
 
-  /// The program every rank executes: set_program's, else the
-  /// schedules.
-  [[nodiscard]] Program& program() {
-    return program_ != nullptr ? *program_ : schedules_;
-  }
   /// Throws InvalidArgument unless `rank` may execute `op`: a message
   /// names another rank in range, and no duration or payload is
   /// negative. The Op factories already refuse a tag outside
@@ -588,8 +578,10 @@ class Simulator {
   /// each node's slot is read and written by exactly one worker.
   std::vector<double> nic_free_;
   SimConfig config_;
-  ScheduleProgram schedules_;
-  Program* program_ = nullptr;
+  Program& program_;
+  /// program_.ranks(), read once: check_op compares every message's
+  /// peer with it.
+  std::int32_t ranks_;
   std::vector<RankState> states_;
   /// In-flight collective windows, indexed by `collective index -
   /// collective_base_`. Released collectives are reclaimed eagerly:

@@ -410,16 +410,15 @@ SimKrak::SimKrak(const mesh::InputDeck& /*deck*/,
                  const ComputationCostEngine& costs,
                  std::shared_ptr<const partition::PartitionStats> stats,
                  SimKrakOptions options)
-    : partition_(partition),
-      machine_(machine),
+    : machine_(machine),
       costs_(costs),
       options_(options),
       stats_(std::move(stats)) {
   util::check(stats_ != nullptr, "stats must not be null");
   util::check(options_.iterations >= 1, "iterations must be >= 1");
-  util::check(partition_.parts() <= machine_.total_pes(),
+  util::check(partition.parts() <= machine_.total_pes(),
               "partition uses more PEs than the machine has");
-  util::check(stats_->parts() == partition_.parts(),
+  util::check(stats_->parts() == partition.parts(),
               "stats must describe the partition");
 }
 
@@ -429,10 +428,26 @@ std::unique_ptr<sim::Program> SimKrak::program() const {
 }
 
 SimKrakResult SimKrak::run() const {
-  const std::int32_t ranks = partition_.parts();
+  std::unique_ptr<sim::Program> ops_program;
+  {
+    // Timed apart from the simulation it feeds, and counted in ops
+    // (docs/OBSERVABILITY.md).
+    static obs::Timer& build_timer =
+        obs::global_registry().timer("simapp.schedule_build.seconds");
+    static obs::Counter& op_counter =
+        obs::global_registry().counter("simapp.schedule.ops");
+    const obs::ScopedTimer timed(build_timer);
+    ops_program = program();
+    std::int64_t ops = 0;
+    for (sim::RankId rank = 0; rank < ops_program->ranks(); ++rank) {
+      ops += static_cast<std::int64_t>(ops_program->size(rank));
+    }
+    op_counter.add(ops);
+  }
+  const std::int32_t ranks = ops_program->ranks();
   sim::SimConfig sim_config;
   sim_config.threads = options_.sim_threads;
-  sim::Simulator simulator(ranks, machine_.network, sim_config);
+  sim::Simulator simulator(*ops_program, machine_.network, sim_config);
   if (options_.nic_contention && machine_.pes_per_node > 1) {
     sim::NicConfig nic;
     nic.enabled = true;
@@ -461,23 +476,6 @@ SimKrakResult SimKrak::run() const {
     simulator.set_watchdog(injector->watchdog());
   }
   if (options_.cancel != nullptr) simulator.set_cancellation(options_.cancel);
-  std::unique_ptr<sim::Program> ops_program;
-  {
-    // Timed apart from the simulation it feeds, and counted in ops
-    // (docs/OBSERVABILITY.md).
-    static obs::Timer& build_timer =
-        obs::global_registry().timer("simapp.schedule_build.seconds");
-    static obs::Counter& op_counter =
-        obs::global_registry().counter("simapp.schedule.ops");
-    const obs::ScopedTimer timed(build_timer);
-    ops_program = program();
-    std::int64_t ops = 0;
-    for (partition::PeId pe = 0; pe < ranks; ++pe) {
-      ops += static_cast<std::int64_t>(ops_program->size(pe));
-    }
-    op_counter.add(ops);
-  }
-  simulator.set_program(ops_program.get());
   sim::SimResult sim_result = simulator.run();
 
   SimKrakResult result;

@@ -128,9 +128,6 @@ class SimKrak {
   }
 
  private:
-  // Stored by value: callers routinely pass freshly built partitions as
-  // temporaries, and a dangling reference here outlives the expression.
-  partition::Partition partition_;
   const network::MachineConfig& machine_;
   const ComputationCostEngine& costs_;
   SimKrakOptions options_;

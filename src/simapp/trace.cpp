@@ -1,5 +1,7 @@
 #include "simapp/trace.hpp"
 
+#include <memory>
+
 namespace krak::simapp {
 
 std::int64_t MessageInventory::total_messages() const {
@@ -31,44 +33,24 @@ double MessageInventory::fraction_at_most(double bytes) const {
   return static_cast<double>(covered) / static_cast<double>(messages);
 }
 
-MessageInventory compute_message_inventory(
-    const partition::PartitionStats& stats) {
+MessageInventory compute_message_inventory(const SimKrak& app) {
   MessageInventory inventory;
-  const auto record = [&inventory](std::int32_t phase, double bytes) {
-    MessageInventory::PhaseTraffic& t =
-        inventory.per_phase[static_cast<std::size_t>(phase - 1)];
-    ++t.messages;
-    t.bytes += bytes;
-    ++inventory.size_histogram[bytes];
-  };
-
-  for (const partition::SubdomainInfo& sub : stats.subdomains()) {
-    for (const partition::NeighborBoundary& boundary : sub.neighbors) {
-      // Phase 2: boundary exchange — six messages per material group
-      // present, the first two augmented by multi-material ghost nodes,
-      // plus six messages over all faces.
-      for (std::size_t g = 0; g < mesh::kExchangeGroupCount; ++g) {
-        const std::int64_t faces = boundary.faces_per_group[g];
-        if (faces == 0) continue;
-        const double base = kBoundaryBytesPerFace * static_cast<double>(faces);
-        const double augmented =
-            base + kBoundaryBytesPerFace *
-                       static_cast<double>(
-                           boundary.multi_material_nodes_per_group[g]);
-        for (std::int32_t msg = 0; msg < kBoundaryMessagesPerStep; ++msg) {
-          record(2, msg < kBoundaryAugmentedMessages ? augmented : base);
-        }
+  const std::unique_ptr<sim::Program> program = app.program();
+  for (sim::RankId rank = 0; rank < program->ranks(); ++rank) {
+    // Every iteration ends each of its phases with a kRecord op, so the
+    // first iteration ends at the kPhaseCount-th.
+    std::int32_t phase = 1;
+    for (std::size_t pc = 0; phase <= kPhaseCount; ++pc) {
+      const sim::Op op = program->op(rank, pc);
+      if (op.kind() == sim::OpKind::kRecord) {
+        ++phase;
+      } else if (op.kind() == sim::OpKind::kIsend) {
+        MessageInventory::PhaseTraffic& traffic =
+            inventory.per_phase[static_cast<std::size_t>(phase - 1)];
+        ++traffic.messages;
+        traffic.bytes += op.bytes();
+        ++inventory.size_histogram[op.bytes()];
       }
-      for (std::int32_t msg = 0; msg < kBoundaryMessagesPerStep; ++msg) {
-        record(2, kBoundaryBytesPerFace *
-                      static_cast<double>(boundary.total_faces));
-      }
-
-      // Phases 4, 5, 7: one outgoing ghost-node update per neighbor.
-      const auto local = static_cast<double>(boundary.ghost_nodes_local);
-      record(4, 8.0 * local);
-      record(5, 16.0 * local);
-      record(7, 16.0 * local);
     }
   }
   return inventory;

@@ -4,14 +4,13 @@
 #include <cstdint>
 #include <map>
 
-#include "partition/stats.hpp"
 #include "simapp/phases.hpp"
+#include "simapp/simkrak.hpp"
 
 namespace krak::simapp {
 
-/// Static point-to-point message inventory of one iteration: every
-/// directed message SimKrak would send, derived analytically from the
-/// partition statistics and the Section 4.1-4.2 sizing rules. Useful
+/// Point-to-point message inventory of one iteration: every directed
+/// message a SimKrak run sends, tallied per phase and by size. Useful
 /// for studying the traffic mix (many tiny latency-bound messages) that
 /// drives the paper's heterogeneous-mode over-prediction.
 struct MessageInventory {
@@ -32,10 +31,11 @@ struct MessageInventory {
   [[nodiscard]] double fraction_at_most(double bytes) const;
 };
 
-/// Enumerate one iteration's directed messages from the partition
-/// statistics (each pair's traffic counted once per direction, matching
-/// SimKrak's sends exactly).
-[[nodiscard]] MessageInventory compute_message_inventory(
-    const partition::PartitionStats& stats);
+/// Fold the sends of the first iteration of `app`'s program, rank by
+/// rank in program order; a phase ends at its kRecord op. The sizing
+/// rules of Sections 4.1-4.2 live in the program alone:
+/// tests/simapp/trace_test.cpp pins the inventory to a run's traffic
+/// and, with the ghost-update receives, to Equations (5)-(7).
+[[nodiscard]] MessageInventory compute_message_inventory(const SimKrak& app);
 
 }  // namespace krak::simapp

@@ -7,17 +7,18 @@
 #include "fault/plan.hpp"
 #include "network/msgmodel.hpp"
 #include "sim/simulator.hpp"
+#include "stored_program.hpp"
 #include "util/error.hpp"
 
 namespace krak::sim {
 namespace {
 
 /// 1 us latency, 1 ns/byte, zero host overheads: hand-checkable times.
-Simulator make_simulator(std::int32_t ranks) {
+Simulator make_simulator(Program& program) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
-  return Simulator(ranks, network::make_hockney_model(1e-6, 1e9), config);
+  return Simulator(program, network::make_hockney_model(1e-6, 1e9), config);
 }
 
 /// Scripted injector: a fixed delay on one compute op, a fixed recovery
@@ -53,14 +54,14 @@ class ScriptedInjector final : public FaultInjector {
 };
 
 TEST(SimulatorFaults, InjectedDelayPreservesTimeIdentityExactly) {
-  Simulator sim = make_simulator(2);
+  StoredProgram program({{Op::compute(1.0), Op::allreduce(8.0)},
+                         {Op::compute(1.0), Op::allreduce(8.0)}});
+  Simulator sim = make_simulator(program);
   ScriptedInjector injector;
   injector.delay_rank = 0;
   injector.delay_index = 0;
   injector.delay_seconds = 0.25;
   sim.set_fault_injector(&injector);
-  sim.set_schedule(0, {Op::compute(1.0), Op::allreduce(8.0)});
-  sim.set_schedule(1, {Op::compute(1.0), Op::allreduce(8.0)});
   const SimResult result = sim.run();
 
   ASSERT_FALSE(result.failed());
@@ -80,13 +81,13 @@ TEST(SimulatorFaults, InjectedDelayPreservesTimeIdentityExactly) {
 }
 
 TEST(SimulatorFaults, RecoveryIsChargedSeparatelyFromDelay) {
-  Simulator sim = make_simulator(1);
+  StoredProgram program({{Op::compute(1.0), Op::compute(1.0)}});
+  Simulator sim = make_simulator(program);
   ScriptedInjector injector;
   injector.recovery_rank = 0;
   injector.recovery_index = 1;
   injector.recovery_seconds = 3.0;
   sim.set_fault_injector(&injector);
-  sim.set_schedule(0, {Op::compute(1.0), Op::compute(1.0)});
   const SimResult result = sim.run();
 
   EXPECT_DOUBLE_EQ(result.breakdown[0].recovery, 3.0);
@@ -100,11 +101,11 @@ TEST(SimulatorFaults, RecoveryIsChargedSeparatelyFromDelay) {
 
 TEST(SimulatorFaults, EmptyInjectorReproducesBaselineBitForBit) {
   const auto run_once = [](FaultInjector* injector) {
-    Simulator sim = make_simulator(2);
+    StoredProgram program(
+        {{Op::compute(0.5), Op::isend(1, 4096.0, 3), Op::allreduce(8.0)},
+         {Op::recv(0, 4096.0, 3), Op::allreduce(8.0)}});
+    Simulator sim = make_simulator(program);
     if (injector != nullptr) sim.set_fault_injector(injector);
-    sim.set_schedule(0, {Op::compute(0.5), Op::isend(1, 4096.0, 3),
-                         Op::allreduce(8.0)});
-    sim.set_schedule(1, {Op::recv(0, 4096.0, 3), Op::allreduce(8.0)});
     return sim.run();
   };
   ScriptedInjector noop;  // all defaults: injects nothing
@@ -119,12 +120,12 @@ TEST(SimulatorFaults, EmptyInjectorReproducesBaselineBitForBit) {
 }
 
 TEST(SimulatorFaults, WatchdogNamesTheBlockedOpOnDeadlock) {
-  Simulator sim = make_simulator(2);
+  StoredProgram program(
+      {{Op::compute(1.0)}, {Op::compute(0.5), Op::recv(0, 64.0, 9)}});
+  Simulator sim = make_simulator(program);
   WatchdogConfig watchdog;
   watchdog.structured_failures = true;
   sim.set_watchdog(watchdog);
-  sim.set_schedule(0, {Op::compute(1.0)});
-  sim.set_schedule(1, {Op::compute(0.5), Op::recv(0, 64.0, 9)});
   const SimResult result = sim.run();
 
   ASSERT_TRUE(result.failed());
@@ -147,8 +148,9 @@ TEST(SimulatorFaults, WatchdogNamesTheBlockedOpOnDeadlock) {
 }
 
 TEST(SimulatorFaults, WithoutStructuredFailuresDeadlockStillThrows) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(1, {Op::recv(0, 64.0, 9)});
+  StoredProgram program(2);
+  program.set(1, {Op::recv(0, 64.0, 9)});
+  Simulator sim = make_simulator(program);
   try {
     (void)sim.run();
     FAIL() << "expected KrakError";
@@ -160,15 +162,14 @@ TEST(SimulatorFaults, WithoutStructuredFailuresDeadlockStillThrows) {
 }
 
 TEST(SimulatorFaults, LostMessageIsDiagnosedAtTheStarvedReceiver) {
-  Simulator sim = make_simulator(2);
+  StoredProgram program({{Op::isend(1, 128.0, 5)}, {Op::recv(0, 128.0, 5)}});
+  Simulator sim = make_simulator(program);
   ScriptedInjector injector;
   injector.lose_everything = true;
   sim.set_fault_injector(&injector);
   WatchdogConfig watchdog;
   watchdog.structured_failures = true;
   sim.set_watchdog(watchdog);
-  sim.set_schedule(0, {Op::isend(1, 128.0, 5)});
-  sim.set_schedule(1, {Op::recv(0, 128.0, 5)});
   const SimResult result = sim.run();
 
   ASSERT_TRUE(result.failed());
@@ -185,7 +186,9 @@ TEST(SimulatorFaults, LostMessageIsDiagnosedAtTheStarvedReceiver) {
 }
 
 TEST(SimulatorFaults, TimeLimitStopsARunawayRank) {
-  Simulator sim = make_simulator(2);
+  StoredProgram program({{Op::compute(1.0), Op::allreduce(8.0)},
+                         {Op::compute(1.0), Op::allreduce(8.0)}});
+  Simulator sim = make_simulator(program);
   ScriptedInjector injector;
   injector.delay_rank = 0;
   injector.delay_index = 0;
@@ -195,8 +198,6 @@ TEST(SimulatorFaults, TimeLimitStopsARunawayRank) {
   watchdog.structured_failures = true;
   watchdog.max_sim_seconds = 10.0;
   sim.set_watchdog(watchdog);
-  sim.set_schedule(0, {Op::compute(1.0), Op::allreduce(8.0)});
-  sim.set_schedule(1, {Op::compute(1.0), Op::allreduce(8.0)});
   const SimResult result = sim.run();
 
   ASSERT_TRUE(result.failed());
@@ -225,20 +226,21 @@ TEST(SimulatorFaults, SameSeedAndPlanGiveBitIdenticalBreakdowns) {
   burst.duration_s = 0.01;
   plan.noise.push_back(burst);
 
-  const auto run_once = [&plan]() {
-    Simulator sim = make_simulator(4);
+  StoredProgram program(4);
+  for (RankId rank = 0; rank < 4; ++rank) {
+    const RankId next = (rank + 1) % 4;
+    const RankId prev = (rank + 3) % 4;
+    program.set(rank, {Op::compute(0.5 + 0.1 * rank),
+                       Op::isend(next, 2048.0, 1), Op::recv(prev, 2048.0, 1),
+                       Op::allreduce(8.0), Op::compute(0.25),
+                       Op::isend(prev, 512.0, 2), Op::recv(next, 512.0, 2),
+                       Op::allreduce(8.0)});
+  }
+  const auto run_once = [&plan, &program]() {
+    Simulator sim = make_simulator(program);
     fault::InjectionEngine engine(plan, 4, /*phases_per_iteration=*/1);
     sim.set_fault_injector(&engine);
     sim.set_watchdog(engine.watchdog());
-    for (RankId rank = 0; rank < 4; ++rank) {
-      const RankId next = (rank + 1) % 4;
-      const RankId prev = (rank + 3) % 4;
-      sim.set_schedule(rank, {Op::compute(0.5 + 0.1 * rank),
-                              Op::isend(next, 2048.0, 1),
-                              Op::recv(prev, 2048.0, 1), Op::allreduce(8.0),
-                              Op::compute(0.25), Op::isend(prev, 512.0, 2),
-                              Op::recv(next, 512.0, 2), Op::allreduce(8.0)});
-    }
     return sim.run();
   };
 

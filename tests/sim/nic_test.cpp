@@ -2,17 +2,18 @@
 
 #include "network/msgmodel.hpp"
 #include "sim/simulator.hpp"
+#include "stored_program.hpp"
 #include "util/error.hpp"
 
 namespace krak::sim {
 namespace {
 
 /// Zero-latency, instant-wire network so only NIC serialization shows.
-Simulator nic_simulator(std::int32_t ranks, NicConfig nic) {
+Simulator nic_simulator(Program& program, NicConfig nic) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
-  Simulator sim(ranks, network::make_hockney_model(0.0, 1e30), config);
+  Simulator sim(program, network::make_hockney_model(0.0, 1e30), config);
   sim.set_nic(nic);
   return sim;
 }
@@ -21,10 +22,10 @@ TEST(Nic, DisabledByDefaultMessagesDontSerialize) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
-  Simulator sim(3, network::make_hockney_model(0.0, 1e30), config);
-  sim.set_schedule(0, {Op::isend(1, 1e6, 1), Op::isend(2, 1e6, 2)});
-  sim.set_schedule(1, {Op::recv(0, 1e6, 1)});
-  sim.set_schedule(2, {Op::recv(0, 1e6, 2)});
+  StoredProgram program({{Op::isend(1, 1e6, 1), Op::isend(2, 1e6, 2)},
+                         {Op::recv(0, 1e6, 1)},
+                         {Op::recv(0, 1e6, 2)}});
+  Simulator sim(program, network::make_hockney_model(0.0, 1e30), config);
   const SimResult result = sim.run();
   EXPECT_NEAR(result.makespan, 0.0, 1e-12);
 }
@@ -34,12 +35,13 @@ TEST(Nic, SameNodeSendsSerializeAtInjectionBandwidth) {
   nic.enabled = true;
   nic.pes_per_node = 4;
   nic.injection_bandwidth = 1e6;  // 1 MB/s: 1 MB takes 1 s to inject
-  Simulator sim = nic_simulator(6, nic);
   // Ranks 0 and 1 share node 0; each sends 1 MB to ranks on node 1.
-  sim.set_schedule(0, {Op::isend(4, 1e6, 1)});
-  sim.set_schedule(1, {Op::isend(5, 1e6, 2)});
-  sim.set_schedule(4, {Op::recv(0, 1e6, 1), Op::record(0)});
-  sim.set_schedule(5, {Op::recv(1, 1e6, 2), Op::record(0)});
+  StoredProgram program(6);
+  program.set(0, {Op::isend(4, 1e6, 1)});
+  program.set(1, {Op::isend(5, 1e6, 2)});
+  program.set(4, {Op::recv(0, 1e6, 1), Op::record(0)});
+  program.set(5, {Op::recv(1, 1e6, 2), Op::record(0)});
+  Simulator sim = nic_simulator(program, nic);
   const SimResult result = sim.run();
   // One of the two messages waits ~1 s for the adapter.
   const double first = std::min(result.records[4].at(0), result.records[5].at(0));
@@ -53,11 +55,11 @@ TEST(Nic, DifferentNodesDoNotContend) {
   nic.enabled = true;
   nic.pes_per_node = 1;  // every rank has its own adapter
   nic.injection_bandwidth = 1e6;
-  Simulator sim = nic_simulator(4, nic);
-  sim.set_schedule(0, {Op::isend(2, 1e6, 1)});
-  sim.set_schedule(1, {Op::isend(3, 1e6, 2)});
-  sim.set_schedule(2, {Op::recv(0, 1e6, 1), Op::record(0)});
-  sim.set_schedule(3, {Op::recv(1, 1e6, 2), Op::record(0)});
+  StoredProgram program({{Op::isend(2, 1e6, 1)},
+                         {Op::isend(3, 1e6, 2)},
+                         {Op::recv(0, 1e6, 1), Op::record(0)},
+                         {Op::recv(1, 1e6, 2), Op::record(0)}});
+  Simulator sim = nic_simulator(program, nic);
   const SimResult result = sim.run();
   EXPECT_NEAR(result.records[2].at(0), 1.0, 1e-9);
   EXPECT_NEAR(result.records[3].at(0), 1.0, 1e-9);
@@ -70,10 +72,10 @@ TEST(Nic, SenderCpuDoesNotBlockOnInjection) {
   nic.enabled = true;
   nic.pes_per_node = 2;
   nic.injection_bandwidth = 1e6;
-  Simulator sim = nic_simulator(3, nic);
-  sim.set_schedule(0, {Op::isend(2, 1e6, 1), Op::isend(2, 1e6, 2),
-                       Op::record(0)});
-  sim.set_schedule(2, {Op::recv(0, 1e6, 1), Op::recv(0, 1e6, 2)});
+  StoredProgram program(3);
+  program.set(0, {Op::isend(2, 1e6, 1), Op::isend(2, 1e6, 2), Op::record(0)});
+  program.set(2, {Op::recv(0, 1e6, 1), Op::recv(0, 1e6, 2)});
+  Simulator sim = nic_simulator(program, nic);
   const SimResult result = sim.run();
   // The CPU finished posting both messages immediately...
   EXPECT_NEAR(result.records[0].at(0), 0.0, 1e-9);
@@ -82,7 +84,8 @@ TEST(Nic, SenderCpuDoesNotBlockOnInjection) {
 }
 
 TEST(Nic, ConfigValidated) {
-  Simulator sim(2, network::make_qsnet1_model());
+  StoredProgram program(2);
+  Simulator sim(program, network::make_qsnet1_model());
   NicConfig bad;
   bad.enabled = true;
   bad.pes_per_node = 0;

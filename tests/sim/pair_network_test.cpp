@@ -6,15 +6,16 @@
 #include "network/msgmodel.hpp"
 #include "network/topology.hpp"
 #include "sim/simulator.hpp"
+#include "stored_program.hpp"
 
 namespace krak::sim {
 namespace {
 
-Simulator flat_simulator(std::int32_t ranks) {
+Simulator flat_simulator(Program& program) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
-  return Simulator(ranks, network::make_hockney_model(1.0, 1e30), config);
+  return Simulator(program, network::make_hockney_model(1.0, 1e30), config);
 }
 
 /// One rank per node, so every point-to-point message costs `inter`.
@@ -26,24 +27,21 @@ std::shared_ptr<const network::HierarchicalNetwork> one_rank_per_node(
 }
 
 TEST(PairNetwork, OverridesPointToPointCosts) {
-  Simulator sim = flat_simulator(2);
+  StoredProgram program({{Op::isend(1, 8.0, 1)}, {Op::recv(0, 8.0, 1)}});
+  Simulator sim = flat_simulator(program);
   // Override: 8 bytes take 5 s on the wire, 0 s to hand off.
   sim.set_pair_network(
       one_rank_per_node(2, network::make_hockney_model(0.0, 1.6)));
-  sim.set_schedule(0, {Op::isend(1, 8.0, 1)});
-  sim.set_schedule(1, {Op::recv(0, 8.0, 1)});
   const SimResult result = sim.run();
   EXPECT_NEAR(result.finish_times[1], 5.0, 1e-12);
   EXPECT_NEAR(result.finish_times[0], 0.0, 1e-12);
 }
 
 TEST(PairNetwork, CollectivesStillUseFlatModel) {
-  Simulator sim = flat_simulator(2);
+  StoredProgram program({{Op::allreduce(8.0)}, {Op::allreduce(8.0)}});
+  Simulator sim = flat_simulator(program);
   sim.set_pair_network(
       one_rank_per_node(2, network::make_hockney_model(100.0, 1e30)));
-  const Schedule schedule = {Op::allreduce(8.0)};
-  sim.set_schedule(0, schedule);
-  sim.set_schedule(1, schedule);
   const SimResult result = sim.run();
   // Flat model: 2 * depth(2) * 1 s = 2 s; the pair override must not
   // leak into the tree cost.
@@ -51,12 +49,11 @@ TEST(PairNetwork, CollectivesStillUseFlatModel) {
 }
 
 TEST(PairNetwork, CanBeCleared) {
-  Simulator sim = flat_simulator(2);
+  StoredProgram program({{Op::isend(1, 8.0, 1)}, {Op::recv(0, 8.0, 1)}});
+  Simulator sim = flat_simulator(program);
   sim.set_pair_network(
       one_rank_per_node(2, network::make_hockney_model(50.0, 1e30)));
   sim.set_pair_network(nullptr);
-  sim.set_schedule(0, {Op::isend(1, 8.0, 1)});
-  sim.set_schedule(1, {Op::recv(0, 8.0, 1)});
   const SimResult result = sim.run();
   EXPECT_NEAR(result.finish_times[1], 1.0, 1e-12);  // flat 1 s latency
 }
@@ -66,14 +63,15 @@ TEST(PairNetwork, HierarchicalRanksSeeAsymmetricCosts) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
-  Simulator sim(8, network::make_qsnet1_model(), config);
+  // Rank 0 pings rank 1 (same node) and rank 4 (other node).
+  StoredProgram program(8);
+  program.set(0, {Op::isend(1, 1024.0, 1), Op::isend(4, 1024.0, 2)});
+  program.set(1, {Op::recv(0, 1024.0, 1)});
+  program.set(4, {Op::recv(0, 1024.0, 2)});
+  Simulator sim(program, network::make_qsnet1_model(), config);
   sim.set_pair_network(std::make_shared<network::HierarchicalNetwork>(
       network::make_es45_shared_memory_model(), network::make_qsnet1_model(),
       network::Placement(8, 4)));
-  // Rank 0 pings rank 1 (same node) and rank 4 (other node).
-  sim.set_schedule(0, {Op::isend(1, 1024.0, 1), Op::isend(4, 1024.0, 2)});
-  sim.set_schedule(1, {Op::recv(0, 1024.0, 1)});
-  sim.set_schedule(4, {Op::recv(0, 1024.0, 2)});
   const SimResult result = sim.run();
   EXPECT_LT(result.finish_times[1], result.finish_times[4]);
 }

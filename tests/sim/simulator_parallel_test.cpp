@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -22,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "network/topology.hpp"
 #include "sim/simulator.hpp"
+#include "stored_program.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
@@ -29,12 +31,12 @@ namespace krak::sim {
 namespace {
 
 /// 1 us latency, 1 ns/byte, zero host overheads: hand-checkable times.
-Simulator make_simulator(std::int32_t ranks, std::int32_t threads) {
+Simulator make_simulator(Program& program, std::int32_t threads) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
   config.threads = threads;
-  return Simulator(ranks, network::make_hockney_model(1e-6, 1e9), config);
+  return Simulator(program, network::make_hockney_model(1e-6, 1e9), config);
 }
 
 /// Tiny deterministic generator (SplitMix64) for schedule shapes; the
@@ -54,8 +56,8 @@ struct Mix {
 /// exchange with per-round tags (posted send-first), periodic
 /// collectives, and record markers. Exercises cross-shard sends in both
 /// directions, collective coordination, and the record slots.
-void install_ring_workload(Simulator& sim, std::int32_t ranks,
-                           std::int32_t rounds) {
+StoredProgram ring_workload(std::int32_t ranks, std::int32_t rounds) {
+  StoredProgram program(ranks);
   for (std::int32_t r = 0; r < ranks; ++r) {
     Mix mix{0xC0FFEEull + static_cast<std::uint64_t>(r)};
     std::vector<Op> ops;
@@ -82,8 +84,9 @@ void install_ring_workload(Simulator& sim, std::int32_t ranks,
       ops.push_back(Op::record(round));
     }
     ops.push_back(Op::wait_all_sends());
-    sim.set_schedule(r, ops);
+    program.set(r, std::move(ops));
   }
+  return program;
 }
 
 void expect_identical(const SimResult& oracle, const SimResult& parallel) {
@@ -132,45 +135,38 @@ void expect_identical(const SimResult& oracle, const SimResult& parallel) {
 }
 
 TEST(SimulatorParallel, RingWorkloadIdenticalAcrossThreadCounts) {
-  const std::int32_t ranks = 24;
-  Simulator oracle = make_simulator(ranks, 1);
-  install_ring_workload(oracle, ranks, /*rounds=*/12);
+  StoredProgram program = ring_workload(/*ranks=*/24, /*rounds=*/12);
+  Simulator oracle = make_simulator(program, 1);
   const SimResult reference = oracle.run();
   EXPECT_GT(reference.makespan, 0.0);
   for (std::int32_t threads : {2, 8}) {
-    Simulator sim = make_simulator(ranks, threads);
-    install_ring_workload(sim, ranks, /*rounds=*/12);
+    Simulator sim = make_simulator(program, threads);
     expect_identical(reference, sim.run());
   }
 }
 
 TEST(SimulatorParallel, MoreThreadsThanRanksStillIdentical) {
-  const std::int32_t ranks = 3;
-  Simulator oracle = make_simulator(ranks, 1);
-  install_ring_workload(oracle, ranks, /*rounds=*/6);
+  StoredProgram program = ring_workload(/*ranks=*/3, /*rounds=*/6);
+  Simulator oracle = make_simulator(program, 1);
   const SimResult reference = oracle.run();
-  Simulator sim = make_simulator(ranks, 8);  // clamps to one rank per shard
-  install_ring_workload(sim, ranks, /*rounds=*/6);
+  Simulator sim = make_simulator(program, 8);  // clamps to one rank per shard
   expect_identical(reference, sim.run());
 }
 
 TEST(SimulatorParallel, CollectiveOnlyScheduleIdentical) {
   // All coordination flows through the epoch-barrier collective path.
   const std::int32_t ranks = 16;
-  auto install = [&](Simulator& sim) {
-    for (std::int32_t r = 0; r < ranks; ++r) {
-      sim.set_schedule(
-          r, {Op::compute(1e-6 * static_cast<double>(r + 1)), Op::allreduce(8.0),
-              Op::compute(2e-6), Op::gather(128.0), Op::broadcast(64.0),
-              Op::record(0)});
-    }
-  };
-  Simulator oracle = make_simulator(ranks, 1);
-  install(oracle);
+  StoredProgram program(ranks);
+  for (std::int32_t r = 0; r < ranks; ++r) {
+    program.set(
+        r, {Op::compute(1e-6 * static_cast<double>(r + 1)), Op::allreduce(8.0),
+            Op::compute(2e-6), Op::gather(128.0), Op::broadcast(64.0),
+            Op::record(0)});
+  }
+  Simulator oracle = make_simulator(program, 1);
   const SimResult reference = oracle.run();
   for (std::int32_t threads : {2, 8}) {
-    Simulator sim = make_simulator(ranks, threads);
-    install(sim);
+    Simulator sim = make_simulator(program, threads);
     expect_identical(reference, sim.run());
   }
 }
@@ -178,20 +174,17 @@ TEST(SimulatorParallel, CollectiveOnlyScheduleIdentical) {
 TEST(SimulatorParallel, ZeroLatencyNetworkDegeneratesToLockstepAndMatches) {
   // Zero lookahead: the engine must fall back to one-timestamp-per-epoch
   // (null-message-style progression) and still match the oracle.
-  const std::int32_t ranks = 8;
+  StoredProgram program = ring_workload(/*ranks=*/8, /*rounds=*/8);
   auto make = [&](std::int32_t threads) {
     SimConfig config;
     config.send_overhead = 0.0;
     config.recv_overhead = 0.0;
     config.threads = threads;
-    return Simulator(ranks, network::make_hockney_model(0.0, 1e9), config);
+    return Simulator(program, network::make_hockney_model(0.0, 1e9), config);
   };
-  auto install = [&](Simulator& sim) { install_ring_workload(sim, ranks, 8); };
   Simulator oracle = make(1);
-  install(oracle);
   const SimResult reference = oracle.run();
   Simulator sim = make(4);
-  install(sim);
   expect_identical(reference, sim.run());
 }
 
@@ -210,9 +203,9 @@ TEST(SimulatorParallel, FaultPlanFailuresPropagateFromWorkerShards) {
   plan.message_faults.push_back(model);
   plan.max_sim_seconds = 1.0;
 
+  StoredProgram program = ring_workload(ranks, /*rounds=*/4);
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim = make_simulator(ranks, threads);
-    install_ring_workload(sim, ranks, /*rounds=*/4);
+    Simulator sim = make_simulator(program, threads);
     fault::InjectionEngine engine(plan, ranks, /*phases_per_iteration=*/1);
     sim.set_fault_injector(&engine);
     sim.set_watchdog(engine.watchdog());
@@ -237,9 +230,9 @@ TEST(SimulatorParallel, InjectedDelaysIdenticalAcrossThreadCounts) {
   delay.seconds = 3e-4;
   plan.delays.push_back(delay);
 
+  StoredProgram program = ring_workload(ranks, /*rounds=*/10);
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim = make_simulator(ranks, threads);
-    install_ring_workload(sim, ranks, /*rounds=*/10);
+    Simulator sim = make_simulator(program, threads);
     fault::InjectionEngine engine(plan, ranks, /*phases_per_iteration=*/1);
     sim.set_fault_injector(&engine);
     sim.set_watchdog(engine.watchdog());
@@ -257,12 +250,13 @@ TEST(SimulatorParallel, CrossShardDeadlockDiagnosedNotHung) {
   // every shard's queue drains, the barrier loop exits, and the drain
   // diagnosis must report each stuck rank exactly like the oracle.
   const std::int32_t ranks = 8;
+  StoredProgram program(ranks);
+  for (std::int32_t r = 0; r < ranks; ++r) {
+    program.set(r, {Op::compute(1e-6),
+                    Op::recv((r + 1) % ranks, 8.0, /*tag=*/99)});
+  }
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim = make_simulator(ranks, threads);
-    for (std::int32_t r = 0; r < ranks; ++r) {
-      sim.set_schedule(r, {Op::compute(1e-6),
-                           Op::recv((r + 1) % ranks, 8.0, /*tag=*/99)});
-    }
+    Simulator sim = make_simulator(program, threads);
     WatchdogConfig watchdog;
     watchdog.structured_failures = true;
     sim.set_watchdog(watchdog);
@@ -279,15 +273,14 @@ TEST(SimulatorParallel, CrossShardDeadlockDiagnosedNotHung) {
 }
 
 TEST(SimulatorParallel, EventBudgetTripsAsStructuredEventLimit) {
-  const std::int32_t ranks = 8;
+  StoredProgram program = ring_workload(/*ranks=*/8, /*rounds=*/8);
   auto run_with = [&](std::int32_t threads) {
     SimConfig config;
     config.send_overhead = 0.0;
     config.recv_overhead = 0.0;
     config.threads = threads;
     config.max_events = 40;  // far fewer than the workload needs
-    Simulator sim(ranks, network::make_hockney_model(1e-6, 1e9), config);
-    install_ring_workload(sim, ranks, /*rounds=*/8);
+    Simulator sim(program, network::make_hockney_model(1e-6, 1e9), config);
     WatchdogConfig watchdog;
     watchdog.structured_failures = true;
     sim.set_watchdog(watchdog);
@@ -309,14 +302,14 @@ TEST(SimulatorParallel, EventBudgetTripsAsStructuredEventLimit) {
 /// NIC-enabled simulator; a deliberately slow injection bandwidth makes
 /// adapter contention the dominant effect so any ordering divergence in
 /// the shard-local nic_free_ updates would show up in the times.
-Simulator make_nic_simulator(std::int32_t ranks, std::int32_t threads,
+Simulator make_nic_simulator(Program& program, std::int32_t threads,
                              std::int32_t pes_per_node,
                              double latency = 1e-6) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
   config.threads = threads;
-  Simulator sim(ranks, network::make_hockney_model(latency, 1e9), config);
+  Simulator sim(program, network::make_hockney_model(latency, 1e9), config);
   NicConfig nic;
   nic.enabled = true;
   nic.pes_per_node = pes_per_node;
@@ -330,10 +323,9 @@ TEST(SimulatorParallel, NicContentionIdenticalAcrossThreadCounts) {
   // shard owns its nodes' adapter-availability state outright: the
   // engine runs genuinely parallel — no oracle fallback — and must stay
   // bit-identical to the serial oracle.
-  const std::int32_t ranks = 32;
+  StoredProgram program = ring_workload(/*ranks=*/32, /*rounds=*/10);
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim = make_nic_simulator(ranks, threads, /*pes_per_node=*/4);
-    install_ring_workload(sim, ranks, /*rounds=*/10);
+    Simulator sim = make_nic_simulator(program, threads, /*pes_per_node=*/4);
     return sim.run();
   };
   const SimResult reference = run_with(1);
@@ -346,12 +338,11 @@ TEST(SimulatorParallel, NicStallCountIdenticalAcrossThreadCounts) {
   // sim.nic.stalls counts sends that found their node's adapter busy.
   // Both engines export it, and shard-local adapter state must stall
   // exactly the sends the oracle stalls.
-  const std::int32_t ranks = 32;
+  StoredProgram program = ring_workload(/*ranks=*/32, /*rounds=*/10);
   const obs::Counter& stalls =
       obs::global_registry().counter("sim.nic.stalls");
   auto stalls_added = [&](std::int32_t threads) {
-    Simulator sim = make_nic_simulator(ranks, threads, /*pes_per_node=*/4);
-    install_ring_workload(sim, ranks, /*rounds=*/10);
+    Simulator sim = make_nic_simulator(program, threads, /*pes_per_node=*/4);
     const std::int64_t before = stalls.value();
     (void)sim.run();
     return stalls.value() - before;
@@ -367,10 +358,9 @@ TEST(SimulatorParallel, NicOnPartialLastNodeIdentical) {
   // 10 ranks on 4-wide NIC nodes: the last node is half-occupied, the
   // unit count does not divide the shard count, and shards must still
   // align to whole nodes.
-  const std::int32_t ranks = 10;
+  StoredProgram program = ring_workload(/*ranks=*/10, /*rounds=*/8);
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim = make_nic_simulator(ranks, threads, /*pes_per_node=*/4);
-    install_ring_workload(sim, ranks, /*rounds=*/8);
+    Simulator sim = make_nic_simulator(program, threads, /*pes_per_node=*/4);
     return sim.run();
   };
   const SimResult reference = run_with(1);
@@ -385,12 +375,13 @@ TEST(SimulatorParallel, NicUnderHierarchicalNetworkIdentical) {
   // the parallel lookahead comes from the inter-node model's
   // min_message_time.
   const std::int32_t ranks = 24;
+  StoredProgram program = ring_workload(ranks, /*rounds=*/8);
   auto run_with = [&](std::int32_t threads) {
     SimConfig config;
     config.send_overhead = 0.0;
     config.recv_overhead = 0.0;
     config.threads = threads;
-    Simulator sim(ranks, network::make_qsnet1_model(), config);
+    Simulator sim(program, network::make_qsnet1_model(), config);
     sim.set_pair_network(std::make_shared<network::HierarchicalNetwork>(
         network::make_es45_shared_memory_model(), network::make_qsnet1_model(),
         network::Placement(ranks, 4)));
@@ -399,7 +390,6 @@ TEST(SimulatorParallel, NicUnderHierarchicalNetworkIdentical) {
     nic.pes_per_node = 2;  // lcm(4, 2) = 4: placement wins
     nic.injection_bandwidth = 2e8;
     sim.set_nic(nic);
-    install_ring_workload(sim, ranks, /*rounds=*/8);
     return sim.run();
   };
   const SimResult reference = run_with(1);
@@ -412,11 +402,10 @@ TEST(SimulatorParallel, ZeroLatencyWithNicDegeneratesAndMatches) {
   // Zero lookahead and NIC contention at once: the degenerate
   // one-timestamp-per-epoch progression must preserve shard-local NIC
   // identity too.
-  const std::int32_t ranks = 8;
+  StoredProgram program = ring_workload(/*ranks=*/8, /*rounds=*/8);
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim =
-        make_nic_simulator(ranks, threads, /*pes_per_node=*/4, /*latency=*/0.0);
-    install_ring_workload(sim, ranks, /*rounds=*/8);
+    Simulator sim = make_nic_simulator(program, threads, /*pes_per_node=*/4,
+                                       /*latency=*/0.0);
     return sim.run();
   };
   expect_identical(run_with(1), run_with(4));
@@ -428,12 +417,13 @@ TEST(SimulatorParallel, ZeroLatencyInterNodeHierarchyWithNicMatches) {
   // and the engine must degenerate to lockstep — not deadlock, not
   // drift — with NIC contention still active.
   const std::int32_t ranks = 16;
+  StoredProgram program = ring_workload(ranks, /*rounds=*/6);
   auto run_with = [&](std::int32_t threads) {
     SimConfig config;
     config.send_overhead = 0.0;
     config.recv_overhead = 0.0;
     config.threads = threads;
-    Simulator sim(ranks, network::make_hockney_model(0.0, 1e9), config);
+    Simulator sim(program, network::make_hockney_model(0.0, 1e9), config);
     sim.set_pair_network(std::make_shared<network::HierarchicalNetwork>(
         network::make_es45_shared_memory_model(),
         network::make_hockney_model(0.0, 1e9), network::Placement(ranks, 4)));
@@ -442,7 +432,6 @@ TEST(SimulatorParallel, ZeroLatencyInterNodeHierarchyWithNicMatches) {
     nic.pes_per_node = 4;
     nic.injection_bandwidth = 2e8;
     sim.set_nic(nic);
-    install_ring_workload(sim, ranks, /*rounds=*/6);
     return sim.run();
   };
   const SimResult reference = run_with(1);
@@ -466,9 +455,9 @@ TEST(SimulatorParallel, NicWithFaultPlanIdenticalAcrossThreadCounts) {
   delay.seconds = 4e-4;
   plan.delays.push_back(delay);
 
+  StoredProgram program = ring_workload(ranks, /*rounds=*/8);
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim = make_nic_simulator(ranks, threads, /*pes_per_node=*/4);
-    install_ring_workload(sim, ranks, /*rounds=*/8);
+    Simulator sim = make_nic_simulator(program, threads, /*pes_per_node=*/4);
     fault::InjectionEngine engine(plan, ranks, /*phases_per_iteration=*/1);
     sim.set_fault_injector(&engine);
     sim.set_watchdog(engine.watchdog());
@@ -487,8 +476,8 @@ TEST(SimulatorWatchdog, FinalOpOvershootTripsTimeLimit) {
   // One rank, one compute op that blows through the bound: the queue
   // drains (no further events), so the old in-loop-only check never
   // re-examined the clock and the run reported success at t = 10.
-  Simulator sim = make_simulator(1, 1);
-  sim.set_schedule(0, {Op::compute(10.0)});
+  StoredProgram program({{Op::compute(10.0)}});
+  Simulator sim = make_simulator(program, 1);
   WatchdogConfig watchdog;
   watchdog.structured_failures = true;
   watchdog.max_sim_seconds = 5.0;
@@ -504,8 +493,8 @@ TEST(SimulatorWatchdog, FinalOpOvershootRecordedEvenWithoutStructuredMode) {
   // run keeps draining so the other ranks' timings stay meaningful);
   // structured_failures only governs hang/deadlock diagnoses. The
   // final-op overshoot must follow the same contract.
-  Simulator sim = make_simulator(1, 1);
-  sim.set_schedule(0, {Op::compute(10.0)});
+  StoredProgram program({{Op::compute(10.0)}});
+  Simulator sim = make_simulator(program, 1);
   WatchdogConfig watchdog;
   watchdog.max_sim_seconds = 5.0;
   sim.set_watchdog(watchdog);
@@ -517,8 +506,9 @@ TEST(SimulatorWatchdog, FinalOpOvershootRecordedEvenWithoutStructuredMode) {
 TEST(SimulatorWatchdog, TrailingOpsAfterMidScheduleTripAreNotExecuted) {
   // The bound fires mid-schedule: the recording op behind the oversized
   // compute must never run.
-  Simulator sim = make_simulator(1, 1);
-  sim.set_schedule(0, {Op::compute(1.0), Op::compute(10.0), Op::record(0)});
+  StoredProgram program(
+      {{Op::compute(1.0), Op::compute(10.0), Op::record(0)}});
+  Simulator sim = make_simulator(program, 1);
   WatchdogConfig watchdog;
   watchdog.structured_failures = true;
   watchdog.max_sim_seconds = 5.0;
@@ -530,8 +520,8 @@ TEST(SimulatorWatchdog, TrailingOpsAfterMidScheduleTripAreNotExecuted) {
 }
 
 TEST(SimulatorWatchdog, RunWithinBoundStillSucceeds) {
-  Simulator sim = make_simulator(1, 1);
-  sim.set_schedule(0, {Op::compute(4.0)});
+  StoredProgram program({{Op::compute(4.0)}});
+  Simulator sim = make_simulator(program, 1);
   WatchdogConfig watchdog;
   watchdog.structured_failures = true;
   watchdog.max_sim_seconds = 5.0;
@@ -543,14 +533,15 @@ TEST(SimulatorWatchdog, RunWithinBoundStillSucceeds) {
 
 TEST(SimulatorWatchdog, OvershootIdenticalAcrossThreadCounts) {
   const std::int32_t ranks = 6;
+  StoredProgram program(ranks);
+  for (std::int32_t r = 0; r < ranks; ++r) {
+    // Ranks 0 and 3 blow the bound with their final op; the rest stay
+    // inside it.
+    const double tail = (r % 3 == 0) ? 9.0 : 0.5;
+    program.set(r, {Op::compute(0.25), Op::compute(tail)});
+  }
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim = make_simulator(ranks, threads);
-    for (std::int32_t r = 0; r < ranks; ++r) {
-      // Ranks 0 and 3 blow the bound with their final op; the rest stay
-      // inside it.
-      const double tail = (r % 3 == 0) ? 9.0 : 0.5;
-      sim.set_schedule(r, {Op::compute(0.25), Op::compute(tail)});
-    }
+    Simulator sim = make_simulator(program, threads);
     WatchdogConfig watchdog;
     watchdog.structured_failures = true;
     watchdog.max_sim_seconds = 5.0;
@@ -578,26 +569,19 @@ TEST(SimulatorParallel, SameArrivalCrossShardSendersTieBreakIdentical) {
   // tie order shifts real simulated times, not just internal sequence
   // numbers.
   const std::int32_t ranks = 16;
+  StoredProgram program(ranks);
+  for (std::int32_t r = 0; r < 3; ++r) {
+    // Receivers 0..2 on node 0; senders 4, 8, 12 on nodes 1, 2, 3.
+    const auto sender = static_cast<RankId>(4 * (r + 1));
+    program.set(r, {Op::recv(sender, 512.0, /*tag=*/0),
+                    Op::isend(sender, 4096.0, /*tag=*/1),
+                    Op::recv(sender, 64.0, /*tag=*/2), Op::wait_all_sends()});
+    program.set(sender, {Op::isend(r, 512.0, /*tag=*/0),
+                         Op::recv(r, 4096.0, /*tag=*/1),
+                         Op::isend(r, 64.0, /*tag=*/2), Op::wait_all_sends()});
+  }
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim = make_nic_simulator(ranks, threads, /*pes_per_node=*/4);
-    for (std::int32_t r = 0; r < ranks; ++r) {
-      std::vector<Op> ops;
-      if (r < 3) {
-        // Receivers 0..2 on node 0; senders 4, 8, 12 on nodes 1, 2, 3.
-        const auto sender = static_cast<RankId>(4 * (r + 1));
-        ops.push_back(Op::recv(sender, 512.0, /*tag=*/0));
-        ops.push_back(Op::isend(sender, 4096.0, /*tag=*/1));
-        ops.push_back(Op::recv(sender, 64.0, /*tag=*/2));
-        ops.push_back(Op::wait_all_sends());
-      } else if (r >= 4 && r % 4 == 0) {
-        const auto receiver = static_cast<RankId>(r / 4 - 1);
-        ops.push_back(Op::isend(receiver, 512.0, /*tag=*/0));
-        ops.push_back(Op::recv(receiver, 4096.0, /*tag=*/1));
-        ops.push_back(Op::isend(receiver, 64.0, /*tag=*/2));
-        ops.push_back(Op::wait_all_sends());
-      }
-      sim.set_schedule(r, ops);
-    }
+    Simulator sim = make_nic_simulator(program, threads, /*pes_per_node=*/4);
     return sim.run();
   };
   const SimResult reference = run_with(1);
@@ -614,27 +598,28 @@ TEST(SimulatorParallel, CollectivesCoScheduledWithMessagesIdentical) {
   // exactly the oracle's order (canonical messages first, then release
   // steps) — the tie is broken purely by event sequence numbers.
   const std::int32_t ranks = 12;
+  StoredProgram program(ranks);
+  for (std::int32_t r = 0; r < ranks; ++r) {
+    std::vector<Op> ops;
+    const RankId right = (r + 1) % ranks;
+    const RankId left = (r + ranks - 1) % ranks;
+    for (std::int32_t round = 0; round < 8; ++round) {
+      // Half the ranks pay a tiny compute so rounds drift in and out
+      // of lockstep instead of every timestamp being identical.
+      if (r % 2 == 0) ops.push_back(Op::compute(1e-6));
+      ops.push_back(Op::isend(right, 256.0, /*tag=*/round));
+      ops.push_back(Op::recv(left, 256.0, /*tag=*/round));
+      ops.push_back(Op::allreduce(16.0));
+    }
+    ops.push_back(Op::wait_all_sends());
+    program.set(r, std::move(ops));
+  }
   auto run_with = [&](std::int32_t threads) {
     SimConfig config;
     config.send_overhead = 0.0;
     config.recv_overhead = 0.0;
     config.threads = threads;
-    Simulator sim(ranks, network::make_hockney_model(0.0, 1e9), config);
-    for (std::int32_t r = 0; r < ranks; ++r) {
-      std::vector<Op> ops;
-      const RankId right = (r + 1) % ranks;
-      const RankId left = (r + ranks - 1) % ranks;
-      for (std::int32_t round = 0; round < 8; ++round) {
-        // Half the ranks pay a tiny compute so rounds drift in and out
-        // of lockstep instead of every timestamp being identical.
-        if (r % 2 == 0) ops.push_back(Op::compute(1e-6));
-        ops.push_back(Op::isend(right, 256.0, /*tag=*/round));
-        ops.push_back(Op::recv(left, 256.0, /*tag=*/round));
-        ops.push_back(Op::allreduce(16.0));
-      }
-      ops.push_back(Op::wait_all_sends());
-      sim.set_schedule(r, ops);
-    }
+    Simulator sim(program, network::make_hockney_model(0.0, 1e9), config);
     return sim.run();
   };
   const SimResult reference = run_with(1);
@@ -648,13 +633,11 @@ TEST(SimulatorParallel, ShardCountNotDividingRanksIdentical) {
   // 22 ranks over 3, 5, and 8 shards: uneven blocks, including shards
   // one rank larger than others — the merge and the release application
   // must cover exactly every rank with no overlap.
-  const std::int32_t ranks = 22;
-  Simulator oracle = make_simulator(ranks, 1);
-  install_ring_workload(oracle, ranks, /*rounds=*/10);
+  StoredProgram program = ring_workload(/*ranks=*/22, /*rounds=*/10);
+  Simulator oracle = make_simulator(program, 1);
   const SimResult reference = oracle.run();
   for (std::int32_t threads : {3, 5, 8}) {
-    Simulator sim = make_simulator(ranks, threads);
-    install_ring_workload(sim, ranks, /*rounds=*/10);
+    Simulator sim = make_simulator(program, threads);
     expect_identical(reference, sim.run());
   }
 }
@@ -665,16 +648,17 @@ TEST(SimulatorParallel, CollectiveStateWindowStaysBounded) {
   // collectives keeps an O(1) live window in both engines — pinned by
   // the sim.collective_states_high_water gauge.
   const std::int32_t ranks = 8;
-  for (std::int32_t threads : {1, 4}) {
-    Simulator sim = make_simulator(ranks, threads);
-    for (std::int32_t r = 0; r < ranks; ++r) {
-      std::vector<Op> ops;
-      for (std::int32_t i = 0; i < 300; ++i) {
-        ops.push_back(Op::compute(1e-7 * static_cast<double>(r + 1)));
-        ops.push_back(Op::allreduce(8.0));
-      }
-      sim.set_schedule(r, ops);
+  StoredProgram program(ranks);
+  for (std::int32_t r = 0; r < ranks; ++r) {
+    std::vector<Op> ops;
+    for (std::int32_t i = 0; i < 300; ++i) {
+      ops.push_back(Op::compute(1e-7 * static_cast<double>(r + 1)));
+      ops.push_back(Op::allreduce(8.0));
     }
+    program.set(r, std::move(ops));
+  }
+  for (std::int32_t threads : {1, 4}) {
+    Simulator sim = make_simulator(program, threads);
     const SimResult result = sim.run();
     EXPECT_EQ(result.traffic.allreduces, 300);
     const obs::Snapshot snapshot = obs::global_registry().snapshot();
@@ -689,13 +673,11 @@ TEST(SimulatorParallel, CoordinatorTimingFieldsPopulated) {
   // The Amdahl numerator of the epoch barrier: the parallel engine
   // reports its serial-coordinator wall; the oracle has no coordinator
   // and reports zero.
-  const std::int32_t ranks = 16;
-  Simulator sim = make_simulator(ranks, 4);
-  install_ring_workload(sim, ranks, /*rounds=*/8);
+  StoredProgram program = ring_workload(/*ranks=*/16, /*rounds=*/8);
+  Simulator sim = make_simulator(program, 4);
   const SimResult parallel = sim.run();
   EXPECT_GT(parallel.coordinator_seconds, 0.0);
-  Simulator oracle = make_simulator(ranks, 1);
-  install_ring_workload(oracle, ranks, /*rounds=*/8);
+  Simulator oracle = make_simulator(program, 1);
   const SimResult serial = oracle.run();
   EXPECT_EQ(serial.coordinator_seconds, 0.0);
 }
@@ -705,10 +687,9 @@ TEST(SimulatorParallel, BarrierWaitIsBoundedByWorkerTime) {
   // idle in the epoch windows, so it cannot exceed the workers' whole
   // time in the run. With more shards than workers, shards queue on
   // each worker, and a queued shard is not waiting at the barrier.
-  const std::int32_t ranks = 256;
   const std::int32_t shards = 64;
-  Simulator sim = make_simulator(ranks, shards);
-  install_ring_workload(sim, ranks, /*rounds=*/16);
+  StoredProgram program = ring_workload(/*ranks=*/256, /*rounds=*/16);
+  Simulator sim = make_simulator(program, shards);
   const util::Stopwatch watch;
   const SimResult result = sim.run();
   const double wall = watch.seconds();

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "network/msgmodel.hpp"
 #include "sim/simulator.hpp"
+#include "stored_program.hpp"
 #include "util/rng.hpp"
 
 namespace krak::sim {
@@ -14,8 +16,9 @@ namespace {
 /// its right neighbor, receives from its left, then allreduces. These
 /// always terminate and exercise every op kind, making them good
 /// subjects for metamorphic properties.
-Schedule ring_schedule(RankId rank, std::int32_t ranks, util::Rng& rng) {
-  Schedule schedule;
+std::vector<Op> ring_schedule(RankId rank, std::int32_t ranks,
+                              util::Rng& rng) {
+  std::vector<Op> schedule;
   const RankId right = (rank + 1) % ranks;
   const RankId left = (rank + ranks - 1) % ranks;
   for (int round = 0; round < 4; ++round) {
@@ -29,21 +32,26 @@ Schedule ring_schedule(RankId rank, std::int32_t ranks, util::Rng& rng) {
   return schedule;
 }
 
+/// Every rank's ring_schedule, each drawn from its own split of a
+/// generator seeded with `seed`.
+StoredProgram ring_program(std::int32_t ranks, std::uint64_t seed) {
+  StoredProgram program(ranks);
+  util::Rng rng(seed);
+  for (RankId r = 0; r < ranks; ++r) {
+    util::Rng rank_rng = rng.split();
+    program.set(r, ring_schedule(r, ranks, rank_rng));
+  }
+  return program;
+}
+
 class RingTest : public ::testing::TestWithParam<std::int32_t> {};
 
 TEST_P(RingTest, CompletesAndIsDeterministic) {
   const std::int32_t ranks = GetParam();
-  const auto build = [&] {
-    Simulator sim(ranks, network::make_qsnet1_model());
-    util::Rng rng(77);
-    for (RankId r = 0; r < ranks; ++r) {
-      util::Rng rank_rng = rng.split();
-      sim.set_schedule(r, ring_schedule(r, ranks, rank_rng));
-    }
-    return sim;
-  };
-  Simulator a = build();
-  Simulator b = build();
+  StoredProgram program_a = ring_program(ranks, 77);
+  StoredProgram program_b = ring_program(ranks, 77);
+  Simulator a(program_a, network::make_qsnet1_model());
+  Simulator b(program_b, network::make_qsnet1_model());
   const SimResult ra = a.run();
   const SimResult rb = b.run();
   EXPECT_DOUBLE_EQ(ra.makespan, rb.makespan);
@@ -56,19 +64,17 @@ TEST_P(RingTest, CompletesAndIsDeterministic) {
 TEST_P(RingTest, MakespanAtLeastCriticalRankWork) {
   // No rank can finish before its own compute time sums.
   const std::int32_t ranks = GetParam();
-  Simulator sim(ranks, network::make_qsnet1_model());
-  util::Rng rng(5);
+  StoredProgram program = ring_program(ranks, 5);
   std::vector<double> work(static_cast<std::size_t>(ranks), 0.0);
   for (RankId r = 0; r < ranks; ++r) {
-    util::Rng rank_rng = rng.split();
-    Schedule schedule = ring_schedule(r, ranks, rank_rng);
-    for (const Op& op : schedule) {
+    for (std::size_t pc = 0; pc < program.size(r); ++pc) {
+      const Op op = program.op(r, pc);
       if (op.kind() == OpKind::kCompute) {
         work[static_cast<std::size_t>(r)] += op.duration();
       }
     }
-    sim.set_schedule(r, std::move(schedule));
   }
+  Simulator sim(program, network::make_qsnet1_model());
   const SimResult result = sim.run();
   const double max_work = *std::max_element(work.begin(), work.end());
   EXPECT_GE(result.makespan, max_work);
@@ -79,14 +85,9 @@ TEST_P(RingTest, MakespanAtLeastCriticalRankWork) {
 }
 
 TEST_P(RingTest, SlowerNetworkNeverFaster) {
-  const std::int32_t ranks = GetParam();
+  StoredProgram program = ring_program(GetParam(), 13);
   const auto run_with = [&](const network::MessageCostModel& net) {
-    Simulator sim(ranks, net);
-    util::Rng rng(13);
-    for (RankId r = 0; r < ranks; ++r) {
-      util::Rng rank_rng = rng.split();
-      sim.set_schedule(r, ring_schedule(r, ranks, rank_rng));
-    }
+    Simulator sim(program, net);
     return sim.run().makespan;
   };
   const double fast = run_with(network::make_qsnet1_model());
@@ -100,10 +101,10 @@ INSTANTIATE_TEST_SUITE_P(RingSizes, RingTest,
 TEST(SimulatorProperties, AddingComputeDelaysMakespanExactly) {
   // With a single rank, inserting extra compute shifts completion by
   // exactly that amount.
-  Simulator a(1, network::make_qsnet1_model());
-  a.set_schedule(0, {Op::compute(1.0)});
-  Simulator b(1, network::make_qsnet1_model());
-  b.set_schedule(0, {Op::compute(1.0), Op::compute(0.25)});
+  StoredProgram program_a({{Op::compute(1.0)}});
+  StoredProgram program_b({{Op::compute(1.0), Op::compute(0.25)}});
+  Simulator a(program_a, network::make_qsnet1_model());
+  Simulator b(program_b, network::make_qsnet1_model());
   EXPECT_NEAR(b.run().makespan - a.run().makespan, 0.25, 1e-12);
 }
 
@@ -111,14 +112,12 @@ TEST(SimulatorProperties, CollectiveCountIndependentOfEntryOrder) {
   // Whichever rank reaches the allreduce last, exactly one collective
   // happens and all ranks leave together.
   for (int slow_rank = 0; slow_rank < 3; ++slow_rank) {
-    Simulator sim(3, network::make_qsnet1_model());
+    StoredProgram program(3);
     for (RankId r = 0; r < 3; ++r) {
-      Schedule schedule;
-      schedule.push_back(Op::compute(r == slow_rank ? 1.0 : 0.01));
-      schedule.push_back(Op::allreduce(8.0));
-      schedule.push_back(Op::record(0));
-      sim.set_schedule(r, schedule);
+      program.set(r, {Op::compute(r == slow_rank ? 1.0 : 0.01),
+                      Op::allreduce(8.0), Op::record(0)});
     }
+    Simulator sim(program, network::make_qsnet1_model());
     const SimResult result = sim.run();
     EXPECT_EQ(result.traffic.allreduces, 1);
     EXPECT_DOUBLE_EQ(result.records[0].at(0), result.records[1].at(0));

@@ -3,49 +3,71 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "network/msgmodel.hpp"
+#include "stored_program.hpp"
 #include "util/error.hpp"
 
 namespace krak::sim {
 namespace {
 
 /// 1 us latency, 1 ns/byte, zero host overheads: hand-checkable times.
-Simulator make_simulator(std::int32_t ranks) {
+Simulator make_simulator(Program& program) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
-  return Simulator(ranks, network::make_hockney_model(1e-6, 1e9), config);
+  return Simulator(program, network::make_hockney_model(1e-6, 1e9), config);
 }
 
+/// Rank 0 runs one op; every other rank runs none. Reports any rank
+/// count without sizing anything from it.
+class OneOpProgram final : public Program {
+ public:
+  OneOpProgram(std::int32_t ranks, Op op) : ranks_(ranks), op_(op) {}
+  [[nodiscard]] std::int32_t ranks() const override { return ranks_; }
+  [[nodiscard]] std::size_t size(RankId rank) const override {
+    return rank == 0 ? 1 : 0;
+  }
+  [[nodiscard]] Op op(RankId /*rank*/, std::size_t /*pc*/) override {
+    return op_;
+  }
+
+ private:
+  std::int32_t ranks_;
+  Op op_;
+};
+
 TEST(Simulator, NonPositiveRankCountIsInvalidArgument) {
-  // The rank count is checked before anything is sized from it.
+  // The program's rank count is checked at construction.
   for (const std::int32_t ranks : {0, -1, -4096}) {
-    EXPECT_THROW(static_cast<void>(make_simulator(ranks)),
+    OneOpProgram program(ranks, Op::compute(1.0));
+    EXPECT_THROW(static_cast<void>(make_simulator(program)),
                  util::InvalidArgument)
         << ranks;
   }
 }
 
 TEST(Simulator, ComputeAdvancesClock) {
-  Simulator sim = make_simulator(1);
-  sim.set_schedule(0, {Op::compute(2.0), Op::compute(0.5)});
+  StoredProgram program({{Op::compute(2.0), Op::compute(0.5)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   EXPECT_DOUBLE_EQ(result.makespan, 2.5);
   EXPECT_DOUBLE_EQ(result.finish_times[0], 2.5);
 }
 
 TEST(Simulator, EmptyScheduleFinishesAtZero) {
-  Simulator sim = make_simulator(2);
+  StoredProgram program(2);
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   EXPECT_DOUBLE_EQ(result.makespan, 0.0);
 }
 
 TEST(Simulator, PingMessageArrivesAfterTmsg) {
-  Simulator sim = make_simulator(2);
   // 1000 bytes: Tmsg = 1 us + 1 us = 2 us.
-  sim.set_schedule(0, {Op::isend(1, 1000.0, 7)});
-  sim.set_schedule(1, {Op::recv(0, 1000.0, 7)});
+  StoredProgram program({{Op::isend(1, 1000.0, 7)}, {Op::recv(0, 1000.0, 7)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   EXPECT_NEAR(result.finish_times[1], 2e-6, 1e-12);
   EXPECT_EQ(result.traffic.point_to_point_messages, 1);
@@ -53,18 +75,18 @@ TEST(Simulator, PingMessageArrivesAfterTmsg) {
 }
 
 TEST(Simulator, RecvBlocksUntilSenderPosts) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::compute(5.0), Op::isend(1, 0.0, 1)});
-  sim.set_schedule(1, {Op::recv(0, 0.0, 1)});
+  StoredProgram program(
+      {{Op::compute(5.0), Op::isend(1, 0.0, 1)}, {Op::recv(0, 0.0, 1)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   // Receiver waits for the sender's compute + latency.
   EXPECT_NEAR(result.finish_times[1], 5.0 + 1e-6, 1e-9);
 }
 
 TEST(Simulator, EarlyMessageDoesNotBlockLateReceiver) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::isend(1, 0.0, 1)});
-  sim.set_schedule(1, {Op::compute(10.0), Op::recv(0, 0.0, 1)});
+  StoredProgram program(
+      {{Op::isend(1, 0.0, 1)}, {Op::compute(10.0), Op::recv(0, 0.0, 1)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   EXPECT_NEAR(result.finish_times[1], 10.0, 1e-9);
 }
@@ -73,21 +95,21 @@ TEST(Simulator, SendsToMultipleNeighborsOverlap) {
   // The core semantic of Section 4: async sends to different neighbors
   // overlap on the wire. Three 1 MB messages (Tmsg ~ 1 ms each) from one
   // sender must NOT take 3 ms end to end.
-  Simulator sim = make_simulator(4);
   const double bytes = 1e6;  // Tmsg = 1 us + 1 ms
-  sim.set_schedule(0, {Op::isend(1, bytes, 1), Op::isend(2, bytes, 1),
-                       Op::isend(3, bytes, 1), Op::wait_all_sends()});
-  sim.set_schedule(1, {Op::recv(0, bytes, 1)});
-  sim.set_schedule(2, {Op::recv(0, bytes, 1)});
-  sim.set_schedule(3, {Op::recv(0, bytes, 1)});
+  StoredProgram program({{Op::isend(1, bytes, 1), Op::isend(2, bytes, 1),
+                          Op::isend(3, bytes, 1), Op::wait_all_sends()},
+                         {Op::recv(0, bytes, 1)},
+                         {Op::recv(0, bytes, 1)},
+                         {Op::recv(0, bytes, 1)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   EXPECT_LT(result.makespan, 1.2e-3);  // ~1 ms, not ~3 ms
 }
 
 TEST(Simulator, WaitAllSendsCoversNicHandoff) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::isend(1, 100.0, 1), Op::wait_all_sends()});
-  sim.set_schedule(1, {Op::recv(0, 100.0, 1)});
+  StoredProgram program({{Op::isend(1, 100.0, 1), Op::wait_all_sends()},
+                         {Op::recv(0, 100.0, 1)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   // Sender completes after the start-up latency (1 us), receiver after
   // the full message time.
@@ -108,19 +130,20 @@ TEST(Simulator, WaitAllSendsWaitsForTheLatestCompletion) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
-  Simulator sim(4, network::MessageCostModel(latency, byte_cost), config);
+  StoredProgram program({{Op::isend(1, 1000.0, 1), Op::isend(2, 3000.0, 1),
+                          Op::isend(3, 2000.0, 1), Op::compute(10e-6),
+                          Op::wait_all_sends(), Op::record(0),
+                          Op::wait_all_sends(), Op::record(1)},
+                         {Op::recv(0, 1000.0, 1)},
+                         {Op::recv(0, 3000.0, 1)},
+                         {Op::recv(0, 2000.0, 1)}});
+  Simulator sim(program, network::MessageCostModel(latency, byte_cost),
+                config);
   NicConfig nic;
   nic.enabled = true;
   nic.pes_per_node = 4;
   nic.injection_bandwidth = 1e9;  // 1 us per 1000 bytes
   sim.set_nic(nic);
-  sim.set_schedule(0, {Op::isend(1, 1000.0, 1), Op::isend(2, 3000.0, 1),
-                       Op::isend(3, 2000.0, 1), Op::compute(10e-6),
-                       Op::wait_all_sends(), Op::record(0),
-                       Op::wait_all_sends(), Op::record(1)});
-  sim.set_schedule(1, {Op::recv(0, 1000.0, 1)});
-  sim.set_schedule(2, {Op::recv(0, 3000.0, 1)});
-  sim.set_schedule(3, {Op::recv(0, 2000.0, 1)});
   const SimResult result = sim.run();
   // Injections start at 0, 1 and 4 us; the sends complete at 11, 32
   // and 25 us.
@@ -134,20 +157,20 @@ TEST(Simulator, WaitAllSendsWaitsForTheLatestCompletion) {
 }
 
 TEST(Simulator, MessagesMatchByTag) {
-  Simulator sim = make_simulator(2);
   // Two messages with different tags received in reverse order.
-  sim.set_schedule(0, {Op::isend(1, 10.0, 1), Op::isend(1, 2000.0, 2)});
-  sim.set_schedule(1, {Op::recv(0, 2000.0, 2), Op::recv(0, 10.0, 1)});
+  StoredProgram program({{Op::isend(1, 10.0, 1), Op::isend(1, 2000.0, 2)},
+                         {Op::recv(0, 2000.0, 2), Op::recv(0, 10.0, 1)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   EXPECT_GT(result.makespan, 0.0);  // completed without deadlock
 }
 
 TEST(Simulator, FifoMatchingWithinSameTag) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::isend(1, 10.0, 1), Op::compute(1.0),
-                       Op::isend(1, 10.0, 1)});
-  sim.set_schedule(1, {Op::recv(0, 10.0, 1), Op::record(0), Op::recv(0, 10.0, 1),
-                       Op::record(1)});
+  StoredProgram program(
+      {{Op::isend(1, 10.0, 1), Op::compute(1.0), Op::isend(1, 10.0, 1)},
+       {Op::recv(0, 10.0, 1), Op::record(0), Op::recv(0, 10.0, 1),
+        Op::record(1)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   const double first = result.records[1].at(0);
   const double second = result.records[1].at(1);
@@ -159,19 +182,19 @@ TEST(Simulator, SendRecvOverheadsCharged) {
   SimConfig config;
   config.send_overhead = 0.5;
   config.recv_overhead = 0.25;
-  Simulator sim(2, network::make_hockney_model(0.0, 1e30), config);
-  sim.set_schedule(0, {Op::isend(1, 1.0, 1)});
-  sim.set_schedule(1, {Op::recv(0, 1.0, 1)});
+  StoredProgram program({{Op::isend(1, 1.0, 1)}, {Op::recv(0, 1.0, 1)}});
+  Simulator sim(program, network::make_hockney_model(0.0, 1e30), config);
   const SimResult result = sim.run();
   EXPECT_NEAR(result.finish_times[0], 0.5, 1e-12);
   EXPECT_NEAR(result.finish_times[1], 0.75, 1e-12);
 }
 
 TEST(Simulator, AllreduceSynchronizesClocks) {
-  Simulator sim = make_simulator(3);
-  sim.set_schedule(0, {Op::compute(1.0), Op::allreduce(8.0), Op::record(0)});
-  sim.set_schedule(1, {Op::compute(5.0), Op::allreduce(8.0), Op::record(0)});
-  sim.set_schedule(2, {Op::compute(3.0), Op::allreduce(8.0), Op::record(0)});
+  StoredProgram program(
+      {{Op::compute(1.0), Op::allreduce(8.0), Op::record(0)},
+       {Op::compute(5.0), Op::allreduce(8.0), Op::record(0)},
+       {Op::compute(3.0), Op::allreduce(8.0), Op::record(0)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   // All ranks leave at max entry (5.0) + 2*depth(3)*Tmsg(8).
   const double expected = 5.0 + 2.0 * 2.0 * (1e-6 + 8e-9);
@@ -183,11 +206,10 @@ TEST(Simulator, AllreduceSynchronizesClocks) {
 }
 
 TEST(Simulator, BroadcastAndGatherCountedSeparately) {
-  Simulator sim = make_simulator(2);
-  const Schedule schedule = {Op::broadcast(4.0), Op::gather(32.0),
-                             Op::allreduce(8.0)};
-  sim.set_schedule(0, schedule);
-  sim.set_schedule(1, schedule);
+  const std::vector<Op> ops = {Op::broadcast(4.0), Op::gather(32.0),
+                               Op::allreduce(8.0)};
+  StoredProgram program({ops, ops});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   EXPECT_EQ(result.traffic.broadcasts, 1);
   EXPECT_EQ(result.traffic.gathers, 1);
@@ -195,8 +217,9 @@ TEST(Simulator, BroadcastAndGatherCountedSeparately) {
 }
 
 TEST(Simulator, SingleRankCollectivesAreFree) {
-  Simulator sim = make_simulator(1);
-  sim.set_schedule(0, {Op::compute(1.0), Op::allreduce(8.0), Op::broadcast(4.0)});
+  StoredProgram program(
+      {{Op::compute(1.0), Op::allreduce(8.0), Op::broadcast(4.0)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   EXPECT_DOUBLE_EQ(result.makespan, 1.0);
 }
@@ -205,26 +228,25 @@ TEST(Simulator, DeliveryDoesNotWakeCollectiveBlockedRank) {
   // Rank 1 is parked in an allreduce when rank 0's message arrives; it
   // must stay parked until every rank entered the collective, then
   // receive the message afterwards.
-  Simulator sim = make_simulator(3);
-  sim.set_schedule(0, {Op::isend(1, 10.0, 5), Op::allreduce(8.0)});
-  sim.set_schedule(1, {Op::allreduce(8.0), Op::recv(0, 10.0, 5), Op::record(0)});
-  sim.set_schedule(2, {Op::compute(4.0), Op::allreduce(8.0)});
+  StoredProgram program(
+      {{Op::isend(1, 10.0, 5), Op::allreduce(8.0)},
+       {Op::allreduce(8.0), Op::recv(0, 10.0, 5), Op::record(0)},
+       {Op::compute(4.0), Op::allreduce(8.0)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   // Rank 1 leaves the allreduce no earlier than rank 2's entry at 4.0.
   EXPECT_GE(result.records[1].at(0), 4.0);
 }
 
 TEST(Simulator, DeadlockDetectedAndReported) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::recv(1, 1.0, 1)});
-  sim.set_schedule(1, {Op::recv(0, 1.0, 1)});
+  StoredProgram program({{Op::recv(1, 1.0, 1)}, {Op::recv(0, 1.0, 1)}});
+  Simulator sim = make_simulator(program);
   EXPECT_THROW((void)sim.run(), util::KrakError);
 }
 
 TEST(Simulator, RecvDeadlockNamesTheBlockingOp) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::recv(1, 1.0, 7)});
-  sim.set_schedule(1, {Op::recv(0, 1.0, 9)});
+  StoredProgram program({{Op::recv(1, 1.0, 7)}, {Op::recv(0, 1.0, 9)}});
+  Simulator sim = make_simulator(program);
   try {
     (void)sim.run();
     FAIL() << "expected deadlock";
@@ -240,9 +262,9 @@ TEST(Simulator, CollectiveDeadlockNamesTheCollective) {
   // parking the rank, so a report built from pc named the op after the
   // collective (or fell past the schedule's end and named nothing).
   // Rank 0 computes, then parks in an allreduce rank 1 never joins.
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::compute(1.0), Op::allreduce(8.0)});
-  sim.set_schedule(1, {Op::compute(2.0)});
+  StoredProgram program(
+      {{Op::compute(1.0), Op::allreduce(8.0)}, {Op::compute(2.0)}});
+  Simulator sim = make_simulator(program);
   try {
     (void)sim.run();
     FAIL() << "expected deadlock";
@@ -259,9 +281,9 @@ TEST(Simulator, CollectiveDeadlockNamesTheCollective) {
 TEST(Simulator, TrailingCollectiveDeadlockStillNamesIt) {
   // The collective is the schedule's last op, so the advanced pc points
   // one past the end — the old report could not name any op at all.
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::broadcast(4.0)});
-  sim.set_schedule(1, {});
+  StoredProgram program(2);
+  program.set(0, {Op::broadcast(4.0)});
+  Simulator sim = make_simulator(program);
   try {
     (void)sim.run();
     FAIL() << "expected deadlock";
@@ -273,69 +295,33 @@ TEST(Simulator, TrailingCollectiveDeadlockStillNamesIt) {
 }
 
 TEST(Simulator, MismatchedCollectiveKindThrows) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::allreduce(8.0)});
-  sim.set_schedule(1, {Op::broadcast(8.0)});
+  StoredProgram program({{Op::allreduce(8.0)}, {Op::broadcast(8.0)}});
+  Simulator sim = make_simulator(program);
   EXPECT_THROW((void)sim.run(), util::KrakError);
 }
 
 TEST(Simulator, MissingCollectiveParticipantIsDeadlock) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::allreduce(8.0)});
-  sim.set_schedule(1, {});
+  StoredProgram program(2);
+  program.set(0, {Op::allreduce(8.0)});
+  Simulator sim = make_simulator(program);
   EXPECT_THROW((void)sim.run(), util::KrakError);
 }
 
-TEST(Simulator, ScheduleValidationRejectsBadOps) {
-  Simulator sim = make_simulator(2);
-  EXPECT_THROW(sim.set_schedule(0, {Op::isend(0, 1.0, 1)}),
-               util::InvalidArgument);  // self-message
-  EXPECT_THROW(sim.set_schedule(0, {Op::isend(5, 1.0, 1)}),
-               util::InvalidArgument);  // peer out of range
-  EXPECT_THROW(sim.set_schedule(0, {Op::compute(-1.0)}),
-               util::InvalidArgument);
-  EXPECT_THROW(sim.set_schedule(9, {}), util::InvalidArgument);
-}
-
-/// Rank 0 runs one op; every other rank runs none.
-class OneOpProgram final : public Program {
- public:
-  OneOpProgram(std::int32_t ranks, Op op) : ranks_(ranks), op_(op) {}
-  [[nodiscard]] std::int32_t ranks() const override { return ranks_; }
-  [[nodiscard]] std::size_t size(RankId rank) const override {
-    return rank == 0 ? 1 : 0;
-  }
-  [[nodiscard]] Op op(RankId /*rank*/, std::size_t /*pc*/) override {
-    return op_;
-  }
-
- private:
-  std::int32_t ranks_;
-  Op op_;
-};
-
 TEST(Simulator, ProgramOpsAreCheckedAsTheyAreRead) {
-  // A program's ops pass the checks set_schedule applies, with the same
-  // InvalidArgument, as the engine reads each one.
+  // Every op is checked as the engine reads it: a message to the rank
+  // itself or to no rank, or a negative duration or payload, throws
+  // InvalidArgument.
   for (const Op& bad :
        {Op::isend(0, 1.0, 1), Op::recv(5, 1.0, 1), Op::isend(1, -1.0, 1),
         Op::compute(-1.0), Op::allreduce(-8.0)}) {
-    Simulator sim = make_simulator(2);
     OneOpProgram program(2, bad);
-    sim.set_program(&program);
+    Simulator sim = make_simulator(program);
     EXPECT_THROW((void)sim.run(), util::InvalidArgument)
         << op_kind_name(bad.kind());
   }
-  Simulator sim = make_simulator(2);
   OneOpProgram program(2, Op::compute(2.0));
-  sim.set_program(&program);
+  Simulator sim = make_simulator(program);
   EXPECT_DOUBLE_EQ(sim.run().makespan, 2.0);
-  // nullptr goes back to the schedules set_schedule installed.
-  sim.set_schedule(1, {Op::compute(3.0)});
-  sim.set_program(nullptr);
-  EXPECT_DOUBLE_EQ(sim.run().makespan, 3.0);
-  OneOpProgram too_small(1, Op::compute(1.0));
-  EXPECT_THROW(sim.set_program(&too_small), util::InvalidArgument);
 }
 
 TEST(Simulator, TagsAnOpCannotHoldAreRefused) {
@@ -346,26 +332,27 @@ TEST(Simulator, TagsAnOpCannotHoldAreRefused) {
   EXPECT_THROW(static_cast<void>(Op::recv(0, 8.0, -1)),
                util::InvalidArgument);
   // Both ends of the range still match.
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::isend(1, 8.0, 32767), Op::isend(1, 8.0, 0)});
-  sim.set_schedule(1, {Op::recv(0, 8.0, 0), Op::recv(0, 8.0, 32767)});
+  StoredProgram program(
+      {{Op::isend(1, 8.0, 32767), Op::isend(1, 8.0, 0)},
+       {Op::recv(0, 8.0, 0), Op::recv(0, 8.0, 32767)}});
+  Simulator sim = make_simulator(program);
   EXPECT_EQ(sim.run().traffic.point_to_point_messages, 2);
 }
 
 TEST(Simulator, RecordCapturesPhaseBoundaries) {
-  Simulator sim = make_simulator(1);
-  sim.set_schedule(0, {Op::compute(1.0), Op::record(0), Op::compute(2.0),
-                       Op::record(1)});
+  StoredProgram program(
+      {{Op::compute(1.0), Op::record(0), Op::compute(2.0), Op::record(1)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   EXPECT_DOUBLE_EQ(result.records[0].at(0), 1.0);
   EXPECT_DOUBLE_EQ(result.records[0].at(1), 3.0);
 }
 
 TEST(Simulator, RunIsRepeatable) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::compute(1.0), Op::isend(1, 100.0, 1),
-                       Op::allreduce(4.0)});
-  sim.set_schedule(1, {Op::recv(0, 100.0, 1), Op::allreduce(4.0)});
+  StoredProgram program(
+      {{Op::compute(1.0), Op::isend(1, 100.0, 1), Op::allreduce(4.0)},
+       {Op::recv(0, 100.0, 1), Op::allreduce(4.0)}});
+  Simulator sim = make_simulator(program);
   const SimResult a = sim.run();
   const SimResult b = sim.run();
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
@@ -373,34 +360,37 @@ TEST(Simulator, RunIsRepeatable) {
             b.traffic.point_to_point_messages);
 }
 
-/// A 2-rank exchange of `messages` point-to-point round trips; every
-/// arrival is its own event, so the run fires well over `messages`
-/// events in total.
-Simulator make_chatty_simulator(std::size_t max_events) {
-  SimConfig config;
-  config.send_overhead = 0.0;
-  config.recv_overhead = 0.0;
-  config.max_events = max_events;
-  Simulator sim(2, network::make_hockney_model(1e-6, 1e9), config);
-  Schedule sender;
-  Schedule receiver;
+/// A 2-rank exchange of 32 point-to-point messages; every arrival is
+/// its own event, so the run fires well over 32 events in total.
+StoredProgram chatty_program() {
+  std::vector<Op> sender;
+  std::vector<Op> receiver;
   for (std::int32_t m = 0; m < 32; ++m) {
     sender.push_back(Op::isend(1, 8.0, m));
     sender.push_back(Op::wait_all_sends());
     receiver.push_back(Op::recv(0, 8.0, m));
   }
-  sim.set_schedule(0, std::move(sender));
-  sim.set_schedule(1, std::move(receiver));
-  return sim;
+  return StoredProgram({std::move(sender), std::move(receiver)});
+}
+
+/// Runs `program` under an event budget of `max_events`.
+Simulator make_chatty_simulator(Program& program, std::size_t max_events) {
+  SimConfig config;
+  config.send_overhead = 0.0;
+  config.recv_overhead = 0.0;
+  config.max_events = max_events;
+  return Simulator(program, network::make_hockney_model(1e-6, 1e9), config);
 }
 
 TEST(Simulator, EventLimitThrowsWithoutStructuredFailures) {
-  Simulator sim = make_chatty_simulator(/*max_events=*/4);
+  StoredProgram program = chatty_program();
+  Simulator sim = make_chatty_simulator(program, /*max_events=*/4);
   EXPECT_THROW(sim.run(), util::InternalError);
 }
 
 TEST(Simulator, EventLimitSurfacesAsStructuredFailure) {
-  Simulator sim = make_chatty_simulator(/*max_events=*/4);
+  StoredProgram program = chatty_program();
+  Simulator sim = make_chatty_simulator(program, /*max_events=*/4);
   WatchdogConfig watchdog;
   watchdog.structured_failures = true;
   sim.set_watchdog(watchdog);
@@ -416,7 +406,8 @@ TEST(Simulator, EventLimitSurfacesAsStructuredFailure) {
 }
 
 TEST(Simulator, GenerousEventLimitDoesNotTrip) {
-  Simulator sim = make_chatty_simulator(/*max_events=*/1 << 20);
+  StoredProgram program = chatty_program();
+  Simulator sim = make_chatty_simulator(program, /*max_events=*/1 << 20);
   WatchdogConfig watchdog;
   watchdog.structured_failures = true;
   sim.set_watchdog(watchdog);

@@ -6,17 +6,18 @@
 
 #include "network/msgmodel.hpp"
 #include "sim/simulator.hpp"
+#include "stored_program.hpp"
 
 namespace krak::sim {
 namespace {
 
 /// 1 us latency, 1 ns/byte; nonzero host overheads so every breakdown
 /// component can be exercised.
-Simulator make_simulator(std::int32_t ranks) {
+Simulator make_simulator(Program& program) {
   SimConfig config;
   config.send_overhead = 0.5e-6;
   config.recv_overhead = 0.25e-6;
-  return Simulator(ranks, network::make_hockney_model(1e-6, 1e9), config);
+  return Simulator(program, network::make_hockney_model(1e-6, 1e9), config);
 }
 
 void expect_identity(const SimResult& result) {
@@ -29,8 +30,8 @@ void expect_identity(const SimResult& result) {
 }
 
 TEST(SimulatorTrace, ComputeOnlyBreakdownIsAllCompute) {
-  Simulator sim = make_simulator(1);
-  sim.set_schedule(0, {Op::compute(2.0), Op::compute(0.5)});
+  StoredProgram program({{Op::compute(2.0), Op::compute(0.5)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   EXPECT_DOUBLE_EQ(result.breakdown[0].compute, 2.5);
   EXPECT_DOUBLE_EQ(result.breakdown[0].p2p_seconds(), 0.0);
@@ -42,13 +43,13 @@ TEST(SimulatorTrace, BreakdownSumsToFinishTimeForMixedSchedule) {
   // Every component nonzero somewhere: compute, isend (overhead + wait
   // in wait_all_sends), recv (overhead + blocked wait), and a skewed
   // allreduce (collective wait + cost).
-  Simulator sim = make_simulator(3);
   const double bytes = 1e6;  // Tmsg ~ 1 ms: real send waits
-  sim.set_schedule(0, {Op::compute(1.0), Op::isend(1, bytes, 1),
-                       Op::wait_all_sends(), Op::allreduce(8.0)});
-  sim.set_schedule(1, {Op::recv(0, bytes, 1), Op::compute(0.5),
-                       Op::allreduce(8.0)});
-  sim.set_schedule(2, {Op::compute(4.0), Op::allreduce(8.0)});
+  StoredProgram program({{Op::compute(1.0), Op::isend(1, bytes, 1),
+                          Op::wait_all_sends(), Op::allreduce(8.0)},
+                         {Op::recv(0, bytes, 1), Op::compute(0.5),
+                          Op::allreduce(8.0)},
+                         {Op::compute(4.0), Op::allreduce(8.0)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   expect_identity(result);
 
@@ -64,9 +65,9 @@ TEST(SimulatorTrace, BreakdownSumsToFinishTimeForMixedSchedule) {
 }
 
 TEST(SimulatorTrace, CollectiveSplitsSkewFromTreeCost) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::compute(1.0), Op::allreduce(8.0)});
-  sim.set_schedule(1, {Op::compute(3.0), Op::allreduce(8.0)});
+  StoredProgram program({{Op::compute(1.0), Op::allreduce(8.0)},
+                         {Op::compute(3.0), Op::allreduce(8.0)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   expect_identity(result);
 
@@ -83,10 +84,10 @@ TEST(SimulatorTrace, CollectiveSplitsSkewFromTreeCost) {
 }
 
 TEST(SimulatorTrace, SendWaitChargedInWaitAllSends) {
-  Simulator sim = make_simulator(2);
   const double bytes = 1e6;
-  sim.set_schedule(0, {Op::isend(1, bytes, 1), Op::wait_all_sends()});
-  sim.set_schedule(1, {Op::recv(0, bytes, 1)});
+  StoredProgram program({{Op::isend(1, bytes, 1), Op::wait_all_sends()},
+                         {Op::recv(0, bytes, 1)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   expect_identity(result);
   // The sender parks until the payload's NIC handoff (one latency).
@@ -94,19 +95,20 @@ TEST(SimulatorTrace, SendWaitChargedInWaitAllSends) {
 }
 
 TEST(SimulatorTrace, EarlyArrivalChargesNoRecvWait) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::isend(1, 10.0, 1)});
-  sim.set_schedule(1, {Op::compute(10.0), Op::recv(0, 10.0, 1)});
+  StoredProgram program(
+      {{Op::isend(1, 10.0, 1)}, {Op::compute(10.0), Op::recv(0, 10.0, 1)}});
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   expect_identity(result);
   EXPECT_DOUBLE_EQ(result.breakdown[1].recv_wait, 0.0);
 }
 
 TEST(SimulatorTrace, QueueDepthHighWaterMarkIsTracked) {
-  Simulator sim = make_simulator(4);
+  StoredProgram program(4);
   for (RankId r = 0; r < 4; ++r) {
-    sim.set_schedule(r, {Op::compute(0.1 * (r + 1)), Op::allreduce(8.0)});
+    program.set(r, {Op::compute(0.1 * (r + 1)), Op::allreduce(8.0)});
   }
+  Simulator sim = make_simulator(program);
   const SimResult result = sim.run();
   // At minimum the four initial step events were queued together.
   EXPECT_GE(result.max_queue_depth, 4u);
@@ -114,9 +116,9 @@ TEST(SimulatorTrace, QueueDepthHighWaterMarkIsTracked) {
 }
 
 TEST(SimulatorTrace, BreakdownResetsBetweenRuns) {
-  Simulator sim = make_simulator(2);
-  sim.set_schedule(0, {Op::compute(1.0), Op::allreduce(4.0)});
-  sim.set_schedule(1, {Op::compute(2.0), Op::allreduce(4.0)});
+  StoredProgram program({{Op::compute(1.0), Op::allreduce(4.0)},
+                         {Op::compute(2.0), Op::allreduce(4.0)}});
+  Simulator sim = make_simulator(program);
   const SimResult first = sim.run();
   const SimResult second = sim.run();
   for (std::size_t r = 0; r < 2; ++r) {
