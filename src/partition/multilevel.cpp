@@ -2,6 +2,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <list>
@@ -9,6 +10,7 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -540,35 +542,61 @@ class LadderCache {
     return cache;
   }
 
-  std::shared_ptr<const CoarseningLadder> find(std::uint64_t key) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->first == key) {
-        entries_.splice(entries_.begin(), entries_, it);
-        return entries_.front().second;
+  /// One caller's hold on a key's ladder for the span of its coarsening.
+  /// Concurrent first callers of one key would otherwise all miss and
+  /// each coarsen the same ladder, so a claim waits while another caller
+  /// holds its key, then finds the ladder that caller stored: a hit.
+  class Claim {
+   public:
+    Claim(LadderCache& cache, std::uint64_t key) : cache_(cache), key_(key) {
+      std::unique_lock<std::mutex> lock(cache_.mutex_);
+      cache_.released_.wait(lock,
+                            [&] { return !cache_.claimed_.contains(key); });
+      cache_.claimed_.insert(key);
+      for (auto it = cache_.entries_.begin(); it != cache_.entries_.end();
+           ++it) {
+        if (it->first == key) {
+          cache_.entries_.splice(cache_.entries_.begin(), cache_.entries_, it);
+          cached_ = it->second;
+          break;
+        }
       }
     }
-    return nullptr;
-  }
+    ~Claim() {
+      {
+        const std::lock_guard<std::mutex> lock(cache_.mutex_);
+        cache_.claimed_.erase(key_);
+      }
+      cache_.released_.notify_all();
+    }
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
 
-  // Entries are immutable: an extension stores a new ladder object under
-  // the same key. Concurrent extenders can race, but both compute
-  // bit-identical levels, so whichever store wins is correct.
-  void store(std::uint64_t key, std::shared_ptr<const CoarseningLadder> value) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->first == key) {
-        entries_.erase(it);
-        break;
-      }
+    /// The key's ladder when the claim was granted; nullptr on a miss.
+    [[nodiscard]] const std::shared_ptr<const CoarseningLadder>& cached()
+        const {
+      return cached_;
     }
-    entries_.emplace_front(key, std::move(value));
-    // Ladders hold full coarse graphs (roughly the fine graph's size
-    // across all levels), so keep only the few decks a campaign cycles
-    // through.
-    constexpr std::size_t kMaxEntries = 4;
-    while (entries_.size() > kMaxEntries) entries_.pop_back();
-  }
+
+    /// Publishes an extension: entries are immutable, so the extended
+    /// ladder replaces the key's entry.
+    void store(std::shared_ptr<const CoarseningLadder> value) {
+      const std::lock_guard<std::mutex> lock(cache_.mutex_);
+      std::erase_if(cache_.entries_,
+                    [&](const auto& entry) { return entry.first == key_; });
+      cache_.entries_.emplace_front(key_, std::move(value));
+      // Ladders hold full coarse graphs (roughly the fine graph's size
+      // across all levels), so keep only the few decks a campaign
+      // cycles through.
+      constexpr std::size_t kMaxEntries = 4;
+      while (cache_.entries_.size() > kMaxEntries) cache_.entries_.pop_back();
+    }
+
+   private:
+    LadderCache& cache_;
+    std::uint64_t key_;
+    std::shared_ptr<const CoarseningLadder> cached_;
+  };
 
   void clear() {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -577,6 +605,10 @@ class LadderCache {
 
  private:
   std::mutex mutex_;
+  /// Signalled whenever a claim ends.
+  std::condition_variable released_;
+  /// Keys some caller is coarsening now.
+  std::set<std::uint64_t> claimed_;
   std::list<std::pair<std::uint64_t, std::shared_ptr<const CoarseningLadder>>>
       entries_;
 };
@@ -642,15 +674,19 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
   // matching stops shrinking it, replaying cached ladder levels where
   // available.
   const util::Stopwatch coarsen_watch;
-  const std::uint64_t key = ladder_cache_key(graph, seed, ladder_key);
-  std::shared_ptr<const CoarseningLadder> cached =
-      LadderCache::instance().find(key);
+  // Held until the ladder is published: refinement runs concurrently
+  // with other callers of the key.
+  std::optional<LadderCache::Claim> claim;
+  claim.emplace(LadderCache::instance(),
+                ladder_cache_key(graph, seed, ladder_key));
   obs::global_registry()
-      .counter(cached != nullptr ? "partition.ladder.hits"
-                                 : "partition.ladder.misses")
+      .counter(claim->cached() != nullptr ? "partition.ladder.hits"
+                                          : "partition.ladder.misses")
       .add();
   CoarseningLadder working;
-  if (cached != nullptr) working = *cached;  // shallow: levels are shared
+  if (claim->cached() != nullptr) {
+    working = *claim->cached();  // shallow: levels are shared
+  }
 
   std::vector<const Graph*> levels{&graph};
   std::vector<const std::vector<std::int32_t>*> maps;
@@ -699,10 +735,11 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
   std::shared_ptr<const CoarseningLadder> pinned;
   if (extended) {
     pinned = std::make_shared<const CoarseningLadder>(std::move(working));
-    LadderCache::instance().store(key, pinned);
+    claim->store(pinned);
   } else {
-    pinned = std::move(cached);
+    pinned = claim->cached();
   }
+  claim.reset();
   rng.restore(rng_state);
   const double coarsen_seconds = coarsen_watch.seconds();
 

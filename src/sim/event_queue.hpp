@@ -17,9 +17,6 @@ enum class EventKind : std::uint8_t {
   /// A point-to-point payload from `peer` with `tag` arrives at `rank`
   /// at the event's timestamp.
   kMessageArrival,
-  /// A collective completes: release `rank` at the event's timestamp;
-  /// `value` is the tree cost every rank pays.
-  kCollectiveRelease,
 };
 
 /// One tagged simulator event (the payload of a queue entry). 24 bytes;
@@ -29,7 +26,6 @@ struct SimEvent {
   std::int32_t rank = -1;  ///< target rank
   std::int32_t peer = -1;  ///< sending rank (kMessageArrival)
   std::int32_t tag = 0;    ///< message tag (kMessageArrival)
-  /// kCollectiveRelease: the tree cost every rank pays.
   /// kMessageArrival: the payload's true arrival timestamp, always
   /// equal to the event's fire time (the receiving rank's timing math
   /// uses this value, keeping it independent of queue mechanics).
@@ -50,13 +46,6 @@ struct SimEvent {
     event.peer = peer;
     event.tag = tag;
     event.value = arrival_time;
-    return event;
-  }
-  [[nodiscard]] static SimEvent release(std::int32_t rank, double cost) {
-    SimEvent event;
-    event.kind = EventKind::kCollectiveRelease;
-    event.rank = rank;
-    event.value = cost;
     return event;
   }
 };

@@ -202,9 +202,6 @@ SimResult Simulator::run() {
 void Simulator::begin_run(SimResult& result) {
   const std::int32_t n = ranks();
   states_.assign(static_cast<std::size_t>(n), RankState{});
-  collective_states_.clear();
-  collective_base_ = 0;
-  collective_high_water_ = 0;
   lost_.clear();
   if (fault_ != nullptr) fault_->on_run_start(n);
 
@@ -345,14 +342,11 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
   static obs::Counter& probes = registry.counter("sim.mailbox.probes");
   static obs::Counter& messages = registry.counter("sim.p2p_messages");
   static obs::Counter& stalls = registry.counter("sim.nic.stalls");
-  static obs::Gauge& collective_high_water =
-      registry.gauge("sim.collective_states_high_water");
   runs.add(1);
   events.add(static_cast<std::int64_t>(result.events_processed));
   probes.add(static_cast<std::int64_t>(mailbox_probes));
   messages.add(result.traffic.point_to_point_messages);
   stalls.add(nic_stalls);
-  collective_high_water.set(static_cast<double>(collective_high_water_));
   if (fault_ != nullptr) {
     static obs::Counter& injections = registry.counter("fault.injections");
     static obs::Counter& retransmits = registry.counter("fault.retransmits");
@@ -412,25 +406,6 @@ void Simulator::dispatch(Shard& shard, const SimEvent& event,
       if (receiver.blocked && receiver.reason == BlockReason::kRecvWait) {
         step_rank(shard, event.rank, result);
       }
-      break;
-    }
-    case EventKind::kCollectiveRelease: {
-      // The parallel engine releases collectives at epoch barriers, so
-      // this event exists only in the serial oracle's queue.
-      require_internal(!shard.parallel,
-                       "collective release event in a parallel shard");
-      const double completion = shard.queue.now();
-      const double cost = event.value;
-      RankState& released = states_[static_cast<std::size_t>(event.rank)];
-      // The rank's clock froze at its entry time, so the gap to the
-      // common completion splits into skew wait (until the last rank
-      // entered) plus the tree cost every rank pays.
-      RankTimeBreakdown& breakdown =
-          result.breakdown[static_cast<std::size_t>(event.rank)];
-      breakdown.collective_wait += completion - cost - released.clock;
-      breakdown.collective_cost += cost;
-      released.clock = std::max(released.clock, completion);
-      step_rank(shard, event.rank, result);
       break;
     }
   }
@@ -559,7 +534,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
           ++state.pc;
           break;
         }
-        if (shard.parallel && !shard.owns(to)) {
+        if (!shard.owns(to)) {
           // Bucketed by destination shard so the barrier's merge work
           // parallelizes per destination queue.
           shard.outboxes[static_cast<std::size_t>(
@@ -606,7 +581,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       case OpKind::kAllreduce:
       case OpKind::kBroadcast:
       case OpKind::kGather: {
-        enter_collective(shard, rank, op);
+        enter_collective(shard, rank, op, result);
         break;
       }
       case OpKind::kRecord: {
@@ -631,76 +606,85 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
   }
 }
 
-void Simulator::enter_collective(Shard& shard, RankId rank, const Op& op) {
+void Simulator::CollectiveState::fold(const CollectiveState& part) {
+  if (part.entered == 0) return;
+  if (entered == 0) {
+    kind = part.kind;
+    bytes = part.bytes;
+  } else {
+    check(kind == part.kind && bytes == part.bytes,
+          "mismatched collective sequence across ranks");
+  }
+  entered += part.entered;
+  max_entry = std::max(max_entry, part.max_entry);
+}
+
+void Simulator::enter_collective(Shard& shard, RankId rank, const Op& op,
+                                 SimResult& result) {
   RankState& state = states_[static_cast<std::size_t>(rank)];
-  const std::size_t index = state.next_collective++;
   // pc moves past the collective now so the release resumes at the next
   // op; blocked_op keeps naming the collective for diagnostics.
   state.blocked_op = state.pc;
   ++state.pc;
   state.blocked = true;
   state.reason = BlockReason::kCollectiveWait;
+  shard.collective.fold({op.kind(), op.bytes(), 1, state.clock});
+  // Only the oracle's shard can hold every rank's entry; a parallel
+  // shard's fold waits for the epoch barrier (run_parallel).
+  if (shard.collective.entered < ranks()) return;
+  release_ranks(shard, release_collective(shard.collective, shard.traffic),
+                result);
+  shard.collective = {};
+}
 
-  if (shard.parallel) {
-    // Park the rank and ledger the entry; the epoch barrier merges
-    // entries from every shard in canonical (index, rank) order and
-    // releases completed collectives from the coordinator.
-    shard.collective_entries.push_back(
-        {index, rank, op.kind(), op.bytes(), state.clock});
-    return;
-  }
-
-  require_internal(index >= collective_base_,
-                   "rank entered an already-released collective");
-  const std::size_t rel = index - collective_base_;
-  if (rel >= collective_states_.size()) {
-    collective_states_.resize(rel + 1);
-    collective_high_water_ =
-        std::max(collective_high_water_, collective_states_.size());
-  }
-  CollectiveState& coll = collective_states_[rel];
-  if (coll.entered == 0) {
-    coll.kind = op.kind();
-    coll.bytes = op.bytes();
-  } else {
-    check(coll.kind == op.kind() && coll.bytes == op.bytes(),
-          "mismatched collective sequence across ranks");
-  }
-  ++coll.entered;
-  coll.max_entry = std::max(coll.max_entry, state.clock);
-
-  if (coll.entered < ranks()) return;
-
-  // Last rank in: cost the operation and release everyone.
+Simulator::CollectiveRelease Simulator::release_collective(
+    const CollectiveState& coll, TrafficStats& traffic) const {
   double cost = 0.0;
   switch (coll.kind) {
     case OpKind::kAllreduce:
       cost = collectives_.fan_in_fan_out(ranks(), coll.bytes);
-      ++shard.traffic.allreduces;
+      ++traffic.allreduces;
       break;
     case OpKind::kBroadcast:
       cost = collectives_.fan_out(ranks(), coll.bytes);
-      ++shard.traffic.broadcasts;
+      ++traffic.broadcasts;
       break;
     case OpKind::kGather:
       cost = collectives_.fan_in(ranks(), coll.bytes);
-      ++shard.traffic.gathers;
+      ++traffic.gathers;
       break;
     default:
       require_internal(false, "non-collective op in collective state");
   }
-  const double completion = coll.max_entry + cost;
-  for (RankId r = 0; r < ranks(); ++r) {
-    shard.queue.schedule(completion, SimEvent::release(r, cost));
+  return {coll.max_entry + cost, cost};
+}
+
+void Simulator::release_ranks(Shard& shard, const CollectiveRelease& release,
+                              SimResult& result) {
+  // The oracle's shard releases at the last entry, so its steps never
+  // precede its queue's clock and keep schedule()'s check. A parallel
+  // shard may have fired past the completion inside the epoch window;
+  // its steps must still fire at the true completion so the ranks'
+  // next sends interleave with the shard's other events — and touch
+  // their node's NIC state — in oracle order (EventQueue::inject).
+  const bool oracle = shard.end - shard.begin == ranks();
+  for (RankId r = shard.begin; r < shard.end; ++r) {
+    RankState& state = states_[static_cast<std::size_t>(r)];
+    // The rank's clock froze at its entry time, so the gap to the
+    // common completion splits into skew wait (until the last rank
+    // entered) plus the tree cost every rank pays.
+    RankTimeBreakdown& breakdown =
+        result.breakdown[static_cast<std::size_t>(r)];
+    breakdown.collective_wait +=
+        release.completion - release.cost - state.clock;
+    breakdown.collective_cost += release.cost;
+    state.clock = std::max(state.clock, release.completion);
+    if (oracle) {
+      shard.queue.schedule(release.completion, SimEvent::step(r));
+    } else {
+      shard.queue.inject(release.completion, SimEvent::step(r));
+    }
   }
-  // Reclaim the released prefix: every rank is parked on this index, so
-  // no earlier (or later) window can be live. Erasing here instead of
-  // letting the vector grow O(total collectives) is what bounds long
-  // replays' memory (the high-water probe pins the steady-state size).
-  collective_states_.erase(collective_states_.begin(),
-                           collective_states_.begin() +
-                               static_cast<std::ptrdiff_t>(rel + 1));
-  collective_base_ = index + 1;
 }
 
 }  // namespace krak::sim

@@ -315,8 +315,8 @@ struct SimResult {
   /// largest per-shard high-water mark).
   std::size_t max_queue_depth = 0;
   /// Host wall seconds the parallel engine's coordinator spent in its
-  /// serial sections (epoch scalar reductions, collective merge and
-  /// release decision, budget checks) — the Amdahl numerator of the
+  /// serial sections (epoch scalar reductions, collective fold and
+  /// release, budget checks) — the Amdahl numerator of the
   /// epoch barrier, exported as `sim.parallel.coordinator_s`. Zero
   /// under the serial oracle.
   double coordinator_seconds = 0.0;
@@ -408,7 +408,6 @@ class Simulator {
     /// are already behind the clock.
     double last_send_completion = 0.0;
     Mailbox mailbox;
-    std::size_t next_collective = 0;
     /// Ordinal of the next kCompute / kIsend op (fault-injection keys;
     /// the send ordinal also canonically orders cross-shard messages).
     std::int64_t compute_index = 0;
@@ -417,30 +416,44 @@ class Simulator {
     /// order into TrafficStats so the sum is engine-independent.
     double sent_bytes = 0.0;
   };
+  /// The entries into one collective so far, folded as an entry count
+  /// and the latest entry time. Only one collective can be partly
+  /// entered at a time — no rank enters collective k+1 before k is
+  /// released — so each shard folds its ranks' entries into one state,
+  /// and the parallel coordinator folds the shards' states into one
+  /// frontier at each epoch barrier.
   struct CollectiveState {
     OpKind kind = OpKind::kAllreduce;
     double bytes = 0.0;
     std::int32_t entered = 0;
     double max_entry = 0.0;
+
+    /// Adds `part` (one rank's entry or a shard's fold); throws
+    /// KrakError when it names another kind or size.
+    void fold(const CollectiveState& part);
+  };
+  /// A complete collective's common completion time and the tree cost
+  /// every rank pays.
+  struct CollectiveRelease {
+    double completion = 0.0;
+    double cost = 0.0;
   };
 
   /// One execution shard: a contiguous rank range with its own event
   /// queue and tallies. The serial oracle runs a single shard spanning
   /// every rank; the parallel engine gives each worker thread its own,
-  /// plus an outbox of cross-shard sends and a ledger of collective
-  /// entries, both drained by the coordinator at epoch barriers.
+  /// plus outboxes of cross-shard sends, drained by the coordinator at
+  /// epoch barriers with the shard's collective fold.
   struct Shard {
     std::int32_t id = 0;
     RankId begin = 0;
     RankId end = 0;  ///< exclusive
-    /// Parallel mode: cross-shard sends buffer in `outbox` and
-    /// collective entries park in `collective_entries`, both drained by
-    /// the coordinator at the epoch barrier. Every event — local or
-    /// injected — fires at its true simulated time; only collective
-    /// release steps may land below the shard queue's clock (see
-    /// EventQueue::inject).
-    bool parallel = false;
     EventQueue queue;
+    /// Entries of this shard's ranks into the partly entered collective.
+    /// The oracle's shard releases it when every rank is in; a parallel
+    /// shard never holds every rank, and its coordinator folds and
+    /// resets this at each epoch barrier.
+    CollectiveState collective;
     TrafficStats traffic;
     /// Integer fault tallies only; the seconds fields reduce from the
     /// rank breakdowns at finalize so their sum order is engine-free.
@@ -458,12 +471,16 @@ class Simulator {
       std::int64_t seq = 0;
     };
     /// Cross-shard payloads bucketed by destination shard
-    /// (outboxes[d] holds this shard's sends into shard d). The worker
-    /// sorts each run into canonical (arrival, from, seq) order before
-    /// the barrier; the destination shard then k-way-merges its inbound
+    /// (outboxes[d] holds this shard's sends into shard d); the oracle's
+    /// shard owns every rank and leaves them empty. The worker sorts
+    /// each run into canonical (arrival, from, seq) order before the
+    /// barrier; the destination shard then k-way-merges its inbound
     /// runs in parallel with every other destination, since canonical
     /// order only matters per destination queue (docs/PERFORMANCE.md,
-    /// "The epoch coordinator").
+    /// "The epoch coordinator"). Every event — local or injected —
+    /// fires at its true simulated time; only collective release steps
+    /// may land below a parallel shard queue's clock (see
+    /// EventQueue::inject).
     std::vector<std::vector<OutboundMessage>> outboxes;
     /// Payloads pushed into `outboxes` since the last barrier — the
     /// coupled-epoch test without scanning the buckets.
@@ -471,29 +488,6 @@ class Simulator {
     /// Rank -> owning shard lookup for outbox bucketing (points into
     /// run_parallel's layout vector; valid for the run's duration).
     const std::int32_t* shard_of = nullptr;
-    /// One collective entry recorded during an epoch.
-    struct CollectiveEntry {
-      std::size_t index = 0;
-      RankId rank = -1;
-      OpKind kind = OpKind::kCompute;
-      double bytes = 0.0;
-      double entered_at = 0.0;
-    };
-    std::vector<CollectiveEntry> collective_entries;
-    /// Order-independent fold of one epoch's collective entries for one
-    /// index: an integer entry count plus a max over entry times, so
-    /// the coordinator merges O(shards) aggregates instead of O(ranks)
-    /// entries.
-    struct CollectiveAggregate {
-      std::size_t index = 0;
-      std::int32_t entered = 0;
-      double max_entry = 0.0;
-      OpKind kind = OpKind::kCompute;
-      double bytes = 0.0;
-    };
-    /// Folded from `collective_entries` by the worker at window end
-    /// (ascending index order), consumed serially by the coordinator.
-    std::vector<CollectiveAggregate> collective_aggregates;
     /// Barrier scratch: (cursor, end) over the sorted inbound runs this
     /// shard is k-way-merging (pooled across epochs — clear() keeps the
     /// capacity).
@@ -531,7 +525,17 @@ class Simulator {
   void check_op(RankId rank, const Op& op) const;
   void step_rank(Shard& shard, RankId rank, SimResult& result);
   void dispatch(Shard& shard, const SimEvent& event, SimResult& result);
-  void enter_collective(Shard& shard, RankId rank, const Op& op);
+  void enter_collective(Shard& shard, RankId rank, const Op& op,
+                        SimResult& result);
+  /// Costs the complete fold `coll` as CollectiveModel's binary tree
+  /// over every rank and tallies it in `traffic`.
+  [[nodiscard]] CollectiveRelease release_collective(
+      const CollectiveState& coll, TrafficStats& traffic) const;
+  /// Releases the shard's ranks from `release`: each pays its skew wait
+  /// plus the tree cost, its clock moves to the completion, and its next
+  /// step is queued there.
+  void release_ranks(Shard& shard, const CollectiveRelease& release,
+                     SimResult& result);
   /// Diagnose the unfinished rank `rank` at drain time (deadlock or
   /// lost-message starvation).
   [[nodiscard]] SimFailure diagnose_stuck_rank(RankId rank);
@@ -583,19 +587,6 @@ class Simulator {
   /// peer with it.
   std::int32_t ranks_;
   std::vector<RankState> states_;
-  /// In-flight collective windows, indexed by `collective index -
-  /// collective_base_`. Released collectives are reclaimed eagerly:
-  /// once index k releases, no rank can ever enter an index <= k again,
-  /// so the prefix is erased and `collective_base_` advances. Only the
-  /// frontier index can be partially entered at any instant, which
-  /// keeps the live window O(1) regardless of how many collectives a
-  /// replay executes (the `sim.collective_states_high_water` probe
-  /// pins this).
-  std::vector<CollectiveState> collective_states_;
-  /// Absolute collective index of collective_states_[0].
-  std::size_t collective_base_ = 0;
-  /// Largest live collective_states_ size seen this run.
-  std::size_t collective_high_water_ = 0;
 };
 
 }  // namespace krak::sim

@@ -15,7 +15,6 @@
 
 namespace krak::sim {
 
-using util::check;
 using util::require_internal;
 
 namespace {
@@ -54,15 +53,16 @@ double Simulator::plan_lookahead() const {
 /// The barrier itself is sharded so coordinator work scales with shard
 /// coupling, not with rank count (docs/PERFORMANCE.md, "The epoch
 /// coordinator"): workers sort their per-destination outbound runs and
-/// fold collective entries inside the window phase; the coordinator's
-/// serial section only reduces O(shards) scalars and walks the
-/// collective release frontier; then every destination shard in
-/// parallel k-way-merges its inbound runs in canonical (arrival,
-/// sender, send-ordinal) order and applies the decided releases to its
-/// own ranks. Canonical order only matters per destination queue, which
-/// is what makes the per-destination merges independent — and every
-/// simulated outcome bit-identical to the serial oracle regardless of
-/// the thread count (docs/PERFORMANCE.md, "Parallel simulation").
+/// fold their ranks' collective entries inside the window phase; the
+/// coordinator's serial section only reduces O(shards) scalars and
+/// folds the shards' collective states into the frontier; then every
+/// destination shard in parallel k-way-merges its inbound runs in
+/// canonical (arrival, sender, send-ordinal) order and applies the
+/// frontier's release, if it completed, to its own ranks. Canonical
+/// order only matters per destination queue, which is what makes the
+/// per-destination merges independent — and every simulated outcome
+/// bit-identical to the serial oracle regardless of the thread count
+/// (docs/PERFORMANCE.md, "Parallel simulation").
 /// Every event fires at its true simulated time, so each shard replays
 /// the oracle's event order over its own ranks — which is what lets
 /// per-node order-sensitive state (the shared-NIC adapter availability)
@@ -85,7 +85,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
   for (std::int32_t s = 0; s < shard_count; ++s) {
     Shard& shard = shards[static_cast<std::size_t>(s)];
     shard.id = s;
-    shard.parallel = true;
     shard.shard_of = shard_of.data();
     shard.begin = std::min(n, next_unit * unit);
     next_unit += units / shard_count + (s < units % shard_count ? 1 : 0);
@@ -93,8 +92,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     // Pooled across every epoch of the run: clear() keeps capacity, so
     // steady-state barriers allocate nothing.
     shard.outboxes.resize(static_cast<std::size_t>(shard_count));
-    shard.collective_entries.reserve(
-        static_cast<std::size_t>(shard.end - shard.begin));
     for (RankId r = shard.begin; r < shard.end; ++r) {
       shard_of[static_cast<std::size_t>(r)] = s;
       shard.queue.schedule(0.0, SimEvent::step(r));
@@ -151,12 +148,11 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
   double coordinator_seconds = 0.0;
   std::size_t total_fired = 0;
   bool budget_exhausted = false;
-  /// One completed collective awaiting application, in release order.
-  struct PendingRelease {
-    double completion = 0.0;
-    double cost = 0.0;
-  };
-  std::vector<PendingRelease> releases;
+  // Every shard's entries into the partly entered collective, folded at
+  // the coupled barriers since its last entry; `release` is set at the
+  // barrier where the fold reaches every rank.
+  CollectiveState frontier;
+  std::optional<CollectiveRelease> release;
 
   // The event budget is enforced at barriers, so a tripped run can
   // overshoot SimConfig::max_events by at most one epoch per shard —
@@ -183,9 +179,8 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
                         })
             .fired;
     // Barrier prep belongs to the worker phase, not the coordinator:
-    // sort this shard's outbound runs into canonical order and fold its
-    // collective entries into order-independent per-index aggregates,
-    // then publish the scalars the coordinator reduces.
+    // sort this shard's outbound runs into canonical order, then
+    // publish the scalars the coordinator reduces.
     for (std::vector<Shard::OutboundMessage>& run : shard.outboxes) {
       if (run.size() > 1) {
         std::sort(run.begin(), run.end(),
@@ -195,43 +190,20 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
                   });
       }
     }
-    if (!shard.collective_entries.empty()) {
-      std::sort(shard.collective_entries.begin(),
-                shard.collective_entries.end(),
-                [](const Shard::CollectiveEntry& a,
-                   const Shard::CollectiveEntry& b) {
-                  if (a.index != b.index) return a.index < b.index;
-                  return a.rank < b.rank;
-                });
-      for (const Shard::CollectiveEntry& entry : shard.collective_entries) {
-        if (shard.collective_aggregates.empty() ||
-            shard.collective_aggregates.back().index != entry.index) {
-          shard.collective_aggregates.push_back(
-              {entry.index, 0, 0.0, entry.kind, entry.bytes});
-        }
-        Shard::CollectiveAggregate& agg = shard.collective_aggregates.back();
-        check(agg.kind == entry.kind && agg.bytes == entry.bytes,
-              "mismatched collective sequence across ranks");
-        ++agg.entered;
-        agg.max_entry = std::max(agg.max_entry, entry.entered_at);
-      }
-      shard.collective_entries.clear();
-    }
-    shard.coupled =
-        shard.outbound_count > 0 || !shard.collective_aggregates.empty();
+    shard.coupled = shard.outbound_count > 0 || shard.collective.entered > 0;
     shard.next_time = shard.queue.next_time();
     shard.busy_seconds = shard_watch.seconds();
   };
 
   // Barrier apply phase, one task per destination shard: k-way-merge
   // the inbound runs every source sorted during the window, then apply
-  // the coordinator's release decisions to this shard's own ranks. Both
+  // the coordinator's release, if any, to this shard's own ranks. Both
   // touch only this shard's queue and rank slice (sources' buckets for
   // this destination have exactly one consumer — this task), so every
   // destination proceeds concurrently. Per queue the injection order is
   // exactly the serial coordinator's — canonical messages first, then
-  // release steps in (release, rank) order — so event sequence numbers,
-  // and with them every tie-break, replay the oracle's.
+  // release steps in rank order — so event sequence numbers, and with
+  // them every tie-break, replay the oracle's.
   const auto apply_barrier = [&](std::size_t d) {
     Shard& dest = shards[d];
     dest.merge_runs.clear();
@@ -268,25 +240,7 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     }
     for (Shard& source : shards) source.outboxes[d].clear();
     dest.injected = injected;
-    for (const PendingRelease& release : releases) {
-      for (RankId r = dest.begin; r < dest.end; ++r) {
-        RankState& state = states_[static_cast<std::size_t>(r)];
-        RankTimeBreakdown& breakdown =
-            result.breakdown[static_cast<std::size_t>(r)];
-        // Same split as the oracle's release event: skew wait until the
-        // last entry, plus the tree cost every rank pays.
-        breakdown.collective_wait +=
-            release.completion - release.cost - state.clock;
-        breakdown.collective_cost += release.cost;
-        state.clock = std::max(state.clock, release.completion);
-        // The completion can precede this queue's clock when the shard
-        // ran ahead inside the epoch window; the step must still fire
-        // at the true completion time so the released rank's subsequent
-        // sends interleave with its shard's other events — and touch
-        // its node's NIC state — in oracle order.
-        dest.queue.inject(release.completion, SimEvent::step(r));
-      }
-    }
+    if (release) release_ranks(dest, *release, result);
     dest.next_time = dest.queue.next_time();
   };
 
@@ -351,66 +305,23 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
       continue;
     }
 
-    // Merge the per-shard collective aggregates (order-independent:
-    // integer entry counts and a max over entry times) and walk the
-    // release frontier. Ranks release in index order because no rank
-    // can enter collective k+1 before k released it — which also means
-    // every live entry targets the frontier index, so the released
-    // prefix is reclaimed immediately and collective_states_ stays O(1)
-    // however many collectives a replay executes.
-    releases.clear();
+    // Fold the shards' collective entries into the frontier. No rank
+    // enters collective k+1 before k is released, and only this barrier
+    // releases, so every entry since the last release names the
+    // frontier and at most one collective completes here.
     for (Shard& shard : shards) {
-      for (const Shard::CollectiveAggregate& agg :
-           shard.collective_aggregates) {
-        require_internal(agg.index >= collective_base_,
-                         "rank entered an already-released collective");
-        const std::size_t rel = agg.index - collective_base_;
-        if (rel >= collective_states_.size()) {
-          collective_states_.resize(rel + 1);
-        }
-        CollectiveState& coll = collective_states_[rel];
-        if (coll.entered == 0) {
-          coll.kind = agg.kind;
-          coll.bytes = agg.bytes;
-        } else {
-          check(coll.kind == agg.kind && coll.bytes == agg.bytes,
-                "mismatched collective sequence across ranks");
-        }
-        coll.entered += agg.entered;
-        coll.max_entry = std::max(coll.max_entry, agg.max_entry);
-      }
-      shard.collective_aggregates.clear();
+      frontier.fold(shard.collective);
+      shard.collective = {};
     }
-    collective_high_water_ =
-        std::max(collective_high_water_, collective_states_.size());
-    while (!collective_states_.empty() &&
-           collective_states_.front().entered >= n) {
-      const CollectiveState coll = collective_states_.front();
-      collective_states_.erase(collective_states_.begin());
-      ++collective_base_;
-      double cost = 0.0;
-      switch (coll.kind) {
-        case OpKind::kAllreduce:
-          cost = collectives_.fan_in_fan_out(n, coll.bytes);
-          ++result.traffic.allreduces;
-          break;
-        case OpKind::kBroadcast:
-          cost = collectives_.fan_out(n, coll.bytes);
-          ++result.traffic.broadcasts;
-          break;
-        case OpKind::kGather:
-          cost = collectives_.fan_in(n, coll.bytes);
-          ++result.traffic.gathers;
-          break;
-        default:
-          require_internal(false, "non-collective op in collective state");
-      }
-      releases.push_back({coll.max_entry + cost, cost});
+    release.reset();
+    if (frontier.entered == n) {
+      release = release_collective(frontier, result.traffic);
+      frontier = {};
     }
     coordinator_seconds += decide_watch.seconds();
 
     // Apply phase: every destination shard merges its inbound runs and
-    // applies the decided releases to its own ranks, concurrently.
+    // applies the release, if any, to its own ranks, concurrently.
     if (pool) {
       pool->parallel_for_chunked(
           shards.size(), 1, [&](std::size_t begin, std::size_t end) {

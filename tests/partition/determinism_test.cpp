@@ -11,7 +11,9 @@
 
 #include <array>
 #include <cstdint>
+#include <latch>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mesh/deck.hpp"
@@ -188,20 +190,33 @@ TEST(MultilevelLadderCacheTest, PartitionDeckMatchesReferenceChecksum) {
   EXPECT_EQ(checksum_of(part), reference_checksum("small", 64, 1));
 }
 
+/// partition.ladder.{hits, misses} so far.
+std::pair<std::int64_t, std::int64_t> ladder_counts() {
+  obs::Registry& registry = obs::global_registry();
+  return {registry.counter("partition.ladder.hits").value(),
+          registry.counter("partition.ladder.misses").value()};
+}
+
 // Callers on different threads share the ladder and dual-graph caches,
 // the only concurrency left in the partitioner. Part counts of one grid
-// stop at different depths of one ladder key, so with a cold cache
-// concurrent first-time coarsenings and copy-on-write extensions of
-// that key race; every result must still equal its checksum.
+// stop at different depths of one ladder key. A caller whose key another
+// caller is coarsening waits for that ladder instead of coarsening its
+// own, so the grid is coarsened once, and every result must still equal
+// its checksum.
 TEST(MultilevelLadderCacheTest, ConcurrentPartCountsOfOneGridMatchChecksums) {
   partition::clear_multilevel_ladder_cache();
   const mesh::InputDeck deck = make_deck("small");
   constexpr std::int32_t kParts[] = {16, 64, 128};
   constexpr std::size_t kWorkers = 8;
   constexpr std::size_t kRequests = kWorkers * 6;
+  const auto [hits_before, misses_before] = ladder_counts();
   std::vector<std::uint64_t> checksums(kRequests, 0);
   util::ThreadPool pool(kWorkers);
+  // Each worker's first request waits here until every worker holds
+  // one, so the first kWorkers requests reach the cold cache together.
+  std::latch start(kWorkers);
   pool.parallel_for(kRequests, [&](std::size_t i) {
+    if (i < kWorkers) start.arrive_and_wait();
     checksums[i] = checksum_of(partition::partition_deck(
         deck, kParts[i % 3], partition::PartitionMethod::kMultilevel, 1));
   });
@@ -209,6 +224,34 @@ TEST(MultilevelLadderCacheTest, ConcurrentPartCountsOfOneGridMatchChecksums) {
     EXPECT_EQ(checksums[i], reference_checksum("small", kParts[i % 3], 1))
         << "request " << i << " parts=" << kParts[i % 3];
   }
+  const auto [hits, misses] = ladder_counts();
+  EXPECT_EQ(misses - misses_before, 1);
+  EXPECT_EQ(hits - hits_before, static_cast<std::int64_t>(kRequests) - 1);
+}
+
+// The medium grid coarsens for long enough that concurrent first
+// requests overlap the coarsening: each must wait for the one ladder,
+// not miss and coarsen its own.
+TEST(MultilevelLadderCacheTest, ConcurrentFirstRequestsCoarsenOnce) {
+  partition::clear_multilevel_ladder_cache();
+  const mesh::InputDeck deck = make_deck("medium");
+  constexpr std::array<std::int32_t, 4> kParts = {512, 128, 64, 16};
+  const auto [hits_before, misses_before] = ladder_counts();
+  std::array<std::uint64_t, kParts.size()> checksums{};
+  util::ThreadPool pool(kParts.size());
+  std::latch start(kParts.size());
+  pool.parallel_for(kParts.size(), [&](std::size_t i) {
+    start.arrive_and_wait();
+    checksums[i] = checksum_of(partition::partition_deck(
+        deck, kParts[i], partition::PartitionMethod::kMultilevel, 1));
+  });
+  for (std::size_t i = 0; i < kParts.size(); ++i) {
+    EXPECT_EQ(checksums[i], reference_checksum("medium", kParts[i], 1))
+        << "parts=" << kParts[i];
+  }
+  const auto [hits, misses] = ladder_counts();
+  EXPECT_EQ(misses - misses_before, 1);
+  EXPECT_EQ(hits - hits_before, static_cast<std::int64_t>(kParts.size()) - 1);
 }
 
 }  // namespace

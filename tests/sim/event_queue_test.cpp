@@ -137,7 +137,7 @@ TEST(EventQueue, PayloadRoundTrips) {
   EventQueue queue;
   queue.schedule(1.0, SimEvent::arrival(/*rank=*/3, /*peer=*/7, /*tag=*/42,
                                         /*arrival_time=*/1.0));
-  queue.schedule(2.0, SimEvent::release(/*rank=*/5, /*cost=*/0.125));
+  queue.schedule(2.0, SimEvent::step(/*rank=*/5));
   std::vector<SimEvent> seen;
   queue.run([&seen](const SimEvent& e) { seen.push_back(e); });
   ASSERT_EQ(seen.size(), 2u);
@@ -146,9 +146,8 @@ TEST(EventQueue, PayloadRoundTrips) {
   EXPECT_EQ(seen[0].peer, 7);
   EXPECT_EQ(seen[0].tag, 42);
   EXPECT_DOUBLE_EQ(seen[0].value, 1.0);
-  EXPECT_EQ(seen[1].kind, EventKind::kCollectiveRelease);
+  EXPECT_EQ(seen[1].kind, EventKind::kStepRank);
   EXPECT_EQ(seen[1].rank, 5);
-  EXPECT_DOUBLE_EQ(seen[1].value, 0.125);
 }
 
 // Differential tests: the ladder's pop order against a reference order.

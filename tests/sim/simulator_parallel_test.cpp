@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -643,10 +644,10 @@ TEST(SimulatorParallel, ShardCountNotDividingRanksIdentical) {
 }
 
 TEST(SimulatorParallel, CollectiveStateWindowStaysBounded) {
-  // Released collectives are reclaimed eagerly (only the frontier index
-  // can ever be partially entered), so a replay with hundreds of
-  // collectives keeps an O(1) live window in both engines — pinned by
-  // the sim.collective_states_high_water gauge.
+  // Hundreds of collectives back to back: each shard folds its ranks'
+  // entries into one state and the coordinator folds those into one
+  // frontier, so nothing grows with the collective count, and the
+  // sharded engine still replays the oracle exactly.
   const std::int32_t ranks = 8;
   StoredProgram program(ranks);
   for (std::int32_t r = 0; r < ranks; ++r) {
@@ -657,15 +658,56 @@ TEST(SimulatorParallel, CollectiveStateWindowStaysBounded) {
     }
     program.set(r, std::move(ops));
   }
-  for (std::int32_t threads : {1, 4}) {
-    Simulator sim = make_simulator(program, threads);
-    const SimResult result = sim.run();
-    EXPECT_EQ(result.traffic.allreduces, 300);
-    const obs::Snapshot snapshot = obs::global_registry().snapshot();
-    const obs::MetricValue& high_water =
-        snapshot.at("sim.collective_states_high_water");
-    EXPECT_GE(high_water.value, 1.0) << "threads " << threads;
-    EXPECT_LE(high_water.value, 2.0) << "threads " << threads;
+  Simulator oracle = make_simulator(program, 1);
+  const SimResult reference = oracle.run();
+  EXPECT_EQ(reference.traffic.allreduces, 300);
+  Simulator sim = make_simulator(program, 4);
+  expect_identical(reference, sim.run());
+}
+
+TEST(SimulatorParallel, MismatchedCollectivesThrowInEveryEngine) {
+  // A k-th collective that names another kind or size fails the run in
+  // every engine, whether the mismatching entries fold inside one shard
+  // or meet only in the coordinator's frontier. At 2 threads ranks 0-3
+  // and 4-7 share a shard, so one odd rank mismatches inside its shard
+  // while an odd shard mismatches only across; at 8 every rank is its
+  // own shard.
+  struct Case {
+    const char* name;
+    RankId first;  ///< the odd ranks are [first, last]
+    RankId last;
+    Op odd;  ///< their third collective, in place of allreduce(8)
+  };
+  const std::int32_t ranks = 8;
+  for (const Case& c : {Case{"rank 1 kind", 1, 1, Op::broadcast(8.0)},
+                        Case{"rank 6 bytes", 6, 6, Op::allreduce(16.0)},
+                        Case{"ranks 4-7 kind", 4, 7, Op::gather(8.0)},
+                        Case{"ranks 4-7 bytes", 4, 7, Op::allreduce(4.0)}}) {
+    StoredProgram program(ranks);
+    for (RankId r = 0; r < ranks; ++r) {
+      std::vector<Op> ops;
+      for (std::int32_t k = 0; k < 4; ++k) {
+        // Staggered entries, so the folds span several epochs.
+        ops.push_back(
+            Op::compute(1e-6 * static_cast<double>((r * 7 + k * 3) % 5 + 1)));
+        ops.push_back(k == 2 && r >= c.first && r <= c.last
+                          ? c.odd
+                          : Op::allreduce(8.0));
+      }
+      program.set(r, std::move(ops));
+    }
+    for (std::int32_t threads : {1, 2, 8}) {
+      Simulator sim = make_simulator(program, threads);
+      try {
+        (void)sim.run();
+        ADD_FAILURE() << c.name << ", threads " << threads << ": no throw";
+      } catch (const util::KrakError& error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("mismatched collective sequence"),
+                  std::string::npos)
+            << c.name << ", threads " << threads << ": " << error.what();
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "network/collectives.hpp"
 #include "network/msgmodel.hpp"
 #include "stored_program.hpp"
 #include "util/error.hpp"
@@ -414,6 +415,35 @@ TEST(Simulator, GenerousEventLimitDoesNotTrip) {
   const SimResult result = sim.run();
   EXPECT_TRUE(result.failures.empty());
   EXPECT_GT(result.makespan, 0.0);
+}
+
+TEST(Simulator, EventLimitAfterLastEntryReportsCompletion) {
+  // The oracle charges a collective at its last entry, as the sharded
+  // engine's barrier does, so a budget that trips while the release
+  // steps are still queued leaves every rank at the completion.
+  StoredProgram program({{Op::allreduce(8.0), Op::compute(1.0)},
+                         {Op::compute(0.5), Op::allreduce(8.0),
+                          Op::compute(1.0)}});
+  // Two kick-off steps fire; the two release steps stay queued.
+  Simulator sim = make_chatty_simulator(program, /*max_events=*/2);
+  WatchdogConfig watchdog;
+  watchdog.structured_failures = true;
+  sim.set_watchdog(watchdog);
+  const SimResult result = sim.run();
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures.front().kind, SimFailure::Kind::kEventLimit);
+  const double cost =
+      network::CollectiveModel(network::make_hockney_model(1e-6, 1e9))
+          .fan_in_fan_out(2, 8.0);
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(result.finish_times[r], 0.5 + cost) << "rank " << r;
+    EXPECT_EQ(result.breakdown[r].collective_cost, cost) << "rank " << r;
+    EXPECT_DOUBLE_EQ(result.breakdown[r].total_seconds(),
+                     result.finish_times[r])
+        << "rank " << r;
+  }
+  EXPECT_DOUBLE_EQ(result.breakdown[0].collective_wait, 0.5);
+  EXPECT_NEAR(result.breakdown[1].collective_wait, 0.0, 1e-15);
 }
 
 }  // namespace

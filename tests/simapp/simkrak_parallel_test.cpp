@@ -3,14 +3,20 @@
 // the 15-phase iteration with noise, the hierarchical network, and
 // fault plans — must produce exactly the same SimKrakResult at every
 // thread count. This mirrors the partitioner's determinism suite and
-// runs under TSan in CI (tsan-determinism job).
+// runs under TSan in CI (tsan-determinism job). It also pins the
+// collective identity: each rank's collective cost is the model's
+// Eqs. 8-10 term.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "fault/plan.hpp"
 #include "mesh/deck.hpp"
+#include "network/collectives.hpp"
 #include "network/machine.hpp"
 #include "partition/partition.hpp"
 #include "simapp/simkrak.hpp"
@@ -188,6 +194,53 @@ TEST(SimKrakParallel, NicWithHierarchicalNetworkIdenticalAcrossThreadCounts) {
     SimKrakOptions parallel = options;
     parallel.sim_threads = threads;
     expect_identical(reference, f.run(16, parallel));
+  }
+}
+
+TEST(SimKrakParallel, CollectiveCostIsEquationsEightToTen) {
+  // The collective identity: with noise off, every rank of a one-
+  // iteration run pays exactly Table 4's 29 collectives at their tree
+  // cost, which is the model's Eqs. 8-10 term, in both engines, on the
+  // flat network and under the hierarchical network with NIC contention
+  // (collectives keep the flat model's tree costs there). Only the
+  // summation order differs, hence the 1e-14 relative bound.
+  const network::MachineConfig machine = network::make_es45_qsnet();
+  const network::CollectiveModel model(machine.network);
+  const ComputationCostEngine engine;
+  for (const mesh::DeckSize size :
+       {mesh::DeckSize::kSmall, mesh::DeckSize::kMedium}) {
+    const mesh::InputDeck deck = mesh::make_standard_deck(size);
+    for (const std::int32_t pes : {1, 2, 16, 128, 1024}) {
+      const partition::Partition partition = partition::partition_deck(
+          deck, pes, partition::PartitionMethod::kRcb);
+      const double expected = model.iteration_collectives(pes);
+      for (const bool full_stack : {false, true}) {
+        for (const std::int32_t threads : {1, 8}) {
+          SimKrakOptions options;
+          options.enable_noise = false;
+          options.hierarchical_network = full_stack;
+          options.nic_contention = full_stack;
+          options.sim_threads = threads;
+          const SimKrakResult result =
+              SimKrak(deck, partition, machine, engine, options).run();
+          const std::string where =
+              std::string(mesh::deck_size_name(size)) + " P=" +
+              std::to_string(pes) + (full_stack ? " hierarchical+NIC" : "") +
+              " threads=" + std::to_string(threads);
+          EXPECT_EQ(result.traffic.broadcasts, 6) << where;
+          EXPECT_EQ(result.traffic.allreduces, 22) << where;
+          EXPECT_EQ(result.traffic.gathers, 1) << where;
+          ASSERT_EQ(result.rank_breakdown.size(),
+                    static_cast<std::size_t>(pes))
+              << where;
+          double worst = 0.0;
+          for (const sim::RankTimeBreakdown& rank : result.rank_breakdown) {
+            worst = std::max(worst, std::abs(rank.collective_cost - expected));
+          }
+          EXPECT_LE(worst, 1e-14 * expected) << where;
+        }
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -225,14 +226,20 @@ TEST(ThreadPool, ChunkedPropagatesFirstExceptionAndStopsClaiming) {
   ThreadPool pool(2);
   std::atomic<int> executed{0};
   constexpr std::size_t kCount = 100000;
+  // Every other chunk waits until chunk 0 is about to throw, so the
+  // other worker cannot run ahead while the worker holding chunk 0 is
+  // descheduled; it can race only the throw itself.
+  std::latch throwing(1);
   try {
-    pool.parallel_for_chunked(kCount, 16,
-                              [&executed](std::size_t begin, std::size_t) {
-                                executed.fetch_add(1);
-                                if (begin == 0) {
-                                  throw InvalidArgument("first chunk rejected");
-                                }
-                              });
+    pool.parallel_for_chunked(
+        kCount, 16, [&executed, &throwing](std::size_t begin, std::size_t) {
+          executed.fetch_add(1);
+          if (begin == 0) {
+            throwing.count_down();
+            throw InvalidArgument("first chunk rejected");
+          }
+          throwing.wait();
+        });
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& error) {
     EXPECT_NE(std::string(error.what()).find("first chunk rejected"),
