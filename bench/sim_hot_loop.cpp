@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the simulator's hot path
 // (docs/PERFORMANCE.md): the ladder event queue, the
-// open-addressing mailbox, and the end-to-end event loop.
+// open-addressing mailbox and its shard record pool, and the
+// end-to-end event loop.
 // CI's perf-smoke job runs this with --benchmark_min_time=0.05 as a
 // does-it-still-run canary; run it bare for stable numbers.
 
@@ -70,9 +71,8 @@ void BM_EventQueueBurst(benchmark::State& state) {
         const double* delay =
             delays.data() + static_cast<std::size_t>(e.rank) * kArrivals;
         for (std::int32_t k = 0; k < kArrivals; ++k) {
-          const double arrival = queue.now() + delay[k];
-          queue.schedule(arrival,
-                         sim::SimEvent::arrival(e.rank, k, 0, arrival));
+          queue.schedule(queue.now() + delay[k],
+                         sim::SimEvent::arrival(e.rank, k, 0));
         }
       }).fired;
     }
@@ -91,14 +91,16 @@ void BM_MailboxPushPop(benchmark::State& state) {
   const std::int32_t peers = 8;
   const std::int32_t tags = 24;  // ~ tags of one boundary-exchange phase
   for (auto _ : state) {
+    sim::MailboxPool pool;
     sim::Mailbox mailbox;
     double arrival = 0.0;
     for (std::int32_t round = 0; round < 64; ++round) {
       for (std::int32_t peer = 0; peer < peers; ++peer) {
         for (std::int32_t tag = 0; tag < tags; ++tag) {
-          mailbox.push(peer, tag, static_cast<double>(round));
+          mailbox.push(pool, peer, tag, static_cast<double>(round));
           if ((tag & 1) != 0) {
-            benchmark::DoNotOptimize(mailbox.try_pop(peer, tag, &arrival));
+            benchmark::DoNotOptimize(
+                mailbox.try_pop(pool, peer, tag, &arrival));
           }
         }
       }
@@ -109,6 +111,59 @@ void BM_MailboxPushPop(benchmark::State& state) {
                           peers * tags);
 }
 BENCHMARK(BM_MailboxPushPop)->Unit(benchmark::kMicrosecond);
+
+// The replay's boundary exchange against one shard's mailboxes: 1,024
+// receivers on a 32-wide grid of ranks, each with 5 or 6 peers (5.5 on
+// average, as on the 102,400-rank RCB partition) and 12 messages per
+// peer. Each round delivers every message in arrival order — message
+// by message across all peers and receivers, as a released exchange's
+// arrivals interleave — and then each receiver takes its messages in
+// program order, peer by peer, so the whole exchange is in flight at
+// once. Items are messages.
+void BM_MailboxExchange(benchmark::State& state) {
+  constexpr std::int32_t kReceivers = 1024;
+  constexpr std::int32_t kWidth = 32;
+  constexpr std::int32_t kMessages = 12;
+  constexpr int kRounds = 4;
+  constexpr std::int32_t kOffsets[] = {1, kWidth, kReceivers - 1,
+                                       kReceivers - kWidth, kWidth + 1,
+                                       kReceivers - kWidth - 1};
+  const auto peer_count = [](std::int32_t receiver) {
+    return (receiver & 1) == 0 ? 5 : 6;
+  };
+  const auto peer_of = [&](std::int32_t receiver, std::int32_t k) {
+    return (receiver + kOffsets[k]) % kReceivers;
+  };
+  std::int64_t messages = 0;
+  for (auto _ : state) {
+    sim::MailboxPool pool;
+    std::vector<sim::Mailbox> mailboxes(kReceivers);
+    double arrival = 0.0;
+    for (int round = 0; round < kRounds; ++round) {
+      for (std::int32_t m = 0; m < kMessages; ++m) {
+        for (std::int32_t r = 0; r < kReceivers; ++r) {
+          for (std::int32_t k = 0; k < peer_count(r); ++k) {
+            mailboxes[static_cast<std::size_t>(r)].push(
+                pool, peer_of(r, k), m, static_cast<double>(m));
+          }
+        }
+      }
+      for (std::int32_t r = 0; r < kReceivers; ++r) {
+        for (std::int32_t k = 0; k < peer_count(r); ++k) {
+          for (std::int32_t m = 0; m < kMessages; ++m) {
+            const bool found = mailboxes[static_cast<std::size_t>(r)].try_pop(
+                pool, peer_of(r, k), m, &arrival);
+            benchmark::DoNotOptimize(found);
+            ++messages;
+          }
+        }
+      }
+    }
+    benchmark::DoNotOptimize(arrival);
+  }
+  state.SetItemsProcessed(messages);
+}
+BENCHMARK(BM_MailboxExchange)->Unit(benchmark::kMicrosecond);
 
 struct HotLoopEnv {
   simapp::ComputationCostEngine engine;

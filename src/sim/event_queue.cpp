@@ -25,7 +25,6 @@ void EventQueue::push_entry(double time, SimEvent event) {
                "event sequence numbers exhausted");
   Entry entry;
   entry.time = time;
-  entry.value = event.value;
   entry.seq_kind = static_cast<std::uint32_t>(next_seq_++ << 2) |
                    static_cast<std::uint32_t>(event.kind);
   entry.rank = event.rank;

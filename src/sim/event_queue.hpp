@@ -19,17 +19,16 @@ enum class EventKind : std::uint8_t {
   kMessageArrival,
 };
 
-/// One tagged simulator event (the payload of a queue entry). 24 bytes;
-/// the meaning of each field depends on `kind` (see EventKind).
+/// One tagged simulator event (the payload of a queue entry). 16 bytes;
+/// the meaning of each field depends on `kind` (see EventKind). An event
+/// carries no time of its own: a payload's arrival time is the fire time
+/// of its kMessageArrival event, which the handler reads as the queue's
+/// now().
 struct SimEvent {
   EventKind kind = EventKind::kStepRank;
   std::int32_t rank = -1;  ///< target rank
   std::int32_t peer = -1;  ///< sending rank (kMessageArrival)
   std::int32_t tag = 0;    ///< message tag (kMessageArrival)
-  /// kMessageArrival: the payload's true arrival timestamp, always
-  /// equal to the event's fire time (the receiving rank's timing math
-  /// uses this value, keeping it independent of queue mechanics).
-  double value = 0.0;
 
   [[nodiscard]] static SimEvent step(std::int32_t rank) {
     SimEvent event;
@@ -38,14 +37,12 @@ struct SimEvent {
     return event;
   }
   [[nodiscard]] static SimEvent arrival(std::int32_t rank, std::int32_t peer,
-                                        std::int32_t tag,
-                                        double arrival_time) {
+                                        std::int32_t tag) {
     SimEvent event;
     event.kind = EventKind::kMessageArrival;
     event.rank = rank;
     event.peer = peer;
     event.tag = tag;
-    event.value = arrival_time;
     return event;
   }
 };
@@ -68,7 +65,7 @@ struct EventRunStats {
 /// sequence is independent of how the queue stores its entries.
 ///
 /// The queue is a ladder (Tang, Goh & Thng, ACM TOMACS 15(3), 2005) of
-/// three tiers of 32-byte POD entries (docs/PERFORMANCE.md, "The event
+/// three tiers of 24-byte POD entries (docs/PERFORMANCE.md, "The event
 /// engine"):
 ///  - the **bottom**, a 4-ary implicit heap holding only the current
 ///    time bucket — a few dozen entries, so every pop stays in cache;
@@ -181,13 +178,13 @@ class EventQueue {
   /// End of a bucket's side-store chain.
   static constexpr std::uint32_t kNoLink = 0xffffffffu;
 
-  /// 32-byte flattened (time, seq, event) record. The event kind rides
-  /// in the sequence word's low 2 bits: the shift preserves insertion
-  /// order exactly, so comparing `seq_kind` compares `seq` — and the
-  /// tiers stay a clean two entries per cache line.
+  /// 24-byte flattened (time, seq, event) record: a replay's pending
+  /// messages are mostly queue entries, so every byte here counts once
+  /// per message in flight. The event kind rides in the sequence word's
+  /// low 2 bits: the shift preserves insertion order exactly, so
+  /// comparing `seq_kind` compares `seq`.
   struct Entry {
     double time;
-    double value;
     std::uint32_t seq_kind;
     std::int32_t rank;
     std::int32_t peer;
@@ -205,11 +202,10 @@ class EventQueue {
       event.rank = rank;
       event.peer = peer;
       event.tag = tag;
-      event.value = value;
       return event;
     }
   };
-  static_assert(sizeof(Entry) == 32, "queue entries must stay 32 bytes");
+  static_assert(sizeof(Entry) == 24, "queue entries must stay 24 bytes");
 
   /// Make the bottom tier non-empty; the queue must not be empty.
   void settle() {

@@ -397,9 +397,9 @@ void Simulator::dispatch(Shard& shard, const SimEvent& event,
     }
     case EventKind::kMessageArrival: {
       RankState& receiver = states_[static_cast<std::size_t>(event.rank)];
-      // The payload's true arrival rides in the event, equal to its fire
-      // time: the receiver's timing math reads it from there.
-      receiver.mailbox.push(event.peer, event.tag, event.value);
+      // The payload's true arrival time is the event's fire time.
+      receiver.mailbox.push(shard.mailbox_pool, event.peer, event.tag,
+                            shard.queue.now());
       // Only a recv-blocked rank can make progress on delivery; a rank
       // waiting inside a collective must stay parked until the
       // collective completes.
@@ -549,8 +549,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
           // the arrival is at or past the clock. Firing every event at
           // its true time is what keeps per-shard send order — and so
           // the shard-local NIC state — identical to the oracle's.
-          shard.queue.schedule(arrival,
-                               SimEvent::arrival(to, rank, tag, arrival));
+          shard.queue.schedule(arrival, SimEvent::arrival(to, rank, tag));
         }
         ++state.pc;
         break;
@@ -564,7 +563,8 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       }
       case OpKind::kRecv: {
         double arrival = 0.0;
-        if (!state.mailbox.try_pop(op.peer(), op.tag(), &arrival)) {
+        if (!state.mailbox.try_pop(shard.mailbox_pool, op.peer(), op.tag(),
+                                   &arrival)) {
           state.blocked = true;
           state.reason = BlockReason::kRecvWait;
           state.blocked_op = state.pc;

@@ -440,15 +440,20 @@ class Simulator {
   };
 
   /// One execution shard: a contiguous rank range with its own event
-  /// queue and tallies. The serial oracle runs a single shard spanning
-  /// every rank; the parallel engine gives each worker thread its own,
-  /// plus outboxes of cross-shard sends, drained by the coordinator at
-  /// epoch barriers with the shard's collective fold.
+  /// queue, mailbox record pool and tallies. The serial oracle runs a
+  /// single shard spanning every rank; the parallel engine gives each
+  /// worker thread its own, plus outboxes of cross-shard sends, drained
+  /// by the coordinator at epoch barriers with the shard's collective
+  /// fold.
   struct Shard {
     std::int32_t id = 0;
     RankId begin = 0;
     RankId end = 0;  ///< exclusive
     EventQueue queue;
+    /// The pending messages of this shard's ranks' mailboxes. Arrivals
+    /// fire on the receiver's shard, so only this shard's worker takes
+    /// and gives back its records.
+    MailboxPool mailbox_pool;
     /// Entries of this shard's ranks into the partly entered collective.
     /// The oracle's shard releases it when every rank is in; a parallel
     /// shard never holds every rank, and its coordinator folds and

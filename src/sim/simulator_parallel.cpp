@@ -229,9 +229,9 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
       // event order, and with it the shard-local NIC adapter state,
       // replays the serial oracle's.
       const Shard::OutboundMessage& message = *dest.merge_runs[best].first;
-      dest.queue.schedule(message.arrival,
-                          SimEvent::arrival(message.to, message.from,
-                                            message.tag, message.arrival));
+      dest.queue.schedule(
+          message.arrival,
+          SimEvent::arrival(message.to, message.from, message.tag));
       ++injected;
       if (++dest.merge_runs[best].first == dest.merge_runs[best].second) {
         dest.merge_runs.erase(dest.merge_runs.begin() +

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <numeric>
 
@@ -178,6 +179,27 @@ TEST(PartitionStats, GhostSplitRoughlyHalfAtScale) {
   ASSERT_GT(total, 0);
   const double fraction = static_cast<double>(local) / static_cast<double>(total);
   EXPECT_NEAR(fraction, 0.5, 0.05);
+}
+
+// The neighbor lists stay resident through a whole replay, so each is
+// reserved to its exact length: at 102,400 RCB parts push_back's growth
+// slack held 7.16 entries of capacity per 5.48 neighbors.
+TEST(PartitionStats, NeighborListsAreSizedExactly) {
+  const mesh::InputDeck deck =
+      mesh::make_standard_deck(mesh::DeckSize::kMedium);
+  for (const PartitionMethod method :
+       {PartitionMethod::kMultilevel, PartitionMethod::kRcb}) {
+    const PartitionStats stats(deck, partition_deck(deck, 64, method, 1));
+    std::int32_t uneven = 0;
+    for (const SubdomainInfo& sub : stats.subdomains()) {
+      EXPECT_EQ(sub.neighbors.capacity(), sub.neighbors.size())
+          << "pe " << sub.pe;
+      if (!std::has_single_bit(sub.neighbors.size())) ++uneven;
+    }
+    // Growth by doubling leaves slack wherever the count is no power of
+    // two, so these partitions tell exact reservation from growth.
+    EXPECT_GT(uneven, 0);
+  }
 }
 
 TEST(PartitionStats, SinglePartHasNoBoundaries) {

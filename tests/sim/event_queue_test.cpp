@@ -133,19 +133,23 @@ TEST(EventQueue, EmptyRunReturnsZero) {
   EXPECT_TRUE(queue.empty());
 }
 
+// An arrival carries no time of its own: the handler reads it as now().
 TEST(EventQueue, PayloadRoundTrips) {
   EventQueue queue;
-  queue.schedule(1.0, SimEvent::arrival(/*rank=*/3, /*peer=*/7, /*tag=*/42,
-                                        /*arrival_time=*/1.0));
+  queue.schedule(1.25, SimEvent::arrival(/*rank=*/3, /*peer=*/7, /*tag=*/42));
   queue.schedule(2.0, SimEvent::step(/*rank=*/5));
   std::vector<SimEvent> seen;
-  queue.run([&seen](const SimEvent& e) { seen.push_back(e); });
+  std::vector<double> times;
+  queue.run([&](const SimEvent& e) {
+    seen.push_back(e);
+    times.push_back(queue.now());
+  });
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].kind, EventKind::kMessageArrival);
   EXPECT_EQ(seen[0].rank, 3);
   EXPECT_EQ(seen[0].peer, 7);
   EXPECT_EQ(seen[0].tag, 42);
-  EXPECT_DOUBLE_EQ(seen[0].value, 1.0);
+  EXPECT_EQ(times[0], 1.25);
   EXPECT_EQ(seen[1].kind, EventKind::kStepRank);
   EXPECT_EQ(seen[1].rank, 5);
 }
