@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the simulator's hot path
-// (docs/PERFORMANCE.md): the ladder event queue, the
-// open-addressing mailbox and its shard record pool, and the
-// end-to-end event loop.
+// (docs/PERFORMANCE.md): the ladder event queue, the mailbox's
+// per-peer slot list and its shard record pool, and the end-to-end
+// event loop.
 // CI's perf-smoke job runs this with --benchmark_min_time=0.05 as a
 // does-it-still-run canary; run it bare for stable numbers.
 
@@ -112,27 +112,36 @@ void BM_MailboxPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_MailboxPushPop)->Unit(benchmark::kMicrosecond);
 
-// The replay's boundary exchange against one shard's mailboxes: 1,024
-// receivers on a 32-wide grid of ranks, each with 5 or 6 peers (5.5 on
-// average, as on the 102,400-rank RCB partition) and 12 messages per
-// peer. Each round delivers every message in arrival order — message
-// by message across all peers and receivers, as a released exchange's
-// arrivals interleave — and then each receiver takes its messages in
-// program order, peer by peer, so the whole exchange is in flight at
-// once. Items are messages.
+// A boundary exchange against one shard's mailboxes: 1,024 receivers
+// on a 32-wide grid of ranks, each with range(0) to range(1) peers and
+// 12 messages per peer. 5–6 peers (5.5 on average) is the
+// 102,400-rank replay's RCB partition; 20–34 is the validation decks'
+// multilevel tail, where the list scans longest. Each round delivers
+// every message in arrival order — message by message across all peers
+// and receivers, as a released exchange's arrivals interleave — and
+// then each receiver takes its messages in program order, peer by
+// peer, so the whole exchange is in flight at once. Items are messages.
 void BM_MailboxExchange(benchmark::State& state) {
   constexpr std::int32_t kReceivers = 1024;
   constexpr std::int32_t kWidth = 32;
   constexpr std::int32_t kMessages = 12;
   constexpr int kRounds = 4;
-  constexpr std::int32_t kOffsets[] = {1, kWidth, kReceivers - 1,
-                                       kReceivers - kWidth, kWidth + 1,
-                                       kReceivers - kWidth - 1};
-  const auto peer_count = [](std::int32_t receiver) {
-    return (receiver & 1) == 0 ? 5 : 6;
+  // Grid neighbors nearest first; the first six are the 5–6 peer
+  // stencil.
+  constexpr std::int32_t kOffsets[][2] = {
+      {1, 0},   {0, 1},   {-1, 0},  {0, -1},  {1, 1},   {-1, -1}, {1, -1},
+      {-1, 1},  {2, 0},   {0, 2},   {-2, 0},  {0, -2},  {2, 1},   {1, 2},
+      {-1, 2},  {-2, 1},  {-2, -1}, {-1, -2}, {1, -2},  {2, -1},  {2, 2},
+      {-2, 2},  {-2, -2}, {2, -2},  {3, 0},   {0, 3},   {-3, 0},  {0, -3},
+      {3, 1},   {1, 3},   {-1, 3},  {-3, 1},  {-3, -1}, {-1, -3}};
+  const auto low = static_cast<std::int32_t>(state.range(0));
+  const auto spread = static_cast<std::int32_t>(state.range(1)) - low + 1;
+  const auto peer_count = [&](std::int32_t receiver) {
+    return low + receiver % spread;
   };
   const auto peer_of = [&](std::int32_t receiver, std::int32_t k) {
-    return (receiver + kOffsets[k]) % kReceivers;
+    const std::int32_t offset = kOffsets[k][0] + kWidth * kOffsets[k][1];
+    return (receiver + offset + kReceivers) % kReceivers;
   };
   std::int64_t messages = 0;
   for (auto _ : state) {
@@ -163,7 +172,8 @@ void BM_MailboxExchange(benchmark::State& state) {
   }
   state.SetItemsProcessed(messages);
 }
-BENCHMARK(BM_MailboxExchange)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MailboxExchange)->Args({5, 6})->Args({20, 34})
+    ->Unit(benchmark::kMicrosecond);
 
 struct HotLoopEnv {
   simapp::ComputationCostEngine engine;

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/text_format.hpp"
 #include "fault/plan.hpp"
 #include "util/cancellation.hpp"
 #include "util/error.hpp"
@@ -35,36 +36,28 @@ std::string campaign_run_name(const CampaignRun& run) {
 std::uint64_t scenario_fingerprint(std::string_view label,
                                    const CampaignRun& run,
                                    const ValidationConfig& config) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  const auto mix_bytes = [&hash](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 0x100000001b3ull;
-    }
-  };
-  const auto mix_string = [&mix_bytes](std::string_view text) {
+  Fnv1a64 hash;
+  const auto add_string = [&hash](std::string_view text) {
     // Length-prefixed so "ab"+"c" can never alias "a"+"bc".
     const std::uint64_t size = text.size();
-    mix_bytes(&size, sizeof(size));
-    mix_bytes(text.data(), text.size());
+    hash.add(&size, sizeof(size)).add(text);
   };
-  mix_string(label);
-  mix_string(mesh::deck_size_name(run.deck));
-  mix_bytes(&run.pes, sizeof(run.pes));
+  add_string(label);
+  add_string(mesh::deck_size_name(run.deck));
+  hash.add(&run.pes, sizeof(run.pes));
   const std::int32_t flavor = static_cast<std::int32_t>(run.flavor);
-  mix_bytes(&flavor, sizeof(flavor));
-  mix_bytes(&config.partition_seed, sizeof(config.partition_seed));
-  mix_bytes(&config.noise_seed, sizeof(config.noise_seed));
-  mix_bytes(&config.iterations, sizeof(config.iterations));
+  hash.add(&flavor, sizeof(flavor));
+  hash.add(&config.partition_seed, sizeof(config.partition_seed));
+  hash.add(&config.noise_seed, sizeof(config.noise_seed));
+  hash.add(&config.iterations, sizeof(config.iterations));
   // The effective fault plan: the per-run override when present,
   // hashed through its canonical text serialization.
   const fault::FaultPlan& faults =
       run.faults.empty() ? config.faults : run.faults;
   std::ostringstream plan_text;
   fault::write_fault_plan(plan_text, faults);
-  mix_string(plan_text.str());
-  return hash;
+  add_string(plan_text.str());
+  return hash.value();
 }
 
 namespace {

@@ -34,12 +34,7 @@ void bump_journal_counter(const char* name, std::int64_t count = 1) {
 }  // namespace
 
 std::uint64_t journal_checksum(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
+  return Fnv1a64().add(text).value();
 }
 
 std::string journal_escape(std::string_view text) {

@@ -296,25 +296,18 @@ PartitionEntry parse_partition_entry(std::string_view text) {
 }
 
 std::uint64_t deck_fingerprint(const mesh::InputDeck& deck) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  const auto mix_bytes = [&hash](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 0x100000001b3ull;
-    }
-  };
-  mix_bytes(deck.name().data(), deck.name().size());
+  Fnv1a64 hash;
+  hash.add(deck.name());
   const std::int32_t nx = deck.grid().nx();
   const std::int32_t ny = deck.grid().ny();
-  mix_bytes(&nx, sizeof(nx));
-  mix_bytes(&ny, sizeof(ny));
-  mix_bytes(deck.materials().data(),
-            deck.materials().size() * sizeof(mesh::Material));
+  hash.add(&nx, sizeof(nx));
+  hash.add(&ny, sizeof(ny));
+  hash.add(deck.materials().data(),
+           deck.materials().size() * sizeof(mesh::Material));
   const mesh::Point detonator = deck.detonator();
-  mix_bytes(&detonator.x, sizeof(detonator.x));
-  mix_bytes(&detonator.y, sizeof(detonator.y));
-  return hash;
+  hash.add(&detonator.x, sizeof(detonator.x));
+  hash.add(&detonator.y, sizeof(detonator.y));
+  return hash.value();
 }
 
 std::uint64_t partition_checksum(

@@ -28,6 +28,26 @@ struct FormatViolation {
 /// fingerprints, checksums and IEEE-754 bit patterns at.
 [[nodiscard]] std::string hex16(std::uint64_t value);
 
+/// 64-bit FNV-1a over the bytes added so far: the hash behind the store's
+/// deck fingerprints, the campaign's scenario fingerprints and the
+/// journal's checksums, which these formats write as hex16.
+class Fnv1a64 {
+ public:
+  Fnv1a64& add(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001b3ull;
+    }
+    return *this;
+  }
+  Fnv1a64& add(std::string_view text) { return add(text.data(), text.size()); }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;  ///< the offset basis
+};
+
 /// `text` in single quotes for a violation message, cut after its first
 /// 60 characters so a corrupt multi-megabyte line stays readable.
 [[nodiscard]] std::string quoted(std::string_view text);

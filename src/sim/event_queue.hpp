@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstddef>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace krak::sim {
@@ -124,19 +125,9 @@ class EventQueue {
   template <typename Handler>
   EventRunStats run(Handler&& handler,
                     std::size_t max_events = kDefaultMaxEvents) {
-    EventRunStats stats;
-    while (size_ != 0) {
-      if (stats.fired >= max_events) {
-        stats.budget_exhausted = true;
-        break;
-      }
-      settle();
-      const Entry top = pop_min();
-      now_ = top.time;
-      handler(top.to_event());
-      ++stats.fired;
-    }
-    return stats;
+    return run_window(std::numeric_limits<double>::infinity(),
+                      /*inclusive=*/true, max_events,
+                      std::forward<Handler>(handler));
   }
 
   /// Fire events whose timestamp is strictly below `limit` (at or below

@@ -81,47 +81,60 @@ class MailboxPool {
 /// Per-rank in-flight message store of the discrete-event simulator.
 ///
 /// Conceptually a map from (sending rank, tag) to a FIFO of arrival
-/// times. The representation is an open-addressing hash table (linear
-/// probing, power-of-two capacity) keyed by the *sending rank only*,
-/// whose slots head index-linked FIFO chains of (tag, arrival) records
-/// in the shard's MailboxPool — no per-message heap allocation and no
-/// tree walk per delivery. Every call names the pool of the rank's
-/// shard. A pop for (peer, tag) takes the first tag match in the peer's
-/// chain; records are appended in event-fire order, so that match is
-/// exactly the oldest pending arrival of the pair and the per-(peer,
-/// tag) FIFO contract holds unchanged.
+/// times. The representation is a short list of 12-byte slots, one per
+/// sending rank, each heading an index-linked FIFO chain of (tag,
+/// arrival) records in the shard's MailboxPool — no per-message heap
+/// allocation. Every call names the pool of the rank's shard. A pop for
+/// (peer, tag) takes the first tag match in the peer's chain; records
+/// are appended in event-fire order, so that match is exactly the
+/// oldest pending arrival of the pair and the per-(peer, tag) FIFO
+/// contract holds.
 ///
-/// Keying by peer instead of (peer, tag) is a working-set decision: a
-/// Krak rank exchanges with a handful of neighbors but uses a distinct
-/// tag per (phase, step, message), so pair keying filled ~256-slot
-/// tables (~4 KB per rank — hundreds of MB across a 100k-rank machine,
-/// the dominant cache load of the big replays) where peer keying needs
-/// the minimum 16 slots (256 B per rank) and a chain scan bounded by
-/// the messages actually in flight from that neighbor
-/// (docs/PERFORMANCE.md, "The 100k-rank regime").
+/// A list, scanned linearly, because a rank talks to the few neighbors
+/// its partition fixes: the 102,400-rank replay's RCB partition gives a
+/// rank 5.5 on average and at most 8, the validation decks' multilevel
+/// partitions at most 34. Keying by peer instead of (peer, tag) keeps
+/// it that short: a Krak rank uses a distinct tag per (phase, step,
+/// message), so pair keying would list hundreds of keys per rank
+/// (docs/PERFORMANCE.md, "The mailbox").
 ///
-/// Slots are never erased between grows: a drained chain keeps its key
-/// so the steady-state of the Krak exchange pattern (the same neighbors
-/// every iteration) probes straight to an existing slot. A grow
-/// rehashes live chains only, dropping drained keys — so workloads that
-/// churn through ever-new peers cannot accumulate dead slots that push
-/// the load factor up and degrade every probe chain (they used to count
-/// as occupied forever). Probe counts are surfaced through `probes()`
-/// and exported as `sim.mailbox.probes`.
+/// A drained slot keeps its peer, so the steady state of the Krak
+/// exchange (the same neighbors every iteration) finds its slot again.
+/// A push for a peer with no slot takes the first drained slot before it
+/// appends one, so a rank holds at most its peak of simultaneously live
+/// peers, however many peers churn through it. Slots inspected, an
+/// appended one included, are counted by `probes()` and exported as
+/// `sim.mailbox.probes`.
 class Mailbox {
  public:
   /// Append one arrival to the (peer, tag) FIFO, in a record of `pool`.
   void push(MailboxPool& pool, RankId peer, std::int32_t tag,
             double arrival) {
-    if (used_ * 4 >= slots_.size() * 3) grow();
-    Slot& slot = locate(key_of(peer));
-    const std::int32_t record = pool.take(tag, arrival);
-    if (slot.head == -1) {
-      slot.head = record;
-    } else {
-      pool[slot.tail].next = record;
+    Slot* slot = nullptr;
+    Slot* drained = nullptr;
+    for (Slot& candidate : slots_) {
+      ++probes_;
+      if (candidate.peer == peer) {
+        slot = &candidate;
+        break;
+      }
+      if (drained == nullptr && candidate.head == -1) drained = &candidate;
     }
-    slot.tail = record;
+    if (slot == nullptr) {
+      slot = drained;
+      if (slot == nullptr) {
+        ++probes_;  // an appended slot counts as inspected
+        slot = &slots_.emplace_back();
+      }
+      *slot = Slot{peer, -1, -1};
+    }
+    const std::int32_t record = pool.take(tag, arrival);
+    if (slot->head == -1) {
+      slot->head = record;
+    } else {
+      pool[slot->tail].next = record;
+    }
+    slot->tail = record;
   }
 
   /// Pop the oldest pending arrival of (peer, tag) into `*arrival`,
@@ -129,38 +142,40 @@ class Mailbox {
   /// pending.
   [[nodiscard]] bool try_pop(MailboxPool& pool, RankId peer, std::int32_t tag,
                              double* arrival) {
-    if (slots_.empty()) return false;
-    Slot* slot = find(key_of(peer));
-    if (slot == nullptr) return false;
-    std::int32_t prev = -1;
-    for (std::int32_t cur = slot->head; cur != -1;) {
-      const MailboxPool::Record& r = pool[cur];
-      if (r.tag == tag) {
-        *arrival = r.arrival;
-        if (prev == -1) {
-          slot->head = r.next;
-        } else {
-          pool[prev].next = r.next;
+    for (Slot& slot : slots_) {
+      ++probes_;
+      if (slot.peer != peer) continue;
+      std::int32_t prev = -1;
+      for (std::int32_t cur = slot.head; cur != -1;) {
+        const MailboxPool::Record& r = pool[cur];
+        if (r.tag == tag) {
+          *arrival = r.arrival;
+          if (prev == -1) {
+            slot.head = r.next;
+          } else {
+            pool[prev].next = r.next;
+          }
+          if (slot.tail == cur) slot.tail = prev;
+          pool.give_back(cur);
+          return true;
         }
-        if (slot->tail == cur) slot->tail = prev;
-        pool.give_back(cur);
-        return true;
+        prev = cur;
+        cur = r.next;
       }
-      prev = cur;
-      cur = r.next;
+      return false;
     }
     return false;
   }
 
-  /// Slot inspections performed by all lookups so far (the hash table's
-  /// work metric; == lookups when every probe hits its home slot).
+  /// Slots inspected by all pushes and pops so far, each slot a push
+  /// appends included, so every push and every successful pop counts at
+  /// least one.
   [[nodiscard]] std::uint64_t probes() const { return probes_; }
 
-  /// Current slot-array capacity (a power of two; 0 before any push).
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  /// Slots held: the peak number of peers with messages pending at once.
+  [[nodiscard]] std::size_t slots() const { return slots_.size(); }
 
-  /// Keyed slots (peers) whose FIFO chain is currently non-empty
-  /// (O(capacity); a test/diagnostic accessor, not a hot-path one).
+  /// Slots whose FIFO chain is currently non-empty.
   [[nodiscard]] std::size_t live_slots() const {
     std::size_t live = 0;
     for (const Slot& slot : slots_) live += slot.head != -1 ? 1U : 0U;
@@ -169,80 +184,13 @@ class Mailbox {
 
  private:
   struct Slot {
-    std::uint64_t key = kEmptyKey;
-    std::int32_t head = -1;  ///< pool index of the oldest record
-    std::int32_t tail = -1;  ///< pool index of the newest record
+    RankId peer;
+    std::int32_t head;  ///< pool index of the oldest record; -1 when drained
+    std::int32_t tail;  ///< pool index of the newest record
   };
-  /// peer is a non-negative rank, so the key's high bits are zero and
-  /// the all-ones empty sentinel never collides.
-  static constexpr std::uint64_t kEmptyKey = ~0ull;
-
-  static std::uint64_t key_of(RankId peer) {
-    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer));
-  }
-
-  /// SplitMix64 finalizer: avalanches the key so linear probing sees a
-  /// uniform distribution even for dense rank ranges.
-  static std::uint64_t mix(std::uint64_t key) {
-    key ^= key >> 30;
-    key *= 0xbf58476d1ce4e5b9ull;
-    key ^= key >> 27;
-    key *= 0x94d049bb133111ebull;
-    key ^= key >> 31;
-    return key;
-  }
-
-  /// Find the slot holding `key`, or nullptr when absent.
-  [[nodiscard]] Slot* find(std::uint64_t key) {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = mix(key) & mask;; i = (i + 1) & mask) {
-      ++probes_;
-      Slot& slot = slots_[i];
-      if (slot.key == key) return &slot;
-      if (slot.key == kEmptyKey) return nullptr;
-    }
-  }
-
-  /// Find the slot holding `key`, claiming an empty one when absent.
-  [[nodiscard]] Slot& locate(std::uint64_t key) {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = mix(key) & mask;; i = (i + 1) & mask) {
-      ++probes_;
-      Slot& slot = slots_[i];
-      if (slot.key == key) return slot;
-      if (slot.key == kEmptyKey) {
-        slot.key = key;
-        ++used_;
-        return slot;
-      }
-    }
-  }
-
-  void grow() {
-    // Rehash live chains only: a drained slot's key is dropped here, so
-    // dead keys never count against the load factor across grows. The
-    // capacity doubles only when the live keys alone would keep the new
-    // table at or above the 3/4 trigger — a churn-only mailbox (every
-    // key drained before the next appears) stays at its current size
-    // forever instead of doubling on schedule.
-    std::vector<Slot> old = std::move(slots_);
-    std::size_t live = 0;
-    for (const Slot& slot : old) live += slot.head != -1 ? 1U : 0U;
-    std::size_t capacity = old.empty() ? 16 : old.size();
-    while (live * 4 >= capacity * 3) capacity *= 2;
-    slots_.assign(capacity, Slot{});
-    const std::size_t mask = capacity - 1;
-    for (const Slot& slot : old) {
-      if (slot.key == kEmptyKey || slot.head == -1) continue;
-      std::size_t i = mix(slot.key) & mask;
-      while (slots_[i].key != kEmptyKey) i = (i + 1) & mask;
-      slots_[i] = slot;
-    }
-    used_ = live;
-  }
+  static_assert(sizeof(Slot) == 12, "mailbox slots must stay 12 bytes");
 
   std::vector<Slot> slots_;
-  std::size_t used_ = 0;
   std::uint64_t probes_ = 0;
 };
 

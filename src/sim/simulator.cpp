@@ -230,29 +230,20 @@ SimResult Simulator::run_serial() {
   for (RankId r = 0; r < n; ++r) {
     shard.queue.schedule(0.0, SimEvent::step(r));
   }
-  EventRunStats run_stats;
-  if (cancel_ == nullptr) {
-    run_stats = shard.queue.run(
-        [this, &shard, &result](const SimEvent& event) {
-          dispatch(shard, event, result);
-        },
-        config_.max_events);
-  } else {
-    // Cancellation checkpoints every few thousand events: cheap enough
-    // to be invisible next to dispatch, frequent enough that a blown
-    // wall budget surfaces within microseconds, not minutes. The
-    // token-free path above stays branchless per event.
-    std::size_t until_check = kCancellationCheckInterval;
-    run_stats = shard.queue.run(
-        [this, &shard, &result, &until_check](const SimEvent& event) {
-          if (--until_check == 0) {
-            until_check = kCancellationCheckInterval;
-            check_cancellation();
-          }
-          dispatch(shard, event, result);
-        },
-        config_.max_events);
-  }
+  // Cancellation checkpoints every few thousand events: cheap enough to
+  // be invisible next to dispatch, frequent enough that a blown wall
+  // budget surfaces within microseconds, not minutes. Without a token
+  // each checkpoint returns at once.
+  std::size_t until_check = kCancellationCheckInterval;
+  const EventRunStats run_stats = shard.queue.run(
+      [this, &shard, &result, &until_check](const SimEvent& event) {
+        if (--until_check == 0) {
+          until_check = kCancellationCheckInterval;
+          check_cancellation();
+        }
+        dispatch(shard, event, result);
+      },
+      config_.max_events);
   finalize_run(result, shards, run_stats.budget_exhausted, run_stats.fired);
   return result;
 }
@@ -535,7 +526,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
           break;
         }
         if (!shard.owns(to)) {
-          // Bucketed by destination shard so the barrier's merge work
+          // Bucketed by destination shard so the barrier's apply work
           // parallelizes per destination queue.
           shard.outboxes[static_cast<std::size_t>(
                              shard.shard_of[static_cast<std::size_t>(to)])]

@@ -479,13 +479,14 @@ class Simulator {
     /// (outboxes[d] holds this shard's sends into shard d); the oracle's
     /// shard owns every rank and leaves them empty. The worker sorts
     /// each run into canonical (arrival, from, seq) order before the
-    /// barrier; the destination shard then k-way-merges its inbound
-    /// runs in parallel with every other destination, since canonical
-    /// order only matters per destination queue (docs/PERFORMANCE.md,
-    /// "The epoch coordinator"). Every event — local or injected —
-    /// fires at its true simulated time; only collective release steps
-    /// may land below a parallel shard queue's clock (see
-    /// EventQueue::inject).
+    /// barrier; the destination shard then schedules its inbound runs
+    /// source by source in shard order, in parallel with every other
+    /// destination. Shards are contiguous rank ranges in rank order, so
+    /// that is canonical order among equal arrival times, the only order
+    /// a queue tie-break reads (docs/PERFORMANCE.md, "The epoch
+    /// coordinator"). Every event — local or injected — fires at its
+    /// true simulated time; only collective release steps may land below
+    /// a parallel shard queue's clock (see EventQueue::inject).
     std::vector<std::vector<OutboundMessage>> outboxes;
     /// Payloads pushed into `outboxes` since the last barrier — the
     /// coupled-epoch test without scanning the buckets.
@@ -493,11 +494,6 @@ class Simulator {
     /// Rank -> owning shard lookup for outbox bucketing (points into
     /// run_parallel's layout vector; valid for the run's duration).
     const std::int32_t* shard_of = nullptr;
-    /// Barrier scratch: (cursor, end) over the sorted inbound runs this
-    /// shard is k-way-merging (pooled across epochs — clear() keeps the
-    /// capacity).
-    std::vector<std::pair<const OutboundMessage*, const OutboundMessage*>>
-        merge_runs;
     /// Sends that found this node's adapter busy (NIC model only):
     /// inject_at was pushed past the sender's clock by nic_free_.
     /// Exported as `sim.nic.stalls` by both engines.
@@ -514,7 +510,7 @@ class Simulator {
     /// Published with `next_time`: this window produced cross-shard
     /// payloads or collective entries, so the barrier must run.
     bool coupled = false;
-    /// Messages the barrier's apply phase merged into this shard's
+    /// Messages the barrier's apply phase scheduled into this shard's
     /// queue (summed into sim.parallel.cross_shard_messages).
     std::size_t injected = 0;
 

@@ -20,9 +20,9 @@ using util::require_internal;
 namespace {
 
 /// The canonical cross-shard delivery order: (arrival, sender,
-/// send-ordinal). Workers sort their per-destination runs by it and the
-/// barrier's k-way merge picks heads by it, so each destination queue
-/// sees exactly the order a global sort used to produce. A template
+/// send-ordinal). Workers sort their per-destination runs by it, so the
+/// barrier, scheduling the runs in shard order, makes each destination
+/// queue pop them in exactly the order a global sort would. A template
 /// because the message type is private to Simulator.
 template <typename Message>
 [[nodiscard]] bool canonical_before(const Message& a, const Message& b) {
@@ -56,12 +56,13 @@ double Simulator::plan_lookahead() const {
 /// fold their ranks' collective entries inside the window phase; the
 /// coordinator's serial section only reduces O(shards) scalars and
 /// folds the shards' collective states into the frontier; then every
-/// destination shard in parallel k-way-merges its inbound runs in
-/// canonical (arrival, sender, send-ordinal) order and applies the
-/// frontier's release, if it completed, to its own ranks. Canonical
-/// order only matters per destination queue, which is what makes the
-/// per-destination merges independent — and every simulated outcome
-/// bit-identical to the serial oracle regardless of the thread count
+/// destination shard in parallel schedules its inbound runs one after
+/// another in shard order and applies the frontier's release, if it
+/// completed, to its own ranks. Shards are contiguous rank ranges in
+/// rank order, so run after sorted run is canonical (arrival, sender,
+/// send-ordinal) order among equal arrival times, the only order a queue
+/// tie-break reads — which keeps every simulated outcome bit-identical
+/// to the serial oracle regardless of the thread count
 /// (docs/PERFORMANCE.md, "Parallel simulation").
 /// Every event fires at its true simulated time, so each shard replays
 /// the oracle's event order over its own ranks — which is what lets
@@ -195,50 +196,34 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     shard.busy_seconds = shard_watch.seconds();
   };
 
-  // Barrier apply phase, one task per destination shard: k-way-merge
-  // the inbound runs every source sorted during the window, then apply
-  // the coordinator's release, if any, to this shard's own ranks. Both
-  // touch only this shard's queue and rank slice (sources' buckets for
-  // this destination have exactly one consumer — this task), so every
-  // destination proceeds concurrently. Per queue the injection order is
-  // exactly the serial coordinator's — canonical messages first, then
-  // release steps in rank order — so event sequence numbers, and with
-  // them every tie-break, replay the oracle's.
+  // Barrier apply phase, one task per destination shard: schedule the
+  // inbound runs every source sorted during the window, source by source
+  // in shard order, then apply the coordinator's release, if any, to
+  // this shard's own ranks. Both touch only this shard's queue and rank
+  // slice (sources' buckets for this destination have exactly one
+  // consumer — this task), so every destination proceeds concurrently.
+  // Shards are contiguous rank ranges in rank order, so among messages
+  // with equal arrival times this order is exactly canonical (sender,
+  // send-ordinal) order, and messages with different times pop by time
+  // whatever their sequence numbers: every tie-break replays the
+  // oracle's. Every payload fires at its true arrival time — conservatism
+  // guarantees the arrival is at or past the horizon, hence past
+  // anything this shard fired during the window — so per-shard event
+  // order, and with it the shard-local NIC adapter state, replays the
+  // serial oracle's.
   const auto apply_barrier = [&](std::size_t d) {
     Shard& dest = shards[d];
-    dest.merge_runs.clear();
-    for (Shard& source : shards) {
-      const std::vector<Shard::OutboundMessage>& run =
-          source.outboxes[d];
-      if (!run.empty()) {
-        dest.merge_runs.emplace_back(run.data(), run.data() + run.size());
-      }
-    }
     std::size_t injected = 0;
-    while (!dest.merge_runs.empty()) {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < dest.merge_runs.size(); ++i) {
-        if (canonical_before(*dest.merge_runs[i].first,
-                             *dest.merge_runs[best].first)) {
-          best = i;
-        }
+    for (Shard& source : shards) {
+      std::vector<Shard::OutboundMessage>& run = source.outboxes[d];
+      for (const Shard::OutboundMessage& message : run) {
+        dest.queue.schedule(
+            message.arrival,
+            SimEvent::arrival(message.to, message.from, message.tag));
       }
-      // Every payload fires at its true arrival time — conservatism
-      // guarantees the arrival is at or past the horizon, hence past
-      // anything this shard fired during the window — so per-shard
-      // event order, and with it the shard-local NIC adapter state,
-      // replays the serial oracle's.
-      const Shard::OutboundMessage& message = *dest.merge_runs[best].first;
-      dest.queue.schedule(
-          message.arrival,
-          SimEvent::arrival(message.to, message.from, message.tag));
-      ++injected;
-      if (++dest.merge_runs[best].first == dest.merge_runs[best].second) {
-        dest.merge_runs.erase(dest.merge_runs.begin() +
-                              static_cast<std::ptrdiff_t>(best));
-      }
+      injected += run.size();
+      run.clear();
     }
-    for (Shard& source : shards) source.outboxes[d].clear();
     dest.injected = injected;
     if (release) release_ranks(dest, *release, result);
     dest.next_time = dest.queue.next_time();
@@ -320,7 +305,7 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     }
     coordinator_seconds += decide_watch.seconds();
 
-    // Apply phase: every destination shard merges its inbound runs and
+    // Apply phase: every destination shard schedules its inbound runs and
     // applies the release, if any, to its own ranks, concurrently.
     if (pool) {
       pool->parallel_for_chunked(

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "analyze/lint_journal.hpp"
+#include "core/text_format.hpp"
 #include "analyze/rules.hpp"
 #include "util/error.hpp"
 
@@ -249,6 +250,19 @@ TEST(JournalEscape, EmptyStringEncodesAsPercent) {
 TEST(JournalEscape, MalformedEscapesAreRejected) {
   EXPECT_FALSE(journal_unescape("trailing%2").has_value());
   EXPECT_FALSE(journal_unescape("bad%zzhex").has_value());
+}
+
+// The published FNV-1a-64 test vectors; the store's deck fingerprints,
+// the scenario fingerprints and the journal checksums all hash through
+// this one helper.
+TEST(Fnv1a64, MatchesPublishedVectors) {
+  EXPECT_EQ(hex16(Fnv1a64().value()), "cbf29ce484222325");
+  EXPECT_EQ(hex16(Fnv1a64().add("").value()), "cbf29ce484222325");
+  EXPECT_EQ(hex16(Fnv1a64().add("a").value()), "af63dc4c8601ec8c");
+  EXPECT_EQ(hex16(Fnv1a64().add("foobar").value()), "85944171f73967e8");
+  // Adding in pieces hashes the concatenation.
+  EXPECT_EQ(Fnv1a64().add("foo").add("bar").value(),
+            Fnv1a64().add("foobar").value());
 }
 
 TEST(JournalChecksum, MatchesKnownFnv1aVector) {

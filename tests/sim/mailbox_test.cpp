@@ -1,8 +1,7 @@
-// Mailbox behavior, including the load-factor accounting regression:
-// dead keyed slots (drained FIFOs of keys never reused) used to count
-// as occupied forever, so a workload that churns through ever-new
-// (peer, tag) pairs grew the table on schedule and degraded every
-// probe chain. A grow now rehashes live FIFOs only.
+// Mailbox behavior, including the slot-reuse bounds: a push for a peer
+// with no slot takes the first drained slot before it appends one, so a
+// workload that churns through ever-new peers holds only its peak of
+// simultaneously live peers, never one slot per peer it ever heard from.
 
 #include "sim/mailbox.hpp"
 
@@ -46,13 +45,10 @@ TEST(Mailbox, PopOnEmptyAndUnknownKeysFails) {
   EXPECT_FALSE(mailbox.try_pop(pool, 4, 3, &arrival));  // different peer
 }
 
-// The churn stress of the PR 7 regression: every key is drained before
-// the next appears, over far more distinct keys than any reasonable
-// table size. With dead slots counted as occupied, the table doubled
-// every ~capacity*3/4 keys (to ~128k slots here) and the load factor
-// pinned at the grow trigger kept linear-probe chains long. With
-// live-only rehash the table must stay at its minimum size and the
-// mean probe length must stay at ~1 slot per operation.
+// Pure churn: every peer is drained before the next appears, over far
+// more distinct peers than any rank has. Each push finds the one drained
+// slot and takes it over, so the list stays one slot long and every push
+// and pop inspects exactly one slot.
 TEST(Mailbox, ChurnedKeysDoNotGrowTableOrDegradeProbes) {
   MailboxPool pool;
   Mailbox mailbox;
@@ -64,15 +60,10 @@ TEST(Mailbox, ChurnedKeysDoNotGrowTableOrDegradeProbes) {
     ASSERT_TRUE(mailbox.try_pop(pool, peer, 17, &arrival));
     EXPECT_DOUBLE_EQ(arrival, static_cast<double>(i));
   }
-  // At most one key is ever live, so one grow cycle's worth of dead
-  // keys (< 3/4 * 16) is the most the table ever holds.
-  EXPECT_EQ(mailbox.capacity(), 16u);
+  EXPECT_EQ(mailbox.slots(), 1u);
   EXPECT_EQ(mailbox.live_slots(), 0u);
-  // push + successful pop probe at least one slot each; with the table
-  // cycling between empty and the 3/4 grow trigger the healthy mean
-  // stays under 2 probes per operation. The broken accounting kept
-  // every dead key occupied, doubling capacity every ~12 keys (to
-  // ~128k slots here) with probe chains pinned at the trigger load.
+  // push + successful pop inspect at least one slot each; a list that
+  // kept a slot per drained peer would scan ever longer.
   const double operations = 2.0 * static_cast<double>(keys);
   const double mean_probes = static_cast<double>(mailbox.probes()) / operations;
   EXPECT_GE(mean_probes, 1.0);
@@ -81,8 +72,8 @@ TEST(Mailbox, ChurnedKeysDoNotGrowTableOrDegradeProbes) {
 
 // Mixed steady-state + churn: a fixed working set that stays live across
 // the whole run (the Krak exchange pattern) plus a churning stream of
-// one-shot keys. The table must converge to the working set's size, not
-// the churn volume's.
+// one-shot peers. The churn shares one slot after the working set's, so
+// the list holds the working set plus one, not the churn volume.
 TEST(Mailbox, LiveWorkingSetSurvivesChurnGrows) {
   MailboxPool pool;
   Mailbox mailbox;
@@ -95,17 +86,17 @@ TEST(Mailbox, LiveWorkingSetSurvivesChurnGrows) {
     mailbox.push(pool, /*peer=*/i, /*tag=*/2, 0.5);
     ASSERT_TRUE(mailbox.try_pop(pool, i, 2, &arrival));
   }
-  // Every grow dropped the drained churn keys but kept the pending
-  // working set, in FIFO order.
+  // The churn took over drained slots only; the pending working set kept
+  // its slots, in FIFO order.
   EXPECT_EQ(mailbox.live_slots(), static_cast<std::size_t>(working_set));
-  EXPECT_LE(mailbox.capacity(), 64u);
+  EXPECT_LE(mailbox.slots(), static_cast<std::size_t>(working_set) + 1);
   for (std::int32_t k = 0; k < working_set; ++k) {
     ASSERT_TRUE(mailbox.try_pop(pool, 1000 + k, 1, &arrival));
     EXPECT_DOUBLE_EQ(arrival, static_cast<double>(k));
   }
 }
 
-// Capacity still doubles when the live population genuinely needs it.
+// The list appends a slot for every genuinely live peer.
 TEST(Mailbox, GrowsForGenuinelyLiveKeys) {
   MailboxPool pool;
   Mailbox mailbox;
@@ -114,7 +105,7 @@ TEST(Mailbox, GrowsForGenuinelyLiveKeys) {
     mailbox.push(pool, i, /*tag=*/5, static_cast<double>(i) + 0.25);
   }
   EXPECT_EQ(mailbox.live_slots(), static_cast<std::size_t>(keys));
-  EXPECT_GE(mailbox.capacity(), static_cast<std::size_t>(keys));
+  EXPECT_EQ(mailbox.slots(), static_cast<std::size_t>(keys));
   double arrival = 0.0;
   for (std::int32_t i = 0; i < keys; ++i) {
     ASSERT_TRUE(mailbox.try_pop(pool, i, 5, &arrival));

@@ -558,17 +558,16 @@ TEST(SimulatorWatchdog, OvershootIdenticalAcrossThreadCounts) {
   }
 }
 
-// --- Epoch-barrier merge tie-breaking (PR 10) ---
+// --- Epoch-barrier tie-breaking (PR 10) ---
 
 TEST(SimulatorParallel, SameArrivalCrossShardSendersTieBreakIdentical) {
   // Three remote senders on distinct nodes (hence distinct shards at 8
   // threads) land payloads on node 0 at exactly the same timestamp:
-  // zero overheads, equal clocks, equal bytes. The barrier's k-way
-  // merge must break the (arrival) tie by sender in canonical order —
-  // and the receivers' immediate big replies then serialize on node 0's
-  // shared NIC adapter in wake order, so any deviation in the merged
-  // tie order shifts real simulated times, not just internal sequence
-  // numbers.
+  // zero overheads, equal clocks, equal bytes. The barrier must break
+  // the (arrival) tie by sender in canonical order — and the receivers'
+  // immediate big replies then serialize on node 0's shared NIC adapter
+  // in wake order, so any deviation in the injected tie order shifts
+  // real simulated times, not just internal sequence numbers.
   const std::int32_t ranks = 16;
   StoredProgram program(ranks);
   for (std::int32_t r = 0; r < 3; ++r) {
