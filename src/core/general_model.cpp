@@ -26,18 +26,8 @@ std::string_view general_model_mode_name(GeneralModelMode mode) {
   return "unknown";
 }
 
-GeneralModel::GeneralModel(CostTable table, network::MachineConfig machine,
-                           std::array<double, mesh::kMaterialCount> ratios)
-    : table_(std::move(table)),
-      machine_(std::move(machine)),
-      ratios_(ratios) {
-  double sum = 0.0;
-  for (double r : ratios_) {
-    check(r >= 0.0, "material ratios must be non-negative");
-    sum += r;
-  }
-  check(std::abs(sum - 1.0) < 1e-6, "material ratios must sum to 1");
-}
+GeneralModel::GeneralModel(CostTable table, network::MachineConfig machine)
+    : table_(std::move(table)), machine_(std::move(machine)) {}
 
 double GeneralModel::boundary_faces(std::int64_t total_cells,
                                     std::int32_t pes) {
@@ -57,9 +47,9 @@ double GeneralModel::phase_time_heterogeneous(std::int32_t phase,
   // heterogeneous flavor over-predicts at scale (Section 5.2).
   double time = 0.0;
   for (std::size_t m = 0; m < mesh::kMaterialCount; ++m) {
-    if (ratios_[m] == 0.0) continue;
+    const double cells = mesh::kPaperMaterialRatios[m] * cells_per_pe;
     time += table_.uniform_subgrid_time(phase, mesh::material_from_index(m),
-                                        ratios_[m] * cells_per_pe);
+                                        cells);
   }
   return time;
 }
@@ -71,7 +61,6 @@ double GeneralModel::phase_time_homogeneous(std::int32_t phase,
   // determined" (Section 3.2).
   double max_time = 0.0;
   for (std::size_t m = 0; m < mesh::kMaterialCount; ++m) {
-    if (ratios_[m] == 0.0) continue;
     max_time = std::max(
         max_time, table_.uniform_subgrid_time(
                       phase, mesh::material_from_index(m), cells_per_pe));
@@ -108,13 +97,10 @@ PredictionReport GeneralModel::predict(std::int64_t total_cells,
 
     std::vector<double> face_array;
     if (mode == GeneralModelMode::kHeterogeneous) {
-      // "Boundary faces are divided equally among the materials in use."
-      std::int32_t in_use = 0;
-      for (double r : ratios_) {
-        if (r > 0.0) ++in_use;
-      }
-      face_array.assign(static_cast<std::size_t>(in_use),
-                        faces / static_cast<double>(in_use));
+      // "Boundary faces are divided equally among the materials in use":
+      // the paper's deck uses all of them.
+      face_array.assign(mesh::kMaterialCount,
+                        faces / static_cast<double>(mesh::kMaterialCount));
     } else {
       // A homogeneous subgrid's boundary touches a single material.
       face_array = {faces};

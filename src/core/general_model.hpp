@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "core/cost_table.hpp"
@@ -35,11 +34,9 @@ enum class GeneralModelMode {
 /// single material per boundary (homogeneous).
 class GeneralModel {
  public:
-  /// `ratios` is the global material composition (Table 2's
-  /// heterogeneous row); defaults to the paper's input deck ratios.
-  GeneralModel(CostTable table, network::MachineConfig machine,
-               std::array<double, mesh::kMaterialCount> ratios =
-                   mesh::kPaperMaterialRatios);
+  /// The global material composition is the paper's input deck's,
+  /// mesh::kPaperMaterialRatios (Table 2's heterogeneous row).
+  GeneralModel(CostTable table, network::MachineConfig machine);
 
   /// Predict one iteration of a `total_cells` problem on `pes`
   /// processors.
@@ -65,7 +62,6 @@ class GeneralModel {
 
   CostTable table_;
   network::MachineConfig machine_;
-  std::array<double, mesh::kMaterialCount> ratios_;
 };
 
 }  // namespace krak::core

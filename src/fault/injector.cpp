@@ -161,11 +161,4 @@ sim::FaultInjector::MessageFate InjectionEngine::message_fate(
   return fate;
 }
 
-sim::WatchdogConfig InjectionEngine::watchdog() const {
-  sim::WatchdogConfig config;
-  config.structured_failures = true;
-  config.max_sim_seconds = plan_.max_sim_seconds;
-  return config;
-}
-
 }  // namespace krak::fault

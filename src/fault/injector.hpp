@@ -39,10 +39,6 @@ class InjectionEngine final : public sim::FaultInjector {
   MessageFate message_fate(sim::RankId from, sim::RankId to, double bytes,
                            std::int64_t send_index) override;
 
-  /// The watchdog configuration the plan implies: structured failures
-  /// on, plus the plan's simulated-time bound.
-  [[nodiscard]] sim::WatchdogConfig watchdog() const;
-
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
  private:

@@ -62,8 +62,8 @@ struct OneOffDelay {
 /// point-to-point payload sent by `rank` is dropped with
 /// `drop_probability` per attempt; each retransmission costs
 /// `retransmit_timeout_s` of extra wire delay. A payload dropped more
-/// than `max_retries` times is lost for good — the watchdog turns the
-/// starved receiver into a structured SimFailure. `extra_delay_s` is a
+/// than `max_retries` times is lost for good — the simulator returns the
+/// starved receiver as a structured SimFailure. `extra_delay_s` is a
 /// deterministic per-message link delay applied on top.
 struct MessageFaultModel {
   std::int32_t rank = kAllRanks;  ///< sender rank
@@ -108,8 +108,8 @@ struct FaultPlan {
   std::vector<MessageFaultModel> message_faults;
   std::vector<NicDegrade> degrades;
   std::vector<RankCrash> crashes;
-  /// Watchdog bound on simulated time; 0 disables (see
-  /// sim::WatchdogConfig::max_sim_seconds). A negative bound is an error.
+  /// Bound on simulated time; 0 disables (see
+  /// sim::SimConfig::max_sim_seconds). A negative bound is an error.
   double max_sim_seconds = 0.0;
 
   [[nodiscard]] bool empty() const {

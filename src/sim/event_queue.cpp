@@ -8,16 +8,8 @@
 namespace krak::sim {
 
 void EventQueue::schedule(double time, SimEvent event) {
+  // Also refuses NaN, which compares false with everything.
   KRAK_REQUIRE(time >= now_, "cannot schedule an event in the past");
-  push_entry(time, event);
-}
-
-void EventQueue::inject(double time, SimEvent event) {
-  KRAK_REQUIRE(!std::isnan(time), "cannot schedule an event at NaN");
-  push_entry(time, event);
-}
-
-void EventQueue::push_entry(double time, SimEvent event) {
   // The kind occupies the sequence word's low 2 bits, capping sequence
   // numbers at 2^30 — comfortably past kDefaultMaxEvents, but guard it:
   // a silent wrap would corrupt the tie-break order.
@@ -47,8 +39,8 @@ void EventQueue::push_entry(double time, SimEvent event) {
       return;
     }
   }
-  // Earlier than the rung, or in a bucket already loaded (this is where
-  // an inject below now() lands): the bottom heap orders it exactly.
+  // Earlier than the rung, or in a bucket already loaded: the bottom
+  // heap orders it exactly.
   // Sift up: restore the heap property along the root path.
   bottom_.push_back(entry);
   std::size_t child = bottom_.size() - 1;

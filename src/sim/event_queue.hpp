@@ -53,8 +53,8 @@ struct EventRunStats {
   /// Events fired before the queue emptied or the budget tripped.
   std::size_t fired = 0;
   /// True when `max_events` fired with events still pending (runaway
-  /// guard). The caller decides whether that is a throw or a structured
-  /// failure; the queue itself never throws on the budget.
+  /// guard). The simulator reports it as a SimFailure; the queue itself
+  /// never throws on the budget.
   bool budget_exhausted = false;
 };
 
@@ -80,20 +80,10 @@ struct EventRunStats {
 /// and the bottom heap's (time, seq) order is the whole queue's.
 class EventQueue {
  public:
-  /// Schedule `event` at absolute time `time` (seconds); `time` must
-  /// not precede the current time.
+  /// Schedule `event` at absolute time `time` (seconds); throws
+  /// InvalidArgument when `time` precedes the current time or is NaN.
+  /// The only way to add an event, so now() never decreases.
   void schedule(double time, SimEvent event);
-
-  /// Schedule `event` at absolute time `time` even when `time` precedes
-  /// the current time. Reserved for the parallel engine's epoch
-  /// coordinator: a collective completing near the window's start must
-  /// release ranks in shards whose queues already fired events later in
-  /// the window, so the release step legitimately lands below now().
-  /// Popping such an entry regresses now() to its time; from there the
-  /// queue keeps firing in nondecreasing time order, so every event
-  /// scheduled by subsequent handlers still satisfies schedule()'s
-  /// monotonicity contract.
-  void inject(double time, SimEvent event);
 
   /// Current simulation time: the timestamp of the most recently fired
   /// event (0 before any event fires).
@@ -135,7 +125,7 @@ class EventQueue {
   /// have fired. Events at or past the horizon stay queued — this is the
   /// conservative-parallel epoch primitive: a shard may safely execute
   /// everything below the global lookahead horizon because no other
-  /// shard can inject an event earlier than it.
+  /// shard can send it an event earlier than it.
   template <typename Handler>
   EventRunStats run_window(double limit, bool inclusive,
                            std::size_t max_events, Handler&& handler) {
@@ -214,7 +204,6 @@ class EventQueue {
                                               : last;
   }
   Entry pop_min();
-  void push_entry(double time, SimEvent event);
 
   /// The current bucket (and any event earlier than the rung's start).
   std::vector<Entry> bottom_;

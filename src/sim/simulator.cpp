@@ -51,7 +51,6 @@ std::string_view sim_failure_kind_name(SimFailure::Kind kind) {
     case SimFailure::Kind::kTimeLimit: return "time-limit";
     case SimFailure::Kind::kEventLimit: return "event-limit";
     case SimFailure::Kind::kDeadline: return "deadline";
-    case SimFailure::Kind::kShardMisalignment: return "shard-misalignment";
   }
   return "unknown";
 }
@@ -65,8 +64,7 @@ double RecordLog::at(std::int32_t slot) const {
 }
 
 std::string SimFailure::to_string() const {
-  // Keeps the exact wording the simulator used to throw pre-watchdog,
-  // so existing log greps and tests keep matching.
+  // Fixed wording: campaign error texts and log greps read it.
   std::ostringstream os;
   switch (kind) {
     case Kind::kDeadlock:
@@ -79,17 +77,11 @@ std::string SimFailure::to_string() const {
          << "simulated-time bound at op " << op_index;
       break;
     case Kind::kEventLimit:
-      // Run-level, not per-rank: the exact wording the pre-watchdog
-      // KRAK_ASSERT threw, kept grep-compatible.
+      // Run-level, not per-rank.
       os << "event queue exceeded max_events (runaway?)";
       break;
     case Kind::kDeadline:
       os << "simulation cancelled";
-      break;
-    case Kind::kShardMisalignment:
-      // Run-level: the engine refuses to race NIC adapter state rather
-      // than return a wrong answer.
-      os << "parallel shard layout splits a NIC node across shards";
       break;
   }
   if (has_op) {
@@ -158,8 +150,6 @@ void Simulator::set_fault_injector(FaultInjector* injector) {
   fault_ = injector;
 }
 
-void Simulator::set_watchdog(WatchdogConfig watchdog) { watchdog_ = watchdog; }
-
 void Simulator::set_cancellation(const util::CancellationToken* token) {
   cancel_ = token;
 }
@@ -182,7 +172,7 @@ std::int32_t Simulator::shard_unit() const {
   // is the least common multiple of both node sizes.
   std::int32_t unit =
       hierarchy_ != nullptr ? hierarchy_->placement().pes_per_node() : 1;
-  if (nic_.enabled) unit = std::lcm(unit, nic_.pes_per_node);
+  if (nic_) unit = std::lcm(unit, nic_->pes_per_node);
   return unit;
 }
 
@@ -209,8 +199,9 @@ void Simulator::begin_run(SimResult& result) {
   result.breakdown.assign(static_cast<std::size_t>(n), RankTimeBreakdown{});
   result.records.assign(static_cast<std::size_t>(n), {});
 
-  if (nic_.enabled) {
-    const std::int32_t nodes = (n + nic_.pes_per_node - 1) / nic_.pes_per_node;
+  if (nic_) {
+    const std::int32_t nodes =
+        (n + nic_->pes_per_node - 1) / nic_->pes_per_node;
     nic_free_.assign(static_cast<std::size_t>(nodes), 0.0);
   } else {
     nic_free_.clear();
@@ -290,9 +281,6 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
     os << "(fired " << events_fired << " event(s), budget "
        << config_.max_events << ")";
     failure.detail = os.str();
-    if (!watchdog_.structured_failures) {
-      throw util::InternalError(failure.to_string());
-    }
     result.failures.push_back(std::move(failure));
   }
 
@@ -301,11 +289,7 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
     // When the event budget tripped, unfinished ranks were stopped by
     // the guard, not by a hang — skip the per-rank deadlock diagnosis.
     if (!state.finished && !state.timed_out && !budget_exhausted) {
-      const SimFailure failure = diagnose_stuck_rank(r);
-      if (!watchdog_.structured_failures) {
-        throw util::KrakError(failure.to_string());
-      }
-      result.failures.push_back(failure);
+      result.failures.push_back(diagnose_stuck_rank(r));
     }
     // A failed rank's finish time is the clock where it stuck; its
     // breakdown still sums to that clock exactly.
@@ -418,7 +402,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
     failure.op_index = state.pc;
     if (state.pc < op_count) name_op(failure, program_.op(rank, state.pc));
     std::ostringstream os;
-    os << "(clock " << state.clock << " s > bound " << watchdog_.max_sim_seconds
+    os << "(clock " << state.clock << " s > bound " << config_.max_sim_seconds
        << " s)";
     failure.detail = os.str();
     shard.failures.push_back(std::move(failure));
@@ -426,8 +410,8 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
   };
 
   while (state.pc < op_count && !state.blocked) {
-    if (watchdog_.max_sim_seconds > 0.0 &&
-        state.clock > watchdog_.max_sim_seconds) {
+    if (config_.max_sim_seconds > 0.0 &&
+        state.clock > config_.max_sim_seconds) {
       // The rank ran past the simulated-time bound: stop executing its
       // ops and report structurally. The run keeps draining so the
       // other ranks' timings stay meaningful.
@@ -468,18 +452,18 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
         // transfer, not the sender's CPU (asynchronous send).
         double inject_at = state.clock;
         double injected_by = state.clock;
-        if (nic_.enabled) {
+        if (nic_) {
           // Shard-local under the parallel engine: shard boundaries
           // align to NIC-node boundaries (shard_unit), so this node's
           // slot is touched by no other worker, and events fire in true
           // time order per shard, so the updates replay the oracle's.
           const auto node =
-              static_cast<std::size_t>(rank / nic_.pes_per_node);
+              static_cast<std::size_t>(rank / nic_->pes_per_node);
           if (nic_free_[node] > inject_at) {
             inject_at = nic_free_[node];
             ++shard.nic_stalls;
           }
-          injected_by = inject_at + op.bytes() / nic_.injection_bandwidth;
+          injected_by = inject_at + op.bytes() / nic_->injection_bandwidth;
           nic_free_[node] = injected_by;
         }
         // The hierarchical pair network, when installed, costs one
@@ -534,9 +518,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
           ++shard.outbound_count;
         } else {
           // The arrival never precedes the shard queue's clock: this
-          // rank's clock is at or past the event time that woke it
-          // (collective releases regress the queue's clock to their own
-          // time before the rank steps; see EventQueue::inject), and
+          // rank's clock is at or past the event time that woke it, and
           // the arrival is at or past the clock. Firing every event at
           // its true time is what keeps per-shard send order — and so
           // the shard-local NIC state — identical to the oracle's.
@@ -584,12 +566,11 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
     }
   }
   if (state.pc >= op_count && !state.blocked) {
-    if (watchdog_.max_sim_seconds > 0.0 &&
-        state.clock > watchdog_.max_sim_seconds) {
+    if (config_.max_sim_seconds > 0.0 &&
+        state.clock > config_.max_sim_seconds) {
       // The loop-head check only sees the clock before each op, so a
-      // rank whose final ops pushed it past the bound used to finish
-      // silently and the run drained "successfully" beyond the watchdog
-      // bound. Re-check before declaring the rank done (PR 7 bugfix).
+      // rank whose final ops push it past the bound would finish
+      // silently. Re-check before declaring the rank done.
       trip_time_limit();
       return;
     }
@@ -652,13 +633,10 @@ Simulator::CollectiveRelease Simulator::release_collective(
 
 void Simulator::release_ranks(Shard& shard, const CollectiveRelease& release,
                               SimResult& result) {
-  // The oracle's shard releases at the last entry, so its steps never
-  // precede its queue's clock and keep schedule()'s check. A parallel
-  // shard may have fired past the completion inside the epoch window;
-  // its steps must still fire at the true completion so the ranks'
-  // next sends interleave with the shard's other events — and touch
-  // their node's NIC state — in oracle order (EventQueue::inject).
-  const bool oracle = shard.end - shard.begin == ranks();
+  // The completion never precedes the shard queue's clock: the oracle
+  // releases at the last entry, and a parallel shard fired nothing at or
+  // past its window's horizon, which a collective's tree cost of at
+  // least one flat message time reaches (plan_lookahead).
   for (RankId r = shard.begin; r < shard.end; ++r) {
     RankState& state = states_[static_cast<std::size_t>(r)];
     // The rank's clock froze at its entry time, so the gap to the
@@ -670,11 +648,7 @@ void Simulator::release_ranks(Shard& shard, const CollectiveRelease& release,
         release.completion - release.cost - state.clock;
     breakdown.collective_cost += release.cost;
     state.clock = std::max(state.clock, release.completion);
-    if (oracle) {
-      shard.queue.schedule(release.completion, SimEvent::step(r));
-    } else {
-      shard.queue.inject(release.completion, SimEvent::step(r));
-    }
+    shard.queue.schedule(release.completion, SimEvent::step(r));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -24,14 +25,17 @@ struct SimConfig {
   double send_overhead = 0.4e-6;
   /// CPU time a rank spends completing one blocking receive.
   double recv_overhead = 0.4e-6;
-  /// Runaway-simulation guard: abort the run once this many events have
-  /// fired with events still pending. With the watchdog's
-  /// structured_failures the trip becomes a SimFailure::Kind::kEventLimit
-  /// in SimResult::failures; otherwise Simulator::run throws
-  /// InternalError (the historical behavior). The parallel engine checks
-  /// the budget at epoch barriers, so a tripped run may overshoot the
-  /// budget by up to one epoch before stopping.
+  /// Runaway-simulation guard: stop the run once this many events have
+  /// fired with events still pending, and return a
+  /// SimFailure::Kind::kEventLimit in SimResult::failures. The parallel
+  /// engine checks the budget at epoch barriers, so a tripped run may
+  /// overshoot the budget by up to one epoch before stopping.
   std::size_t max_events = EventQueue::kDefaultMaxEvents;
+  /// Simulated-time bound: a rank whose clock passes it executes no
+  /// further op and is returned as a SimFailure::Kind::kTimeLimit;
+  /// <= 0 disables. A safety net against fault plans that inject
+  /// unbounded delay.
+  double max_sim_seconds = 0.0;
   /// Worker threads of the conservative parallel engine; <= 1 keeps the
   /// single-thread oracle (docs/PERFORMANCE.md, "Parallel simulation").
   /// Results are bit-identical across thread counts. The shared-NIC
@@ -44,10 +48,10 @@ struct SimConfig {
 
 /// Optional shared-NIC injection model: the ranks of one SMP node share
 /// a single network adapter, so their outbound payloads serialize at
-/// the adapter's injection bandwidth. Disabled by default (infinite
-/// injection capacity), matching the paper's contention-free Tmsg.
+/// the adapter's injection bandwidth. Simulator::set_nic installs it;
+/// without it injection capacity is infinite, matching the paper's
+/// contention-free Tmsg.
 struct NicConfig {
-  bool enabled = false;
   /// Ranks per node sharing one adapter.
   std::int32_t pes_per_node = 4;
   /// Adapter injection bandwidth, bytes per second.
@@ -106,21 +110,9 @@ class FaultInjector {
                                    std::int64_t send_index) = 0;
 };
 
-/// Watchdog policy: how the simulator reports runs that cannot finish.
-struct WatchdogConfig {
-  /// Convert would-be hangs (deadlocks, receives of lost messages) into
-  /// structured SimResult::failures instead of throwing KrakError, so a
-  /// sweep can record the diagnosis and keep going.
-  bool structured_failures = false;
-  /// Abort a rank (structured) once its simulated clock passes this
-  /// bound; <= 0 disables. A safety net against fault plans that inject
-  /// unbounded delay.
-  double max_sim_seconds = 0.0;
-};
-
 /// Structured diagnosis of a run that could not complete. `to_string()`
-/// renders the exact one-line message the simulator used to throw, so
-/// logs stay grep-compatible across the watchdog migration.
+/// renders the one-line message campaign error texts and log greps
+/// read; its wording is fixed.
 struct SimFailure {
   enum class Kind : std::uint8_t {
     /// A rank blocked forever (unmatched recv or collective).
@@ -128,7 +120,7 @@ struct SimFailure {
     /// A rank blocked receiving a message the fault plan dropped past
     /// its retransmit budget.
     kLostMessage,
-    /// The watchdog's simulated-time bound fired.
+    /// SimConfig::max_sim_seconds fired.
     kTimeLimit,
     /// The runaway guard fired: SimConfig::max_events events fired with
     /// events still pending. A run-level diagnosis (rank is -1).
@@ -139,14 +131,6 @@ struct SimFailure {
     /// the simulator throws SimFailureError carrying it so the caller
     /// never mistakes a cut-short run for a measurement.
     kDeadline,
-    /// The parallel engine's shard layout split a NIC node across two
-    /// shards, which would race the node's adapter-availability state.
-    /// plan_shards aligns shard boundaries to NIC-node boundaries, so
-    /// this is unreachable through the public API; the engine verifies
-    /// the precondition anyway and aborts with this run-level diagnosis
-    /// (rank is -1, thrown as SimFailureError) rather than ever
-    /// returning a wrong answer.
-    kShardMisalignment,
   };
   Kind kind = Kind::kDeadlock;
   RankId rank = -1;
@@ -300,8 +284,8 @@ struct SimResult {
   std::vector<RecordLog> records;
   TrafficStats traffic;
   FaultStats faults;
-  /// Structured hang/abort diagnoses; only populated when the watchdog
-  /// runs with structured_failures (otherwise the simulator throws).
+  /// Why the run could not finish: deadlocks, receives of lost
+  /// messages, and trips of SimConfig::max_sim_seconds or max_events.
   /// For a failed rank, finish_times[r] holds the clock where it stuck,
   /// and its breakdown still sums to that clock exactly.
   std::vector<SimFailure> failures;
@@ -346,7 +330,8 @@ class Simulator {
 
   [[nodiscard]] std::int32_t ranks() const { return ranks_; }
 
-  /// Configure the shared-NIC injection model (see NicConfig).
+  /// Install the shared-NIC injection model (see NicConfig); throws
+  /// InvalidArgument unless both fields are positive.
   void set_nic(NicConfig nic);
 
   /// Per-pair point-to-point costs from a two-level intra/inter-node
@@ -364,9 +349,6 @@ class Simulator {
   /// run(). Without one the fault paths cost a single pointer test.
   void set_fault_injector(FaultInjector* injector);
 
-  /// Configure the watchdog (structured failures, simulated-time bound).
-  void set_watchdog(WatchdogConfig watchdog);
-
   /// Install (or clear, with nullptr) a cooperative cancellation token
   /// (docs/RESILIENCE.md, "Resumable campaigns"). Not owned; must
   /// outlive run(). The engines poll it — the serial oracle every few
@@ -376,10 +358,10 @@ class Simulator {
   void set_cancellation(const util::CancellationToken* token);
 
   /// Run every rank's ops to completion and return the timing result.
-  /// Throws KrakError on deadlock (a rank blocks forever) or on
-  /// mismatched collective sequences — unless the watchdog runs with
-  /// structured_failures, in which case hangs are returned as
-  /// SimResult::failures and the surviving ranks' timings are kept.
+  /// A run that cannot finish (a rank blocks forever, or a bound of
+  /// SimConfig trips) returns its diagnoses in SimResult::failures with
+  /// the other ranks' timings kept. Throws only for an op check_op
+  /// refuses, a mismatched collective sequence, or cancellation.
   /// With SimConfig::threads > 1 the conservative parallel engine runs
   /// instead of the serial oracle; every simulated outcome (times,
   /// breakdowns, records, traffic, fault stats, failures) is
@@ -398,7 +380,7 @@ class Simulator {
     bool blocked = false;
     BlockReason reason = BlockReason::kNone;
     bool finished = false;
-    /// The watchdog's time bound fired on this rank; it executes no
+    /// SimConfig::max_sim_seconds fired on this rank; it executes no
     /// further ops but is not counted as deadlocked at drain.
     bool timed_out = false;
     /// Latest local completion of any send this rank posted (0 before
@@ -446,7 +428,6 @@ class Simulator {
   /// by the coordinator at epoch barriers with the shard's collective
   /// fold.
   struct Shard {
-    std::int32_t id = 0;
     RankId begin = 0;
     RankId end = 0;  ///< exclusive
     EventQueue queue;
@@ -472,7 +453,7 @@ class Simulator {
       RankId to = -1;
       std::int32_t tag = 0;
       /// The sender's kIsend ordinal — with (arrival, from) this gives
-      /// the canonical total order barriers inject messages in.
+      /// the canonical total order barriers schedule messages in.
       std::int64_t seq = 0;
     };
     /// Cross-shard payloads bucketed by destination shard
@@ -484,9 +465,7 @@ class Simulator {
     /// destination. Shards are contiguous rank ranges in rank order, so
     /// that is canonical order among equal arrival times, the only order
     /// a queue tie-break reads (docs/PERFORMANCE.md, "The epoch
-    /// coordinator"). Every event — local or injected — fires at its
-    /// true simulated time; only collective release steps may land below
-    /// a parallel shard queue's clock (see EventQueue::inject).
+    /// coordinator"). Every event fires at its true simulated time.
     std::vector<std::vector<OutboundMessage>> outboxes;
     /// Payloads pushed into `outboxes` since the last barrier — the
     /// coupled-epoch test without scanning the buckets.
@@ -561,7 +540,8 @@ class Simulator {
   /// ranks-per-node, so cross-shard messages are exactly the inter-node
   /// ones and every NIC node's adapter state is owned by one shard.
   [[nodiscard]] std::int32_t shard_unit() const;
-  /// The epoch lookahead horizon (seconds; 0 means degenerate).
+  /// The epoch lookahead horizon (seconds; 0 means degenerate): the
+  /// least time a cross-shard payload or a collective can take.
   [[nodiscard]] double plan_lookahead() const;
   [[nodiscard]] SimResult run_serial();
   [[nodiscard]] SimResult run_parallel(std::int32_t shard_count);
@@ -569,9 +549,8 @@ class Simulator {
   network::MessageCostModel network_;
   network::CollectiveModel collectives_;
   std::shared_ptr<const network::HierarchicalNetwork> hierarchy_;
-  NicConfig nic_;
+  std::optional<NicConfig> nic_;
   FaultInjector* fault_ = nullptr;
-  WatchdogConfig watchdog_;
   const util::CancellationToken* cancel_ = nullptr;
   /// (from, to, tag) -> count of messages the fault plan lost for good;
   /// consulted when diagnosing a starved receiver. Merged from the

@@ -447,10 +447,10 @@ SimKrakResult SimKrak::run() const {
   const std::int32_t ranks = ops_program->ranks();
   sim::SimConfig sim_config;
   sim_config.threads = options_.sim_threads;
+  sim_config.max_sim_seconds = options_.faults.max_sim_seconds;
   sim::Simulator simulator(*ops_program, machine_.network, sim_config);
   if (options_.nic_contention && machine_.pes_per_node > 1) {
     sim::NicConfig nic;
-    nic.enabled = true;
     nic.pes_per_node = machine_.pes_per_node;
     // The adapter injects at the interconnect's asymptotic bandwidth.
     nic.injection_bandwidth = 1.0 / machine_.network.byte_cost(1 << 20);
@@ -465,15 +465,14 @@ SimKrakResult SimKrak::run() const {
             network::make_es45_shared_memory_model(), machine_.network,
             network::Placement(ranks, machine_.pes_per_node)));
   }
-  // A non-empty fault plan installs the injection engine and arms the
-  // watchdog; an empty plan leaves the simulator untouched so the run
-  // is bit-identical to one without the fault subsystem.
+  // A non-empty fault plan installs the injection engine; an empty plan
+  // leaves the simulator untouched so the run is bit-identical to one
+  // without the fault subsystem.
   std::unique_ptr<fault::InjectionEngine> injector;
   if (!options_.faults.empty()) {
     injector = std::make_unique<fault::InjectionEngine>(options_.faults, ranks,
                                                         kPhaseCount);
     simulator.set_fault_injector(injector.get());
-    simulator.set_watchdog(injector->watchdog());
   }
   if (options_.cancel != nullptr) simulator.set_cancellation(options_.cancel);
   sim::SimResult sim_result = simulator.run();

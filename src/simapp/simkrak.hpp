@@ -36,9 +36,8 @@ struct SimKrakOptions {
   bool nic_contention = false;
   /// Deterministic fault-injection plan (see fault/plan.hpp). Empty by
   /// default: no injector is installed and the run is bit-identical to
-  /// a build without the fault subsystem. A non-empty plan also arms
-  /// the simulator's watchdog, so hangs the plan induces surface as
-  /// structured SimKrakResult::failures instead of thrown deadlocks.
+  /// a build without the fault subsystem. Its max_sim_seconds becomes
+  /// sim::SimConfig::max_sim_seconds, empty plan or not.
   fault::FaultPlan faults;
   /// Worker threads of the simulator's conservative parallel engine;
   /// <= 1 keeps the single-thread oracle. Results are bit-identical
@@ -81,9 +80,9 @@ struct SimKrakResult {
   double coordinator_seconds = 0.0;
   /// Aggregate fault-injection accounting (zero when no plan was set).
   sim::FaultStats fault_stats;
-  /// Structured failures the watchdog recorded instead of hanging or
-  /// aborting. Non-empty only when options.faults armed the watchdog;
-  /// when non-empty, phase_times covers only fully recorded iterations.
+  /// Why the run could not finish (sim::SimResult::failures): hangs the
+  /// fault plan induced, or a trip of its max_sim_seconds. When
+  /// non-empty, phase_times covers only fully recorded iterations.
   std::vector<sim::SimFailure> failures;
   [[nodiscard]] bool failed() const { return !failures.empty(); }
 };

@@ -46,12 +46,6 @@ TEST(GeneralModel, BoundaryFacesIsSqrtCellsPerPe) {
                util::InvalidArgument);
 }
 
-TEST(GeneralModel, RatiosMustSumToOne) {
-  EXPECT_THROW(GeneralModel(flat_table(), network::make_es45_qsnet(),
-                            {0.5, 0.5, 0.5, 0.5}),
-               util::InvalidArgument);
-}
-
 TEST(GeneralModel, HomogeneousTakesMostExpensiveMaterial) {
   // With HE gas 2x as costly, homogeneous mode must charge the HE rate
   // for the full subgrid.

@@ -189,16 +189,6 @@ TEST(InjectionEngine, DegradeScalesWireTime) {
   EXPECT_DOUBLE_EQ(engine.message_fate(1, 0, 100.0, 0).bandwidth_factor, 1.0);
 }
 
-TEST(InjectionEngine, WatchdogArmsStructuredFailures) {
-  FaultPlan plan;
-  plan.slowdowns.push_back({0, 2.0});
-  plan.max_sim_seconds = 12.5;
-  const InjectionEngine engine(plan, 2, kPhases);
-  const sim::WatchdogConfig watchdog = engine.watchdog();
-  EXPECT_TRUE(watchdog.structured_failures);
-  EXPECT_DOUBLE_EQ(watchdog.max_sim_seconds, 12.5);
-}
-
 TEST(InjectionEngine, RunStartRejectsMismatchedRankCount) {
   FaultPlan plan;
   plan.slowdowns.push_back({0, 2.0});

@@ -52,6 +52,10 @@ TEST(StandardDecks, RatiosApproximatePaperTable2) {
           << deck_size_name(size) << " material " << m;
     }
   }
+  // The general model reads the constant itself as the composition.
+  double paper_sum = 0.0;
+  for (const double r : kPaperMaterialRatios) paper_sum += r;
+  EXPECT_NEAR(paper_sum, 1.0, 1e-12);
 }
 
 TEST(StandardDecks, RatiosSumToOne) {

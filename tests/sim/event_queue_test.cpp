@@ -91,8 +91,8 @@ TEST(EventQueue, SchedulingInThePastThrows) {
     EXPECT_THROW(queue.schedule(4.0, SimEvent::step(1)),
                  util::InvalidArgument);
   });
-  // inject may go below now(), but a NaN time has no place in the order.
-  EXPECT_THROW(queue.inject(std::nan(""), SimEvent::step(2)),
+  // A NaN time has no place in the order; the same check refuses it.
+  EXPECT_THROW(queue.schedule(std::nan(""), SimEvent::step(2)),
                util::InvalidArgument);
   EXPECT_TRUE(queue.empty());
 }
@@ -272,9 +272,9 @@ class ReferenceQueue {
 
 TEST(EventQueue, EpochLoopWithInjectsMatchesReferenceOrder) {
   // The parallel engine's pattern: a window up to a horizon (inclusive
-  // when the lookahead is zero), then injected release steps that can
-  // land below now() and arrivals at or past the horizon, some runs
-  // cut short by the event budget and resumed in the next epoch.
+  // when the lookahead is zero), then a barrier's release steps and
+  // arrivals, none below max(horizon, now()), some runs cut short by the
+  // event budget and resumed in the next epoch.
   for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
     SCOPED_TRACE(seed);
     util::Rng rng(seed);
@@ -283,12 +283,8 @@ TEST(EventQueue, EpochLoopWithInjectsMatchesReferenceOrder) {
     ReferenceQueue reference;
     std::int32_t next_id = 0;
     std::size_t mismatches = 0;
-    const auto add = [&](double time, bool below_now) {
-      if (below_now) {
-        queue.inject(time, SimEvent::step(next_id));
-      } else {
-        queue.schedule(time, SimEvent::step(next_id));
-      }
+    const auto add = [&](double time) {
+      queue.schedule(time, SimEvent::step(next_id));
       reference.push(time, next_id++);
     };
     const auto handler = [&](const SimEvent& event) {
@@ -296,10 +292,10 @@ TEST(EventQueue, EpochLoopWithInjectsMatchesReferenceOrder) {
       if (!(Fired{queue.now(), event.rank} == expected)) ++mismatches;
       if (next_id >= 8000) return;
       for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
-        add(queue.now() + draw_delay(rng, outliers), false);
+        add(queue.now() + draw_delay(rng, outliers));
       }
     };
-    for (int i = 0; i < 500; ++i) add(0.0, false);
+    for (int i = 0; i < 500; ++i) add(0.0);
     const double lookahead = seed % 2 == 0 ? 0.0 : 0.5;
     while (!reference.empty()) {
       const double start = queue.next_time();
@@ -315,17 +311,18 @@ TEST(EventQueue, EpochLoopWithInjectsMatchesReferenceOrder) {
           !reference.empty() && (degenerate ? reference.front_time() <= horizon
                                             : reference.front_time() < horizon);
       EXPECT_EQ(stats.budget_exhausted, reference_left);
-      // Barrier: a burst of release steps at one completion time in
-      // [start, now()], then arrivals at or past the horizon.
+      // Barrier: a burst of release steps at one completion, then
+      // arrivals, all at or past both the horizon and now().
+      const double earliest = std::max(horizon, queue.now());
       if (next_id < 8000 && rng.next_below(3) == 0) {
-        const double completion = rng.next_double(start, queue.now());
+        const double completion = earliest + draw_delay(rng, outliers);
         for (std::uint64_t k = 1 + rng.next_below(200); k > 0; --k) {
-          add(completion, true);
+          add(completion);
         }
       }
       for (std::uint64_t k = rng.next_below(30); k > 0 && next_id < 8000;
            --k) {
-        add(std::max(horizon, queue.now()) + draw_delay(rng, outliers), false);
+        add(earliest + draw_delay(rng, outliers));
       }
       ASSERT_EQ(queue.size(), reference.size());
     }

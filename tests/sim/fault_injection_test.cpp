@@ -14,10 +14,11 @@ namespace krak::sim {
 namespace {
 
 /// 1 us latency, 1 ns/byte, zero host overheads: hand-checkable times.
-Simulator make_simulator(Program& program) {
+Simulator make_simulator(Program& program, double max_sim_seconds = 0.0) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
+  config.max_sim_seconds = max_sim_seconds;
   return Simulator(program, network::make_hockney_model(1e-6, 1e9), config);
 }
 
@@ -123,9 +124,6 @@ TEST(SimulatorFaults, WatchdogNamesTheBlockedOpOnDeadlock) {
   StoredProgram program(
       {{Op::compute(1.0)}, {Op::compute(0.5), Op::recv(0, 64.0, 9)}});
   Simulator sim = make_simulator(program);
-  WatchdogConfig watchdog;
-  watchdog.structured_failures = true;
-  sim.set_watchdog(watchdog);
   const SimResult result = sim.run();
 
   ASSERT_TRUE(result.failed());
@@ -138,7 +136,7 @@ TEST(SimulatorFaults, WatchdogNamesTheBlockedOpOnDeadlock) {
   EXPECT_EQ(failure.peer, 0);
   EXPECT_EQ(failure.tag, 9);
   EXPECT_EQ(failure.op_index, 1u);
-  // The rendered diagnosis is the exact pre-watchdog throw message.
+  // The rendered diagnosis keeps its fixed wording.
   const std::string text = failure.to_string();
   EXPECT_NE(text.find("simulation deadlock"), std::string::npos) << text;
   EXPECT_NE(text.find("rank 1"), std::string::npos) << text;
@@ -147,29 +145,12 @@ TEST(SimulatorFaults, WatchdogNamesTheBlockedOpOnDeadlock) {
   EXPECT_DOUBLE_EQ(result.finish_times[0], 1.0);
 }
 
-TEST(SimulatorFaults, WithoutStructuredFailuresDeadlockStillThrows) {
-  StoredProgram program(2);
-  program.set(1, {Op::recv(0, 64.0, 9)});
-  Simulator sim = make_simulator(program);
-  try {
-    (void)sim.run();
-    FAIL() << "expected KrakError";
-  } catch (const util::KrakError& error) {
-    EXPECT_NE(std::string(error.what()).find("simulation deadlock"),
-              std::string::npos)
-        << error.what();
-  }
-}
-
 TEST(SimulatorFaults, LostMessageIsDiagnosedAtTheStarvedReceiver) {
   StoredProgram program({{Op::isend(1, 128.0, 5)}, {Op::recv(0, 128.0, 5)}});
   Simulator sim = make_simulator(program);
   ScriptedInjector injector;
   injector.lose_everything = true;
   sim.set_fault_injector(&injector);
-  WatchdogConfig watchdog;
-  watchdog.structured_failures = true;
-  sim.set_watchdog(watchdog);
   const SimResult result = sim.run();
 
   ASSERT_TRUE(result.failed());
@@ -188,16 +169,12 @@ TEST(SimulatorFaults, LostMessageIsDiagnosedAtTheStarvedReceiver) {
 TEST(SimulatorFaults, TimeLimitStopsARunawayRank) {
   StoredProgram program({{Op::compute(1.0), Op::allreduce(8.0)},
                          {Op::compute(1.0), Op::allreduce(8.0)}});
-  Simulator sim = make_simulator(program);
+  Simulator sim = make_simulator(program, /*max_sim_seconds=*/10.0);
   ScriptedInjector injector;
   injector.delay_rank = 0;
   injector.delay_index = 0;
   injector.delay_seconds = 1e9;  // unbounded-delay fault plan
   sim.set_fault_injector(&injector);
-  WatchdogConfig watchdog;
-  watchdog.structured_failures = true;
-  watchdog.max_sim_seconds = 10.0;
-  sim.set_watchdog(watchdog);
   const SimResult result = sim.run();
 
   ASSERT_TRUE(result.failed());
@@ -240,7 +217,6 @@ TEST(SimulatorFaults, SameSeedAndPlanGiveBitIdenticalBreakdowns) {
     Simulator sim = make_simulator(program);
     fault::InjectionEngine engine(plan, 4, /*phases_per_iteration=*/1);
     sim.set_fault_injector(&engine);
-    sim.set_watchdog(engine.watchdog());
     return sim.run();
   };
 

@@ -32,7 +32,6 @@ TEST(Nic, DisabledByDefaultMessagesDontSerialize) {
 
 TEST(Nic, SameNodeSendsSerializeAtInjectionBandwidth) {
   NicConfig nic;
-  nic.enabled = true;
   nic.pes_per_node = 4;
   nic.injection_bandwidth = 1e6;  // 1 MB/s: 1 MB takes 1 s to inject
   // Ranks 0 and 1 share node 0; each sends 1 MB to ranks on node 1.
@@ -52,7 +51,6 @@ TEST(Nic, SameNodeSendsSerializeAtInjectionBandwidth) {
 
 TEST(Nic, DifferentNodesDoNotContend) {
   NicConfig nic;
-  nic.enabled = true;
   nic.pes_per_node = 1;  // every rank has its own adapter
   nic.injection_bandwidth = 1e6;
   StoredProgram program({{Op::isend(2, 1e6, 1)},
@@ -69,7 +67,6 @@ TEST(Nic, SenderCpuDoesNotBlockOnInjection) {
   // Asynchronous sends: the CPU posts and moves on even when the
   // adapter is backed up.
   NicConfig nic;
-  nic.enabled = true;
   nic.pes_per_node = 2;
   nic.injection_bandwidth = 1e6;
   StoredProgram program(3);
@@ -87,7 +84,6 @@ TEST(Nic, ConfigValidated) {
   StoredProgram program(2);
   Simulator sim(program, network::make_qsnet1_model());
   NicConfig bad;
-  bad.enabled = true;
   bad.pes_per_node = 0;
   EXPECT_THROW(sim.set_nic(bad), util::InvalidArgument);
   bad.pes_per_node = 4;

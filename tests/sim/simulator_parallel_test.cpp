@@ -3,10 +3,11 @@
 // of SimConfig::threads > 1 — times, per-rank breakdowns, records,
 // traffic, fault accounting, structured failures — must equal the
 // single-thread oracle's exactly, across thread counts {1, 2, 8}. Also
-// the PR 7 watchdog regression: a run that drains its event queue while
-// its final ops push a rank past max_sim_seconds must still trip the
-// bound instead of reporting success, and the engine's timing gauges:
-// the coordinator wall and the idle worker-seconds at its barriers.
+// the simulated-time bound: a run that drains its event queue while its
+// final ops push a rank past SimConfig::max_sim_seconds must still trip
+// the bound instead of reporting success, and the engine's timing
+// gauges: the coordinator wall and the idle worker-seconds at its
+// barriers.
 
 #include <gtest/gtest.h>
 
@@ -32,11 +33,13 @@ namespace krak::sim {
 namespace {
 
 /// 1 us latency, 1 ns/byte, zero host overheads: hand-checkable times.
-Simulator make_simulator(Program& program, std::int32_t threads) {
+Simulator make_simulator(Program& program, std::int32_t threads,
+                         double max_sim_seconds = 0.0) {
   SimConfig config;
   config.send_overhead = 0.0;
   config.recv_overhead = 0.0;
   config.threads = threads;
+  config.max_sim_seconds = max_sim_seconds;
   return Simulator(program, network::make_hockney_model(1e-6, 1e9), config);
 }
 
@@ -172,6 +175,37 @@ TEST(SimulatorParallel, CollectiveOnlyScheduleIdentical) {
   }
 }
 
+TEST(SimulatorParallel, CollectiveBelowInterNodeLookaheadMatchesOracle) {
+  // A slow interconnect over a fast flat model: the inter-node minimum
+  // (100 us) exceeds the allreduce's whole cost (six flat 8-byte
+  // messages, about 6 us), and rank 0's 50 KB intra-node send reaches
+  // rank 1 at 51 us, after the completion. A window of the inter-node
+  // lookahead would fire that arrival before its barrier releases the
+  // allreduce below it; capped at the flat minimum, every release lands
+  // at or past its window's horizon.
+  const std::int32_t ranks = 8;
+  StoredProgram program(ranks);
+  for (RankId r = 2; r < ranks; ++r) program.set(r, {Op::allreduce(8.0)});
+  program.set(0, {Op::isend(1, 50e3, 1), Op::allreduce(8.0)});
+  program.set(1, {Op::allreduce(8.0), Op::recv(0, 50e3, 1)});
+  const network::MessageCostModel intra =
+      network::make_hockney_model(1e-6, 1e9);
+  auto run_with = [&](std::int32_t threads) {
+    Simulator sim = make_simulator(program, threads);
+    sim.set_pair_network(std::make_shared<network::HierarchicalNetwork>(
+        intra, network::make_hockney_model(100e-6, 1e9),
+        network::Placement(ranks, 4)));
+    return sim.run();
+  };
+  const SimResult reference = run_with(1);
+  ASSERT_FALSE(reference.failed());
+  EXPECT_LT(reference.finish_times[2], 10e-6);  // the completion
+  EXPECT_EQ(reference.finish_times[1], intra.message_time(50e3));
+  for (std::int32_t threads : {2, 8}) {
+    expect_identical(reference, run_with(threads));
+  }
+}
+
 TEST(SimulatorParallel, ZeroLatencyNetworkDegeneratesToLockstepAndMatches) {
   // Zero lookahead: the engine must fall back to one-timestamp-per-epoch
   // (null-message-style progression) and still match the oracle.
@@ -191,9 +225,9 @@ TEST(SimulatorParallel, ZeroLatencyNetworkDegeneratesToLockstepAndMatches) {
 
 TEST(SimulatorParallel, FaultPlanFailuresPropagateFromWorkerShards) {
   // A plan that drops every message past its retransmit budget: the
-  // receiving ranks hang, the watchdog (armed by the plan) diagnoses
-  // them, and the structured failures must come back in the same
-  // canonical order from every engine.
+  // receiving ranks hang, the simulator diagnoses them, and the
+  // structured failures must come back in the same canonical order
+  // from every engine.
   const std::int32_t ranks = 12;
   fault::FaultPlan plan;
   plan.seed = 7;
@@ -202,14 +236,12 @@ TEST(SimulatorParallel, FaultPlanFailuresPropagateFromWorkerShards) {
   model.drop_probability = 0.999999;  // effectively always dropped
   model.max_retries = 0;
   plan.message_faults.push_back(model);
-  plan.max_sim_seconds = 1.0;
 
   StoredProgram program = ring_workload(ranks, /*rounds=*/4);
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim = make_simulator(program, threads);
+    Simulator sim = make_simulator(program, threads, /*max_sim_seconds=*/1.0);
     fault::InjectionEngine engine(plan, ranks, /*phases_per_iteration=*/1);
     sim.set_fault_injector(&engine);
-    sim.set_watchdog(engine.watchdog());
     return sim.run();
   };
   const SimResult reference = run_with(1);
@@ -236,7 +268,6 @@ TEST(SimulatorParallel, InjectedDelaysIdenticalAcrossThreadCounts) {
     Simulator sim = make_simulator(program, threads);
     fault::InjectionEngine engine(plan, ranks, /*phases_per_iteration=*/1);
     sim.set_fault_injector(&engine);
-    sim.set_watchdog(engine.watchdog());
     return sim.run();
   };
   const SimResult reference = run_with(1);
@@ -258,9 +289,6 @@ TEST(SimulatorParallel, CrossShardDeadlockDiagnosedNotHung) {
   }
   auto run_with = [&](std::int32_t threads) {
     Simulator sim = make_simulator(program, threads);
-    WatchdogConfig watchdog;
-    watchdog.structured_failures = true;
-    sim.set_watchdog(watchdog);
     return sim.run();
   };
   const SimResult reference = run_with(1);
@@ -282,9 +310,6 @@ TEST(SimulatorParallel, EventBudgetTripsAsStructuredEventLimit) {
     config.threads = threads;
     config.max_events = 40;  // far fewer than the workload needs
     Simulator sim(program, network::make_hockney_model(1e-6, 1e9), config);
-    WatchdogConfig watchdog;
-    watchdog.structured_failures = true;
-    sim.set_watchdog(watchdog);
     return sim.run();
   };
   // The parallel engine checks the budget at epoch barriers, so fired
@@ -312,7 +337,6 @@ Simulator make_nic_simulator(Program& program, std::int32_t threads,
   config.threads = threads;
   Simulator sim(program, network::make_hockney_model(latency, 1e9), config);
   NicConfig nic;
-  nic.enabled = true;
   nic.pes_per_node = pes_per_node;
   nic.injection_bandwidth = 2e8;  // 4 KiB serializes for ~20 us
   sim.set_nic(nic);
@@ -387,7 +411,6 @@ TEST(SimulatorParallel, NicUnderHierarchicalNetworkIdentical) {
         network::make_es45_shared_memory_model(), network::make_qsnet1_model(),
         network::Placement(ranks, 4)));
     NicConfig nic;
-    nic.enabled = true;
     nic.pes_per_node = 2;  // lcm(4, 2) = 4: placement wins
     nic.injection_bandwidth = 2e8;
     sim.set_nic(nic);
@@ -429,7 +452,6 @@ TEST(SimulatorParallel, ZeroLatencyInterNodeHierarchyWithNicMatches) {
         network::make_es45_shared_memory_model(),
         network::make_hockney_model(0.0, 1e9), network::Placement(ranks, 4)));
     NicConfig nic;
-    nic.enabled = true;
     nic.pes_per_node = 4;
     nic.injection_bandwidth = 2e8;
     sim.set_nic(nic);
@@ -461,7 +483,6 @@ TEST(SimulatorParallel, NicWithFaultPlanIdenticalAcrossThreadCounts) {
     Simulator sim = make_nic_simulator(program, threads, /*pes_per_node=*/4);
     fault::InjectionEngine engine(plan, ranks, /*phases_per_iteration=*/1);
     sim.set_fault_injector(&engine);
-    sim.set_watchdog(engine.watchdog());
     return sim.run();
   };
   const SimResult reference = run_with(1);
@@ -471,18 +492,14 @@ TEST(SimulatorParallel, NicWithFaultPlanIdenticalAcrossThreadCounts) {
   }
 }
 
-// --- The watchdog max_sim_seconds regression (PR 7 bugfix) ---
+// --- The simulated-time bound, SimConfig::max_sim_seconds ---
 
 TEST(SimulatorWatchdog, FinalOpOvershootTripsTimeLimit) {
   // One rank, one compute op that blows through the bound: the queue
-  // drains (no further events), so the old in-loop-only check never
-  // re-examined the clock and the run reported success at t = 10.
+  // drains (no further events), so a check made only before each op
+  // would never re-examine the clock and report success at t = 10.
   StoredProgram program({{Op::compute(10.0)}});
-  Simulator sim = make_simulator(program, 1);
-  WatchdogConfig watchdog;
-  watchdog.structured_failures = true;
-  watchdog.max_sim_seconds = 5.0;
-  sim.set_watchdog(watchdog);
+  Simulator sim = make_simulator(program, 1, /*max_sim_seconds=*/5.0);
   const SimResult result = sim.run();
   ASSERT_EQ(result.failures.size(), 1u);
   EXPECT_EQ(result.failures[0].kind, SimFailure::Kind::kTimeLimit);
@@ -490,18 +507,18 @@ TEST(SimulatorWatchdog, FinalOpOvershootTripsTimeLimit) {
 }
 
 TEST(SimulatorWatchdog, FinalOpOvershootRecordedEvenWithoutStructuredMode) {
-  // max_sim_seconds trips have always been recorded structurally (the
-  // run keeps draining so the other ranks' timings stay meaningful);
-  // structured_failures only governs hang/deadlock diagnoses. The
-  // final-op overshoot must follow the same contract.
-  StoredProgram program({{Op::compute(10.0)}});
-  Simulator sim = make_simulator(program, 1);
-  WatchdogConfig watchdog;
-  watchdog.max_sim_seconds = 5.0;
-  sim.set_watchdog(watchdog);
+  // No mode selects how a trip is reported: it is always a failure in
+  // the result, and the tripped rank keeps the clock where it stopped
+  // with a breakdown that still sums to it, while the run keeps
+  // draining so the other ranks' timings stay meaningful.
+  StoredProgram program({{Op::compute(10.0)}, {Op::compute(2.0)}});
+  Simulator sim = make_simulator(program, 1, /*max_sim_seconds=*/5.0);
   const SimResult result = sim.run();
   ASSERT_EQ(result.failures.size(), 1u);
   EXPECT_EQ(result.failures[0].kind, SimFailure::Kind::kTimeLimit);
+  EXPECT_EQ(result.finish_times[0], 10.0);
+  EXPECT_EQ(result.breakdown[0].total_seconds(), 10.0);
+  EXPECT_EQ(result.finish_times[1], 2.0);
 }
 
 TEST(SimulatorWatchdog, TrailingOpsAfterMidScheduleTripAreNotExecuted) {
@@ -509,11 +526,7 @@ TEST(SimulatorWatchdog, TrailingOpsAfterMidScheduleTripAreNotExecuted) {
   // compute must never run.
   StoredProgram program(
       {{Op::compute(1.0), Op::compute(10.0), Op::record(0)}});
-  Simulator sim = make_simulator(program, 1);
-  WatchdogConfig watchdog;
-  watchdog.structured_failures = true;
-  watchdog.max_sim_seconds = 5.0;
-  sim.set_watchdog(watchdog);
+  Simulator sim = make_simulator(program, 1, /*max_sim_seconds=*/5.0);
   const SimResult result = sim.run();
   ASSERT_EQ(result.failures.size(), 1u);
   EXPECT_EQ(result.failures[0].kind, SimFailure::Kind::kTimeLimit);
@@ -522,11 +535,7 @@ TEST(SimulatorWatchdog, TrailingOpsAfterMidScheduleTripAreNotExecuted) {
 
 TEST(SimulatorWatchdog, RunWithinBoundStillSucceeds) {
   StoredProgram program({{Op::compute(4.0)}});
-  Simulator sim = make_simulator(program, 1);
-  WatchdogConfig watchdog;
-  watchdog.structured_failures = true;
-  watchdog.max_sim_seconds = 5.0;
-  sim.set_watchdog(watchdog);
+  Simulator sim = make_simulator(program, 1, /*max_sim_seconds=*/5.0);
   const SimResult result = sim.run();
   EXPECT_TRUE(result.failures.empty());
   EXPECT_DOUBLE_EQ(result.makespan, 4.0);
@@ -542,11 +551,7 @@ TEST(SimulatorWatchdog, OvershootIdenticalAcrossThreadCounts) {
     program.set(r, {Op::compute(0.25), Op::compute(tail)});
   }
   auto run_with = [&](std::int32_t threads) {
-    Simulator sim = make_simulator(program, threads);
-    WatchdogConfig watchdog;
-    watchdog.structured_failures = true;
-    watchdog.max_sim_seconds = 5.0;
-    sim.set_watchdog(watchdog);
+    Simulator sim = make_simulator(program, threads, /*max_sim_seconds=*/5.0);
     return sim.run();
   };
   const SimResult reference = run_with(1);

@@ -141,9 +141,9 @@ TEST(SimKrakParallel, FaultPlanIdenticalAcrossThreadCounts) {
 
 TEST(SimKrakParallel, HangingFaultPlanFailuresIdenticalAcrossThreadCounts) {
   // A plan that drops every message from one rank with no retries: the
-  // peers waiting on it hang, the plan-armed watchdog converts them to
-  // structured failures, and those must propagate out of worker shards
-  // in the same canonical order as the oracle's.
+  // peers waiting on it hang, the simulator returns them as structured
+  // failures, and those must propagate out of worker shards in the same
+  // canonical order as the oracle's.
   const Fixture f;
   SimKrakOptions options;
   options.iterations = 1;
@@ -162,6 +162,38 @@ TEST(SimKrakParallel, HangingFaultPlanFailuresIdenticalAcrossThreadCounts) {
     parallel.sim_threads = threads;
     expect_identical(reference, f.run(8, parallel));
   }
+}
+
+TEST(SimKrakParallel, TimeBoundReturnsTimeLimitFailuresAcrossThreadCounts) {
+  // The plan's max_sim_seconds bounds SimKrak's simulation: a tenfold
+  // slowdown pushes the ranks past a bound set at the unslowed run's
+  // total time, and SimKrak::run returns the trips (and the ranks they
+  // left waiting) as failures instead of throwing.
+  const Fixture f;
+  SimKrakOptions options;
+  options.iterations = 2;
+  options.enable_noise = false;
+  const double unslowed = f.run(8, options).total_time;
+  options.faults.slowdowns.push_back({fault::kAllRanks, 10.0});
+  options.faults.max_sim_seconds = unslowed;
+
+  const SimKrakResult reference = f.run(8, options);
+  ASSERT_TRUE(reference.failed());
+  const auto trips = std::count_if(
+      reference.failures.begin(), reference.failures.end(),
+      [](const sim::SimFailure& failure) {
+        return failure.kind == sim::SimFailure::Kind::kTimeLimit;
+      });
+  EXPECT_GT(trips, 0);
+  for (const sim::SimFailure& failure : reference.failures) {
+    if (failure.kind != sim::SimFailure::Kind::kTimeLimit) continue;
+    EXPECT_NE(failure.to_string().find("simulated-time bound"),
+              std::string::npos)
+        << failure.to_string();
+  }
+  SimKrakOptions parallel = options;
+  parallel.sim_threads = 8;
+  expect_identical(reference, f.run(8, parallel));
 }
 
 TEST(SimKrakParallel, NicContentionIdenticalAcrossThreadCounts) {
